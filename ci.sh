@@ -217,6 +217,23 @@ for _ in $(seq 1 100); do
 done
 grep -q 'ok ftraffic lb sent=16 rerouted=0 dropped=0' /tmp/fleet-ctl-out
 
+# Connection reuse is live in the real binaries: after a larger fan-out each
+# worker's scrape must show far fewer accepted control connections than
+# dispatched control lines (fleet.TCP keeps worker connections open).
+printf 'ftraffic lb 512\nfmetrics\n' >&8
+for _ in $(seq 1 100); do
+    grep -q 'ok fmetrics' /tmp/fleet-ctl-out && break
+    sleep 0.1
+done
+grep -q 'ok ftraffic lb sent=512 rerouted=0 dropped=0' /tmp/fleet-ctl-out
+for W in w1 w2; do
+    CONNS=$(grep "^merlin_control_connections_total{worker=\"$W\"}" /tmp/fleet-ctl-out | awk '{print $2}')
+    RPCS=$(grep "^merlin_control_rpcs_total{worker=\"$W\"}" /tmp/fleet-ctl-out | awk '{print $2}')
+    [ "$CONNS" -ge 1 ]
+    [ "$RPCS" -ge $((8 * CONNS)) ]
+done
+grep -q '^merlin_fleet_rpc_redials_total 0' /tmp/fleet-ctl-out
+
 # SIGKILL w2 mid-rollout: the rollout must halt and roll back rather than
 # promote a version only part of the fleet can run.
 printf 'fdeploy lb corpus:xdp1\n' >&8

@@ -46,6 +46,8 @@ import (
 
 // startControl serves the daemon's line protocol on a TCP listener: one
 // scanner loop per connection, each line dispatched exactly like stdin. The
+// controller keeps its connections open (fleet.TCP), so a healthy fleet shows
+// merlin_control_connections_total far below merlin_control_rpcs_total. The
 // accept loop logs and continues on transient errors; it never takes the
 // daemon down.
 func (d *daemon) startControl(addr string) (net.Addr, error) {
@@ -53,6 +55,10 @@ func (d *daemon) startControl(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	conns := d.reg.Counter("merlin_control_connections_total",
+		"control connections accepted")
+	rpcs := d.reg.Counter("merlin_control_rpcs_total",
+		"control lines dispatched")
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -61,16 +67,17 @@ func (d *daemon) startControl(addr string) (net.Addr, error) {
 				time.Sleep(100 * time.Millisecond)
 				continue
 			}
-			go d.serveConn(conn)
+			conns.Inc()
+			go d.serveConn(conn, rpcs)
 		}
 	}()
 	return ln.Addr(), nil
 }
 
-func (d *daemon) serveConn(conn net.Conn) {
+func (d *daemon) serveConn(conn net.Conn, rpcs *metrics.Counter) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -85,6 +92,7 @@ func (d *daemon) serveConn(conn net.Conn) {
 			fmt.Fprintln(conn, "err unauthorized")
 			continue
 		}
+		rpcs.Inc()
 		if err := d.dispatch(conn, rest); err != nil {
 			fmt.Fprintf(conn, "err %s: %v\n", strings.Fields(rest)[0], err)
 		}
@@ -154,7 +162,8 @@ func runController(o controllerOpts) {
 		Metrics:     reg,
 		Replication: o.replication,
 		AuthToken:   o.token,
-	}, &fleet.TCP{})
+	}, &fleet.TCP{Redials: reg.Counter("merlin_fleet_rpc_redials_total",
+		"worker RPCs retried on a fresh dial after a stale pooled connection")})
 	authFails := reg.Counter("merlin_fleet_auth_failures_total",
 		"control RPCs refused for a missing or wrong token")
 
@@ -284,7 +293,7 @@ func runController(o controllerOpts) {
 func serveControllerConn(ctl *fleet.Controller, conn net.Conn, token string, authFails *metrics.Counter) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

@@ -184,8 +184,9 @@ type daemon struct {
 	buildOpts  core.Options
 	deployOpts lifecycle.DeployOptions
 	seed       int64
-	traffic    int64  // packets generated so far, advances the input stream
-	token      string // control-listener shared secret; "" accepts everything
+	traffic    int64            // packets generated so far, advances the input stream
+	driver     lifecycle.Driver // reused ServeBatch buffers of the traffic command
+	token      string           // control-listener shared secret; "" accepts everything
 }
 
 // shutdown flushes and closes everything the daemon owns durable state in.
@@ -922,18 +923,15 @@ func (d *daemon) deploy(w io.Writer, slot, src string, rest []string) error {
 	return nil
 }
 
-// drive serves n synthetic XDP packets through the slot, mirroring them into
-// any in-flight candidate, and reports the verdict histogram.
+// drive serves n synthetic XDP packets through the slot in ServeBatch chunks,
+// mirroring them into any in-flight candidate, and reports the verdict
+// histogram.
 func (d *daemon) drive(w io.Writer, slot string, n int) error {
 	inputs := guard.Inputs(ebpf.HookXDP, n, d.seed+d.traffic)
 	d.traffic += int64(n)
 	verdicts := map[int64]int{}
-	for _, in := range inputs {
-		rv, _, err := d.mgr.Serve(slot, in.Ctx, in.Pkt)
-		if err != nil {
-			return err
-		}
-		verdicts[rv]++
+	if err := d.driver.Drive(d.mgr, slot, inputs, verdicts); err != nil {
+		return err
 	}
 	// Traffic mutates map state without lifecycle transitions; flush so the
 	// counters survive a crash between commands.

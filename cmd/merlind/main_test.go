@@ -1,0 +1,160 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+	"testing"
+
+	"merlin/internal/chaos"
+	"merlin/internal/core"
+	"merlin/internal/ebpf"
+	"merlin/internal/guard"
+	"merlin/internal/lifecycle"
+	"merlin/internal/metrics"
+	"merlin/internal/vm"
+)
+
+const testSeed = 7
+
+// newTestDaemon assembles the parts of main's daemon that deploy and traffic
+// touch, with merlind's default gates.
+func newTestDaemon() *daemon {
+	reg := metrics.New()
+	d := &daemon{
+		reg: reg,
+		fs:  chaos.OS(),
+		buildOpts: core.Options{
+			Hook: ebpf.HookXDP, MCPU: 2, KernelALU32: true,
+			GuardDiffInputs: 4, PassTimeout: guard.DefaultTimeout,
+			Metrics: core.NewMetrics(reg),
+		},
+		seed: testSeed,
+	}
+	d.mgr = lifecycle.NewManager(lifecycle.Config{
+		ShadowRuns: 32, CanaryRuns: 32, CycleSlack: 0.10,
+		MaxRetries: 3, Metrics: reg,
+		VM: vm.Config{Seed: testSeed, Metrics: vm.NewMetrics(reg)},
+	})
+	return d
+}
+
+func mustDispatch(t *testing.T, d *daemon, line string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := d.dispatch(&out, line); err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	return strings.TrimSpace(out.String())
+}
+
+// replyVerdicts reads the verdicts[...] histogram off a traffic reply.
+func replyVerdicts(t *testing.T, reply string) map[string]int {
+	t.Helper()
+	_, rest, ok := strings.Cut(reply, "verdicts[")
+	body, _, ok2 := strings.Cut(rest, "]")
+	if !ok || !ok2 {
+		t.Fatalf("no verdicts in %q", reply)
+	}
+	out := map[string]int{}
+	for _, kv := range strings.Fields(body) {
+		k, v, _ := strings.Cut(kv, "=")
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("bad verdict %q in %q", kv, reply)
+		}
+		out[k] = n
+	}
+	return out
+}
+
+// lifecycleSeries is the manager's own telemetry: what must not depend on
+// whether packets arrived one by one or in batches.
+func lifecycleSeries(d *daemon) map[string]int64 {
+	d.mgr.CollectMetrics()
+	out := map[string]int64{}
+	for k, v := range d.reg.Snapshot() {
+		if strings.HasPrefix(k, "merlin_lifecycle_") {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// The traffic command serves through ServeBatch; it must answer exactly what
+// n per-packet Serve calls over the same guard.Inputs stream answer — verdict
+// histogram, served and mirrored counts, stage, event watermark and the
+// manager's counters — in steady state, with an equivalent candidate mirrored
+// through shadow and canary, and with a diverging one rejected mid-chunk.
+func TestTrafficMatchesPerPacketServe(t *testing.T) {
+	for _, prog := range []string{"xdp2", "xdp_router_ipv4", "xdp_fwd", "xdp-balancer"} {
+		for _, mode := range []struct{ name, cand string }{ // cand: the second deploy, "" for none
+			{"steady", ""}, {"shadow", prog}, {"rejected", "xdp1"},
+		} {
+			t.Run(prog+"/"+mode.name, func(t *testing.T) {
+				batched, single := newTestDaemon(), newTestDaemon()
+				for _, d := range []*daemon{batched, single} {
+					mustDispatch(t, d, "deploy s corpus:"+prog)
+					if mode.cand != "" {
+						mustDispatch(t, d, "deploy s corpus:"+mode.cand)
+					}
+				}
+				// Two commands: the second continues the input stream where
+				// the first stopped, and 300 is not a multiple of the chunk.
+				var offset int64
+				for _, n := range []int{300, 77} {
+					reply := mustDispatch(t, batched, fmt.Sprintf("traffic s %d", n))
+					want := map[string]int{}
+					for _, in := range guard.Inputs(ebpf.HookXDP, n, testSeed+offset) {
+						rv, _, err := single.mgr.Serve("s", in.Ctx, in.Pkt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[verdictName(rv)]++
+					}
+					offset += int64(n)
+					if got := replyVerdicts(t, reply); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("traffic s %d: verdicts %v, per-packet Serve gives %v", n, got, want)
+					}
+					bs, _ := batched.mgr.StatusOf("s")
+					ss, _ := single.mgr.StatusOf("s")
+					if bs.String() != ss.String() {
+						t.Fatalf("traffic s %d: status\n  %s\nper-packet Serve gives\n  %s", n, bs, ss)
+					}
+					wantTail := fmt.Sprintf(" n=%d stage=%s served=%d mirrored=%d eseq=%d ", n, ss.Stage, ss.Served, ss.Mirrored, ss.EventSeq)
+					if !strings.Contains(reply, wantTail) {
+						t.Fatalf("reply %q does not carry %q", reply, wantTail)
+					}
+				}
+				got, want := lifecycleSeries(batched), lifecycleSeries(single)
+				if want[`merlin_lifecycle_served_total{slot="s"}`] != 377 {
+					t.Fatalf("reference served_total = %d, want 377", want[`merlin_lifecycle_served_total{slot="s"}`])
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("lifecycle metrics differ:\n  batched %v\n  single  %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// In steady state the traffic command allocates for its inputs and a fixed
+// handful per command, nothing per packet.
+func TestDriveAllocsPerPacket(t *testing.T) {
+	d := newTestDaemon()
+	mustDispatch(t, d, "deploy s corpus:xdp2")
+	const n = 4096
+	mustDispatch(t, d, fmt.Sprintf("traffic s %d", n)) // sizes the reused buffers
+	inputs := testing.AllocsPerRun(5, func() { guard.Inputs(ebpf.HookXDP, n, testSeed) })
+	drive := testing.AllocsPerRun(5, func() {
+		if err := d.drive(io.Discard, "s", n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPkt := (drive - inputs) / n; perPkt > 0.02 {
+		t.Fatalf("drive allocates %.3f per packet beyond its inputs (%v per command, inputs %v)",
+			perPkt, drive, inputs)
+	}
+}

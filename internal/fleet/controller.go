@@ -221,6 +221,7 @@ type Controller struct {
 	eventSeq   int
 	rng        uint64
 	trafficSeq int
+	rings      map[string]*ring       // traffic rings by pool membership, see trafficRingLocked
 	eseqs      map[string]int         // worker+"/"+slot → event watermark
 	repairQ    []*repairTask          // pending repairs, FIFO
 	repairs    map[string]*repairTask // active repairs, one per slot
@@ -250,6 +251,7 @@ func New(cfg Config, tr Transport) *Controller {
 		catalog:    map[string]*CatalogSlot{},
 		installed:  map[string]map[string]installedRec{},
 		placements: map[string]*Placement{},
+		rings:      map[string]*ring{},
 		eseqs:      map[string]int{},
 		repairs:    map[string]*repairTask{},
 		repairBk:   map[string]*repairBreaker{},
@@ -781,7 +783,7 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 	} else {
 		pool = c.workerNamesLocked(func(w *worker) bool { return w.health.eligible() })
 	}
-	r := buildRing(pool, c.cfg.VNodes)
+	r := c.trafficRingLocked(pool)
 	batch := c.cfg.TrafficBatch
 	chunks := (n + batch - 1) / batch
 	seq := c.trafficSeq
@@ -796,9 +798,8 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 		key := slot + "/" + strconv.Itoa(seq+i)
 		cmd := "traffic " + slot + " " + strconv.Itoa(size)
 		sent := false
-		tried := map[string]bool{}
-		for hop, name := range r.lookup(key, len(pool)) {
-			tried[name] = true
+		owners := r.lookup(key, len(pool))
+		for hop, name := range owners {
 			lines, err := c.rpc(name, cmd, false)
 			if err == nil {
 				if _, ok := ReplyOK(lines); ok {
@@ -831,13 +832,12 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 			c.mu.Lock()
 			var rest []string
 			for _, rn := range replicas {
-				if !tried[rn] && c.workers[rn] != nil {
+				if !containsStr(owners, rn) && c.workers[rn] != nil {
 					rest = append(rest, rn)
-					tried[rn] = true
 				}
 			}
 			for _, name := range c.workerNamesLocked(func(*worker) bool { return true }) {
-				if !tried[name] {
+				if !containsStr(owners, name) && !containsStr(rest, name) {
 					rest = append(rest, name)
 				}
 			}
@@ -871,6 +871,29 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 		}
 	}
 	return rep
+}
+
+// ringMemoCap bounds the memoised traffic rings. A fleet has one ring per
+// distinct routable replica set, a handful in practice; past the cap the memo
+// starts over rather than tracking which entry is oldest.
+const ringMemoCap = 32
+
+// trafficRingLocked returns the consistent-hash ring over pool. A ring is a
+// pure function of its membership and VNodes, so it is built once per
+// membership and shared until the memo starts over; routing for a given fleet
+// shape is what buildRing alone would give. Sorts pool.
+func (c *Controller) trafficRingLocked(pool []string) *ring {
+	sort.Strings(pool)
+	key := strings.Join(pool, "\x00")
+	if r := c.rings[key]; r != nil {
+		return r
+	}
+	if len(c.rings) >= ringMemoCap {
+		clear(c.rings)
+	}
+	r := buildRing(pool, c.cfg.VNodes)
+	c.rings[key] = r
+	return r
 }
 
 // ---- status --------------------------------------------------------------

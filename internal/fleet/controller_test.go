@@ -273,3 +273,35 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.t = f.t.Add(d)
 	f.mu.Unlock()
 }
+
+// The memoised traffic ring must be the ring buildRing gives for the same
+// membership — whatever order the pool arrives in — built once per membership
+// and rebuilt when the membership differs.
+func TestTrafficRingMemoMatchesBuildRing(t *testing.T) {
+	c := New(Config{}, NewLocalTransport())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := buildRing([]string{"w1", "w2", "w3"}, c.cfg.VNodes)
+	got := c.trafficRingLocked([]string{"w3", "w1", "w2"})
+	if len(got.points) != len(want.points) {
+		t.Fatalf("memoised ring has %d points, want %d", len(got.points), len(want.points))
+	}
+	for i := range want.points {
+		if got.points[i] != want.points[i] {
+			t.Fatalf("point %d = %+v, want %+v", i, got.points[i], want.points[i])
+		}
+	}
+	if again := c.trafficRingLocked([]string{"w2", "w3", "w1"}); again != got {
+		t.Fatal("same membership rebuilt the ring")
+	}
+	two := c.trafficRingLocked([]string{"w1", "w3"})
+	if two == got || len(two.points) != 2*c.cfg.VNodes {
+		t.Fatalf("a smaller pool must get its own ring, got %d points", len(two.points))
+	}
+	for i := 0; i < 2*ringMemoCap; i++ {
+		c.trafficRingLocked([]string{"w" + itoa(i)})
+	}
+	if len(c.rings) > ringMemoCap {
+		t.Fatalf("memo holds %d rings, cap is %d", len(c.rings), ringMemoCap)
+	}
+}

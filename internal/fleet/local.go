@@ -41,6 +41,7 @@ type LocalWorker struct {
 	resolve func(desc string) (lifecycle.Source, error)
 	seed    uint64
 	traffic int64
+	driver  lifecycle.Driver
 	down    bool
 	token   string          // control token; "" accepts everything
 	socache *superopt.Cache // per-incarnation verdict cache (federation)
@@ -234,10 +235,8 @@ func (w *LocalWorker) dispatch(line string) []string {
 		}
 		inputs := guard.Inputs(ebpf.HookXDP, n, int64(w.seed)+w.traffic)
 		w.traffic += int64(n)
-		for _, in := range inputs {
-			if _, _, err := w.mgr.Serve(args[0], in.Ctx, in.Pkt); err != nil {
-				return []string{"err " + err.Error()}
-			}
+		if err := w.driver.Drive(w.mgr, args[0], inputs, nil); err != nil {
+			return []string{"err " + err.Error()}
 		}
 		st, _ := w.mgr.StatusOf(args[0])
 		return []string{fmt.Sprintf("ok traffic %s n=%d stage=%s served=%d mirrored=%d eseq=%d",
