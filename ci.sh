@@ -126,22 +126,12 @@ go test -run FuzzSuperopt -fuzz FuzzSuperopt -fuzztime 20s ./internal/difftest/
 # interpreter.
 go test -run FuzzVMEquivalence -fuzz FuzzVMEquivalence -fuzztime 20s ./internal/difftest/
 
-# Execution-engine throughput gate: batch serving on the pre-decoded engine
-# must beat the seed serving loop (reference interpreter, per-packet context
-# allocation) by at least MERLIN_VM_FLOOR on the corpus-aggregate ratio.
-# Measured headroom is ~4.5-4.8x on an idle machine; the default floor of
-# 3.0 absorbs shared-runner noise while still catching any real regression
-# to pre-engine throughput. Each run appends to the bench_vm.json
-# trajectory so throughput history survives across CI runs.
-MERLIN_VM_FLOOR="${MERLIN_VM_FLOOR:-3.0}"
-go run ./cmd/merlin-bench -vm-floor "$MERLIN_VM_FLOOR" -vm-json bench_vm.json vmbench
-
-# Build-service latency trajectory: cold superopt builds vs artifact-cache
-# hits vs builds against a federated verdict cache, over the XDP corpus.
-# buildbench itself asserts the cache discipline (warm builds come back
-# cached, federated builds run zero searches); each run appends to the
-# bench_build.json trajectory like vmbench does.
-go run ./cmd/merlin-bench -build-json bench_build.json buildbench
+# Benchmark correctness smokes, no timing threshold: a real merlind worker
+# driven through the shared dispatcher, and the in-process batch path; each
+# recomputes its verdict histograms on vm.NewRef and exits non-zero on any
+# mismatch, drop or failed operation.
+bash bench/run.sh -workload serve-daemon-bulk -seconds 1
+bash bench/run.sh -workload serve-batch -seconds 1
 
 # Storage-chaos soak: seeded faults (ENOSPC/EIO/torn writes) at ~1% on every
 # journal I/O site while concurrent traffic races deploy/promote/rollback

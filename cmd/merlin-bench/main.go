@@ -2,25 +2,14 @@
 // reproduction corpus. Each subcommand prints one artifact; "all" runs
 // everything. The -full flag disables suite sampling (slow but exhaustive).
 //
-// The vmbench subcommand benchmarks the execution engine itself (seed
-// interpreter loop vs pre-decoded batch serving); -batch sets its packets
-// per RunBatch call, -vm-floor gates on the corpus-aggregate seed/batch
-// speedup, and -vm-json appends the run to a trajectory artifact.
-//
-// The buildbench subcommand benchmarks the optimization-as-a-service path
-// (internal/buildsvc): cold superopt builds vs artifact-cache hits vs builds
-// on a federated verdict cache that never searched; -build-budget sets the
-// superopt search budget and -build-json appends the run to a trajectory
-// artifact (bench_build.json in CI).
+// End-to-end build and serving throughput is measured by bench/ (see
+// BENCHMARK.json), not here.
 //
 // Usage:
 //
-//	merlin-bench [-full] [-batch n] [-vm-floor x] [-vm-json path]
-//	             [-build-budget n] [-build-json path]
-//	             <table1|table2|table3|table4|table5|
-//	              fig10a|fig10b|fig10c|fig10d|fig10e|fig10f|
-//	              fig11|fig12|fig13a|fig13b|fig14|fig15|
-//	              vmbench|buildbench|all>
+//	merlin-bench [-full] <table1|table2|table3|table4|table5|
+//	                      fig10a|fig10b|fig10c|fig10d|fig10e|fig10f|
+//	                      fig11|fig12|fig13a|fig13b|fig14|fig15|all>
 package main
 
 import (
@@ -32,16 +21,10 @@ import (
 
 	"merlin/internal/core"
 	"merlin/internal/experiments"
-	"merlin/internal/netbench"
 )
 
 func main() {
 	full := flag.Bool("full", false, "run on the full suites (no sampling)")
-	batch := flag.Int("batch", netbench.DefaultBatchSize, "vmbench: packets per RunBatch call")
-	vmFloor := flag.Float64("vm-floor", 0, "vmbench: fail unless the aggregate seed/batch speedup reaches this factor")
-	vmJSON := flag.String("vm-json", "", "vmbench: append the run to this JSON trajectory artifact")
-	buildBudget := flag.Int("build-budget", 0, "buildbench: superopt search budget (0 = superopt default)")
-	buildJSON := flag.String("build-json", "", "buildbench: append the run to this JSON trajectory artifact")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: merlin-bench [-full] <experiment|all>")
@@ -61,12 +44,6 @@ func main() {
 		"fig11": fig11, "fig12": fig12,
 		"fig13a": fig13a, "fig13b": fig13b,
 		"fig14": fig14, "fig15": fig15,
-		"vmbench": func(cfg experiments.Config) error {
-			return vmbench(cfg, *batch, *vmFloor, *vmJSON)
-		},
-		"buildbench": func(cfg experiments.Config) error {
-			return buildbench(*buildBudget, *buildJSON)
-		},
 	}
 	if cmd == "all" {
 		names := make([]string, 0, len(cmds))
@@ -93,66 +70,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "merlin-bench:", err)
 		os.Exit(1)
 	}
-}
-
-func vmbench(cfg experiments.Config, batch int, floor float64, jsonPath string) error {
-	// The -full flag buys longer measurement windows (less noise) rather
-	// than suite sampling: vmbench always runs the whole XDP corpus.
-	dur := 30 * time.Millisecond
-	if cfg.SuiteStride == 1 {
-		dur = 200 * time.Millisecond
-	}
-	res, err := experiments.VMBench(batch, dur)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("VM engine throughput (XDP corpus, batch=%d, %s/loop)\n", res.BatchSize, dur)
-	fmt.Printf("%-22s %6s %10s %10s %10s %11s %13s\n",
-		"program", "NI", "seed ns", "single ns", "batch ns", "seed/batch", "single/batch")
-	for _, r := range res.Rows {
-		fmt.Printf("%-22s %6d %10.1f %10.1f %10.1f %10.2fx %12.2fx\n",
-			r.Program, r.NI, r.SeedNs, r.SingleNs, r.BatchNs, r.SeedSpeedup(), r.SingleSpeedup())
-	}
-	fmt.Printf("%-22s %6s %10.1f %10.1f %10.1f %10.2fx %12.2fx\n",
-		"corpus pass (equal-pkt)", "", res.SeedNs, res.SingleNs, res.BatchNs,
-		res.SeedSpeedup(), res.SingleSpeedup())
-	if jsonPath != "" {
-		if err := experiments.AppendVMBenchJSON(jsonPath, res); err != nil {
-			return fmt.Errorf("vmbench: writing %s: %w", jsonPath, err)
-		}
-		fmt.Printf("trajectory appended to %s\n", jsonPath)
-	}
-	if floor > 0 && res.SeedSpeedup() < floor {
-		return fmt.Errorf("vmbench: aggregate seed/batch speedup %.2fx below the %.2fx floor",
-			res.SeedSpeedup(), floor)
-	}
-	return nil
-}
-
-func buildbench(budget int, jsonPath string) error {
-	res, err := experiments.BuildBench(budget)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Build service latency (XDP corpus, superopt budget=%d)\n", res.Budget)
-	fmt.Printf("%-22s %6s %10s %10s %10s %9s %8s\n",
-		"program", "NI", "cold us", "warm us", "fed us", "searches", "fed hits")
-	for _, r := range res.Rows {
-		fmt.Printf("%-22s %6d %10.1f %10.1f %10.1f %9d %8d\n",
-			r.Program, r.NI, float64(r.ColdNs)/1e3, float64(r.WarmNs)/1e3,
-			float64(r.FedNs)/1e3, r.ColdSearches, r.FedHits)
-	}
-	fmt.Printf("%-22s %6s %10.1f %10.1f %10.1f\n", "corpus total", "",
-		float64(res.ColdNs)/1e3, float64(res.WarmNs)/1e3, float64(res.FedNs)/1e3)
-	fmt.Printf("warm speedup %.2fx (artifact cache), federated speedup %.2fx (verdicts without searching)\n",
-		res.WarmSpeedup(), res.FedSpeedup())
-	if jsonPath != "" {
-		if err := experiments.AppendBuildBenchJSON(jsonPath, res); err != nil {
-			return fmt.Errorf("buildbench: writing %s: %w", jsonPath, err)
-		}
-		fmt.Printf("trajectory appended to %s\n", jsonPath)
-	}
-	return nil
 }
 
 func table1(cfg experiments.Config) error {

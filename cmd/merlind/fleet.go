@@ -25,11 +25,10 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -44,99 +43,24 @@ import (
 
 // ---- worker side ----------------------------------------------------------
 
-// startControl serves the daemon's line protocol on a TCP listener: one
-// scanner loop per connection, each line dispatched exactly like stdin. The
-// controller keeps its connections open (fleet.TCP), so a healthy fleet shows
-// merlin_control_connections_total far below merlin_control_rpcs_total. The
-// accept loop logs and continues on transient errors; it never takes the
-// daemon down.
-func (d *daemon) startControl(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	conns := d.reg.Counter("merlin_control_connections_total",
-		"control connections accepted")
-	rpcs := d.reg.Counter("merlin_control_rpcs_total",
-		"control lines dispatched")
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "merlind: control accept:", err)
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			conns.Inc()
-			go d.serveConn(conn, rpcs)
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-func (d *daemon) serveConn(conn net.Conn, rpcs *metrics.Counter) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		// Network callers must authenticate; stdin (the local operator,
-		// dispatched in main) is never challenged.
-		rest, authed := fleet.CheckAuth(d.token, line)
-		if !authed {
-			d.reg.Counter("merlin_fleet_auth_failures_total",
-				"control RPCs refused for a missing or wrong token").Inc()
-			fmt.Fprintln(conn, "err unauthorized")
-			continue
-		}
-		rpcs.Inc()
-		if err := d.dispatch(conn, rest); err != nil {
-			fmt.Fprintf(conn, "err %s: %v\n", strings.Fields(rest)[0], err)
-		}
-	}
-}
-
 // announceLoop keeps re-introducing this worker to the controller: the first
 // announcement admits it, later ones are cheap idempotent re-joins that pull
 // the worker back into the fleet after a controller restart or a healed
 // partition without waiting for a controller-side probe.
-func announceLoop(ctrlAddr, name, controlAddr, token string, every time.Duration) {
+func announceLoop(ctrlAddr, join string, every time.Duration) {
+	tcp := &fleet.TCP{Dialer: net.Dialer{Timeout: 2 * time.Second}}
 	for {
-		if err := announce(ctrlAddr, name, controlAddr, token); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		lines, err := tcp.RPC(ctx, ctrlAddr, join)
+		cancel()
+		if errLine, refused := fleet.ReplyErr(lines); refused {
+			err = fmt.Errorf("controller: %s", strings.TrimPrefix(errLine, "err "))
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "merlind: join:", err)
 		}
 		time.Sleep(every)
 	}
-}
-
-func announce(ctrlAddr, name, controlAddr, token string) error {
-	conn, err := net.DialTimeout("tcp", ctrlAddr, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	join := fleet.AuthLine(token, fmt.Sprintf("join %s %s", name, controlAddr))
-	if _, err := fmt.Fprintln(conn, join); err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		l := sc.Text()
-		if l == "ok" || strings.HasPrefix(l, "ok ") {
-			return nil
-		}
-		if strings.HasPrefix(l, "err ") {
-			return fmt.Errorf("controller: %s", strings.TrimPrefix(l, "err "))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("controller closed connection mid-reply")
 }
 
 // ---- controller side ------------------------------------------------------
@@ -164,23 +88,17 @@ func runController(o controllerOpts) {
 		AuthToken:   o.token,
 	}, &fleet.TCP{Redials: reg.Counter("merlin_fleet_rpc_redials_total",
 		"worker RPCs retried on a fresh dial after a stale pooled connection")})
-	authFails := reg.Counter("merlin_fleet_auth_failures_total",
-		"control RPCs refused for a missing or wrong token")
+	auth := fleet.NewAuth(o.token, reg)
+	dispatch := func(w io.Writer, line string) error { return dispatchController(ctl, w, line) }
 
 	var jl *journal.Log
 	if o.stateDir != "" {
 		var err error
 		jl, err = journal.OpenWith(o.stateDir, o.jopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "merlind: -state-dir:", err)
-			os.Exit(2)
-		}
+		fatalIf(err != nil, "-state-dir: %v", err)
 		ctl.AttachJournal(jl)
 		rs, err := ctl.Recover()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "merlind: controller recover:", err)
-			os.Exit(2)
-		}
+		fatalIf(err != nil, "controller recover: %v", err)
 		// Re-admit the recovered fleet before announcing: recovered workers
 		// start Down with an expired breaker, and this first Tick is the
 		// probe+reconcile pass that brings the live ones back.
@@ -208,45 +126,12 @@ func runController(o controllerOpts) {
 	}()
 
 	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "merlind: -controller:", err)
-		os.Exit(2)
-	}
+	fatalIf(err != nil, "-controller: %v", err)
 	fmt.Printf("ok controller %s\n", ln.Addr())
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "merlind: controller accept:", err)
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			go serveControllerConn(ctl, conn, o.token, authFails)
-		}
-	}()
+	go fleet.Listen(ln, &auth, dispatch, nil)
 
 	if o.listen != "" {
-		hln, err := net.Listen("tcp", o.listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "merlind: -listen:", err)
-			os.Exit(2)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = ctl.WriteMetrics(w)
-		})
-		fmt.Printf("ok listen %s\n", hln.Addr())
-		srv := &metrics.ResilientServer{
-			ServeErrors: reg.Counter("merlin_http_serve_errors_total",
-				"http accept-loop deaths survived by re-listening"),
-			OnError: func(err error) { fmt.Fprintln(os.Stderr, "merlind: http:", err) },
-		}
-		go srv.Serve(hln, mux)
+		serveMetricsHTTP(o.listen, reg, ctl.WriteMetrics)
 	}
 
 	// The maintenance ticker: re-probe down workers, reconcile recovering
@@ -259,59 +144,22 @@ func runController(o controllerOpts) {
 		}
 	}()
 
-	failed := false
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if line == "quit" {
-			ctl.Flush()
-			if jl != nil {
-				jl.Close()
-			}
-			if failed {
-				os.Exit(1)
-			}
-			return
-		}
-		if err := dispatchController(ctl, os.Stdout, line); err != nil {
-			failed = true
-			fmt.Printf("err %s: %v\n", strings.Fields(line)[0], err)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	// Worker joins and remote operators alike must present the token; stdin
+	// is the local operator and is never challenged.
+	failed, quit, err := fleet.Serve(os.Stdin, os.Stdout, nil, operator(dispatch))
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "merlind: stdin:", err)
 		shutdown(2)
 	}
+	if quit {
+		code := 0
+		if failed {
+			code = 1
+		}
+		shutdown(code)
+	}
 	// stdin has drained; keep serving workers until signaled.
 	select {}
-}
-
-func serveControllerConn(ctl *fleet.Controller, conn net.Conn, token string, authFails *metrics.Counter) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		// Worker joins and remote operators alike must present the token;
-		// stdin (dispatched in runController) is the local operator and is
-		// never challenged.
-		rest, authed := fleet.CheckAuth(token, line)
-		if !authed {
-			authFails.Inc()
-			fmt.Fprintln(conn, "err unauthorized")
-			continue
-		}
-		if err := dispatchController(ctl, conn, rest); err != nil {
-			fmt.Fprintf(conn, "err %s: %v\n", strings.Fields(rest)[0], err)
-		}
-	}
 }
 
 // dispatchController executes one controller command and writes its reply to

@@ -33,6 +33,10 @@
 //	tick                                          let quarantined slots retry
 //	quit                                          exit
 //
+// The verbs and the serve loop are fleet.Worker and fleet.Serve in
+// internal/fleet; this binary is flags, storage open/recover/re-attach and
+// signal wiring around them.
+//
 // Every layer reports into one metrics registry: the VM (per-run cycles,
 // instructions, fault kinds), the build pipeline (per-pass wall time,
 // rollbacks, verifier verdicts) and the lifecycle manager (per-slot serve
@@ -137,8 +141,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/base64"
 	"errors"
 	"flag"
 	"fmt"
@@ -148,7 +150,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -159,6 +160,7 @@ import (
 	"merlin/internal/core"
 	"merlin/internal/corpus"
 	"merlin/internal/ebpf"
+	"merlin/internal/fleet"
 	"merlin/internal/guard"
 	"merlin/internal/ir"
 	"merlin/internal/journal"
@@ -168,36 +170,22 @@ import (
 	"merlin/internal/vm"
 )
 
+// daemon is the worker process around a fleet.Worker: the Worker answers
+// every command; the daemon owns what only the process knows — the source
+// read path, build options, and the durable state it must close on exit.
 type daemon struct {
-	// mu serializes command dispatch: stdin and every control-listener
-	// connection share one daemon, and a command's reply lines must not
-	// interleave with another's manager mutations.
-	mu         sync.Mutex
-	mgr        *lifecycle.Manager
-	reg        *metrics.Registry
-	fs         chaos.FS        // source/objfile read path, fault-injectable
-	jlmu       sync.Mutex      // guards jl: the reattach loop sets it concurrently
-	jl         *journal.Log    // nil while the state dir is unavailable
-	socache    *superopt.Cache // nil unless -superopt (persistent or in-memory)
-	bsvc       *buildsvc.Service
-	httpSrv    *metrics.ResilientServer
-	buildOpts  core.Options
-	deployOpts lifecycle.DeployOptions
-	seed       int64
-	traffic    int64            // packets generated so far, advances the input stream
-	driver     lifecycle.Driver // reused ServeBatch buffers of the traffic command
-	token      string           // control-listener shared secret; "" accepts everything
+	*fleet.Worker
+	fs        chaos.FS     // source/objfile read path, fault-injectable
+	jlmu      sync.Mutex   // guards jl: the reattach loop sets it concurrently
+	jl        *journal.Log // nil while the state dir is unavailable
+	buildOpts core.Options
 }
 
 // shutdown flushes and closes everything the daemon owns durable state in.
 func (d *daemon) shutdown() {
-	if d.bsvc != nil {
-		d.bsvc.Close()
-		d.bsvc = nil
-	}
-	if d.socache != nil {
-		d.socache.Close()
-		d.socache = nil
+	d.Builds.Close()
+	if d.Cache != nil {
+		d.Cache.Close()
 	}
 	d.jlmu.Lock()
 	jl := d.jl
@@ -222,7 +210,7 @@ func (d *daemon) reattachLoop(dir string, o journal.Options) {
 			}
 			continue
 		}
-		if err := d.mgr.AttachJournal(jl); err != nil {
+		if err := d.Mgr.AttachJournal(jl); err != nil {
 			// Opened but the marker write failed: the manager keeps the
 			// journal and probes it on its own backoff schedule from here.
 			fmt.Fprintln(os.Stderr, "merlind: journal re-attach probe:", err)
@@ -282,92 +270,32 @@ func main() {
 		"kprobe": ebpf.HookKprobe, "socket_filter": ebpf.HookSocketFilter,
 	}
 	hook, ok := hooks[*hookName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "merlind: unknown hook %q\n", *hookName)
-		os.Exit(2)
-	}
-	if *passTimeout <= 0 {
-		fmt.Fprintln(os.Stderr, "merlind: -pass-timeout must be positive")
-		os.Exit(2)
-	}
-	if math.IsNaN(*canaryFraction) || *canaryFraction < 0 || *canaryFraction > 1 {
-		fmt.Fprintf(os.Stderr, "merlind: -canary-fraction must be in [0, 1], got %v\n", *canaryFraction)
-		os.Exit(2)
-	}
-	if *compactEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -compact-every must be positive, got %d\n", *compactEvery)
-		os.Exit(2)
-	}
-	if *backoff <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -backoff must be positive, got %v\n", *backoff)
-		os.Exit(2)
-	}
+	fatalIf(!ok, "unknown hook %q", *hookName)
+	fatalIf(*passTimeout <= 0, "-pass-timeout must be positive")
+	fatalIf(math.IsNaN(*canaryFraction) || *canaryFraction < 0 || *canaryFraction > 1, "-canary-fraction must be in [0, 1], got %v", *canaryFraction)
+	fatalIf(*compactEvery <= 0, "-compact-every must be positive, got %d", *compactEvery)
+	fatalIf(*backoff <= 0, "-backoff must be positive, got %v", *backoff)
 	pol, err := journal.ParsePolicy(*fsyncPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "merlind: -fsync-policy:", err)
-		os.Exit(2)
-	}
-	if *fsyncInterval <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -fsync-interval must be positive, got %v\n", *fsyncInterval)
-		os.Exit(2)
-	}
-	if *fsyncBatch <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -fsync-batch must be positive, got %d\n", *fsyncBatch)
-		os.Exit(2)
-	}
-	if *segmentBytes <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -journal-segment-bytes must be positive, got %d\n", *segmentBytes)
-		os.Exit(2)
-	}
+	fatalIf(err != nil, "-fsync-policy: %v", err)
+	fatalIf(*fsyncInterval <= 0, "-fsync-interval must be positive, got %v", *fsyncInterval)
+	fatalIf(*fsyncBatch <= 0, "-fsync-batch must be positive, got %d", *fsyncBatch)
+	fatalIf(*segmentBytes <= 0, "-journal-segment-bytes must be positive, got %d", *segmentBytes)
 	pol.Interval, pol.MaxBatch = *fsyncInterval, *fsyncBatch
-	if *superoptCache != "" && !*useSuperopt {
-		fmt.Fprintln(os.Stderr, "merlind: -superopt-cache requires -superopt")
-		os.Exit(2)
-	}
-	if *superoptCache != "" && *superoptCache == *stateDir {
-		fmt.Fprintln(os.Stderr, "merlind: -superopt-cache and -state-dir must be different directories (each is exclusively locked)")
-		os.Exit(2)
-	}
-	if *buildWorkers <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -build-workers must be positive, got %d\n", *buildWorkers)
-		os.Exit(2)
-	}
-	if *buildQueue <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -build-queue must be positive, got %d\n", *buildQueue)
-		os.Exit(2)
-	}
-	if *buildCache != "" && (*buildCache == *stateDir || *buildCache == *superoptCache) {
-		fmt.Fprintln(os.Stderr, "merlind: -build-cache must be a different directory from -state-dir and -superopt-cache (each is exclusively locked)")
-		os.Exit(2)
-	}
-	if math.IsNaN(*srcFaultRate) || *srcFaultRate < 0 || *srcFaultRate > 1 {
-		fmt.Fprintf(os.Stderr, "merlind: -src-fault-rate must be in [0, 1], got %v\n", *srcFaultRate)
-		os.Exit(2)
-	}
-	if *rejoinEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "merlind: -rejoin-every must be positive, got %v\n", *rejoinEvery)
-		os.Exit(2)
-	}
-	if *replication < 1 {
-		fmt.Fprintf(os.Stderr, "merlind: -replication must be at least 1, got %d\n", *replication)
-		os.Exit(2)
-	}
+	fatalIf(*superoptCache != "" && !*useSuperopt, "-superopt-cache requires -superopt")
+	fatalIf(*superoptCache != "" && *superoptCache == *stateDir, "-superopt-cache and -state-dir must be different directories (each is exclusively locked)")
+	fatalIf(*buildWorkers <= 0, "-build-workers must be positive, got %d", *buildWorkers)
+	fatalIf(*buildQueue <= 0, "-build-queue must be positive, got %d", *buildQueue)
+	fatalIf(*buildCache != "" && (*buildCache == *stateDir || *buildCache == *superoptCache), "-build-cache must be a different directory from -state-dir and -superopt-cache (each is exclusively locked)")
+	fatalIf(math.IsNaN(*srcFaultRate) || *srcFaultRate < 0 || *srcFaultRate > 1, "-src-fault-rate must be in [0, 1], got %v", *srcFaultRate)
+	fatalIf(*rejoinEvery <= 0, "-rejoin-every must be positive, got %v", *rejoinEvery)
+	fatalIf(*replication < 1, "-replication must be at least 1, got %d", *replication)
 	// Tokens and worker names travel inside space-delimited protocol lines;
 	// embedded whitespace would split into extra fields on the far side.
-	if strings.ContainsAny(*controlToken, " \t\r\n") {
-		fmt.Fprintln(os.Stderr, "merlind: -control-token must not contain whitespace")
-		os.Exit(2)
-	}
-	if strings.ContainsAny(*workerName, " \t\r\n") {
-		fmt.Fprintf(os.Stderr, "merlind: -name must not contain whitespace, got %q\n", *workerName)
-		os.Exit(2)
-	}
+	fatalIf(strings.ContainsAny(*controlToken, " \t\r\n"), "-control-token must not contain whitespace")
+	fatalIf(strings.ContainsAny(*workerName, " \t\r\n"), "-name must not contain whitespace, got %q", *workerName)
 
 	if *controller != "" {
-		if *joinAddr != "" || *control != "" {
-			fmt.Fprintln(os.Stderr, "merlind: -controller cannot be combined with -join/-control")
-			os.Exit(2)
-		}
+		fatalIf(*joinAddr != "" || *control != "", "-controller cannot be combined with -join/-control")
 		runController(controllerOpts{
 			addr:        *controller,
 			stateDir:    *stateDir,
@@ -388,17 +316,19 @@ func main() {
 
 	reg := metrics.New()
 	d := &daemon{
-		reg: reg,
-		fs:  chaos.OS(),
+		Worker: &fleet.Worker{
+			Reg:        reg,
+			DeployOpts: lifecycle.DeployOptions{CanaryFraction: *canaryFraction},
+			Seed:       *seed,
+		},
+		fs: chaos.OS(),
 		buildOpts: core.Options{
 			Hook: hook, MCPU: *mcpu, KernelALU32: true,
 			GuardDiffInputs: *guardDiff, PassTimeout: *passTimeout,
 			Metrics: core.NewMetrics(reg),
 		},
-		deployOpts: lifecycle.DeployOptions{CanaryFraction: *canaryFraction},
-		seed:       *seed,
-		token:      *controlToken,
 	}
+	d.Resolve, d.BuildRequest = d.resolveSource, d.buildRequest
 	if *srcFaultRate > 0 {
 		// Source reads go through a seeded fault injector: deploys see the
 		// EIO read failures a real disk produces, and the deploy path (not
@@ -412,18 +342,15 @@ func main() {
 		}
 		if *superoptCache != "" {
 			cache, err := superopt.OpenCache(*superoptCache)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "merlind: -superopt-cache:", err)
-				os.Exit(2)
-			}
-			d.socache = cache
+			fatalIf(err != nil, "-superopt-cache: %v", err)
+			d.Cache = cache
 		} else {
 			// A process-wide in-memory cache: repeated builds share verdicts
 			// and cacheexport/cachemerge (fleet federation) have something to
 			// export even without persistence.
-			d.socache = superopt.NewMemCache()
+			d.Cache = superopt.NewMemCache()
 		}
-		socfg.Cache = d.socache
+		socfg.Cache = d.Cache
 		d.buildOpts.Superopt = socfg
 	}
 	bcfg := buildsvc.Config{
@@ -441,7 +368,7 @@ func main() {
 		}
 		bcfg.Cache = acache
 	}
-	d.bsvc = buildsvc.New(bcfg)
+	d.Builds = buildsvc.New(bcfg)
 	cfg := lifecycle.Config{
 		ShadowRuns:   *shadow,
 		CanaryRuns:   *canary,
@@ -477,13 +404,13 @@ func main() {
 		}
 		cfg.ResolveSource = d.resolveSource
 	}
-	d.mgr = lifecycle.NewManager(cfg)
+	d.Mgr = lifecycle.NewManager(cfg)
 	if *stateDir != "" && d.jl == nil {
-		d.mgr.MarkJournalUnavailable(degradedReason)
+		d.Mgr.MarkJournalUnavailable(degradedReason)
 	}
 
 	if d.jl != nil {
-		rs, err := d.mgr.Recover()
+		rs, err := d.Mgr.Recover()
 		if err != nil {
 			// Only impossible configuration errors land here; corrupt state
 			// is degraded and counted inside Recover.
@@ -495,7 +422,7 @@ func main() {
 				rs.CorruptRecords)
 		}
 		fmt.Printf("ok recover %s\n", rs)
-		for _, st := range d.mgr.Status() {
+		for _, st := range d.Mgr.Status() {
 			fmt.Println(st)
 		}
 	}
@@ -517,83 +444,54 @@ func main() {
 		signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 		go func() {
 			<-sigc
-			if err := d.mgr.Flush(); err != nil {
+			if err := d.Mgr.Flush(); err != nil {
 				fmt.Fprintln(os.Stderr, "merlind: flush on shutdown:", err)
 				os.Exit(1)
 			}
-			d.mgr.Compact()
+			d.Mgr.Compact()
 			d.shutdown()
 			os.Exit(0)
 		}()
 	}
 
 	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "merlind: -listen:", err)
-			os.Exit(2)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", d.serveMetrics)
-		// Announce the resolved address so scripts can pass :0 and scrape the
-		// chosen port. The serve loop is resilient: an accept-loop death is
-		// counted, logged, and the listener re-opened — the daemon never
-		// silently loses its scrape endpoint while the process lives on.
-		fmt.Printf("ok listen %s\n", ln.Addr())
-		d.httpSrv = &metrics.ResilientServer{
-			ServeErrors: reg.Counter("merlin_http_serve_errors_total",
-				"http accept-loop deaths survived by re-listening"),
-			OnError: func(err error) { fmt.Fprintln(os.Stderr, "merlind: http:", err) },
-		}
-		go d.httpSrv.Serve(ln, mux)
+		d.HTTP = serveMetricsHTTP(*listen, reg, d.WriteMetrics)
 	}
 
 	if serveMode {
-		addr, err := d.startControl(*control)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "merlind: -control:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("ok control %s\n", addr)
+		ln, err := net.Listen("tcp", *control)
+		fatalIf(err != nil, "-control: %v", err)
+		// The controller keeps its connections open (fleet.TCP), so a healthy
+		// fleet shows merlin_control_connections_total far below
+		// merlin_control_rpcs_total.
+		d.Auth = fleet.NewAuth(*controlToken, reg)
+		rpcs := reg.Counter("merlin_control_rpcs_total", "control lines dispatched")
+		go fleet.Listen(ln, &d.Auth, func(w io.Writer, line string) error {
+			rpcs.Inc()
+			return d.Dispatch(w, line)
+		}, reg.Counter("merlin_control_connections_total", "control connections accepted"))
+		fmt.Printf("ok control %s\n", ln.Addr())
 		if *joinAddr != "" {
-			go announceLoop(*joinAddr, *workerName, addr.String(), *controlToken, *rejoinEvery)
+			join := fleet.AuthLine(*controlToken, fmt.Sprintf("join %s %s", *workerName, ln.Addr()))
+			go announceLoop(*joinAddr, join, *rejoinEvery)
 		}
 	}
 
-	failed := false
-	quitSeen := false
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if line == "quit" {
-			quitSeen = true
-			break
-		}
-		if err := d.dispatch(os.Stdout, line); err != nil {
-			failed = true
-			fmt.Printf("err %s: %v\n", strings.Fields(line)[0], err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "merlind: stdin:", err)
-		os.Exit(2)
-	}
-	if serveMode && !quitSeen {
+	// Stdin is the local operator and is never challenged.
+	failed, quit, err := fleet.Serve(os.Stdin, os.Stdout, nil, operator(d.Dispatch))
+	fatalIf(err != nil, "stdin: %v", err)
+	if serveMode && !quit {
 		// The control listener outlives a closed stdin: a worker launched
 		// with its input redirected from /dev/null keeps serving the fleet
 		// until signaled. An explicit quit still exits.
 		select {}
 	}
 	if *stateDir != "" {
-		if err := d.mgr.Flush(); err != nil {
+		if err := d.Mgr.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "merlind: flush on exit:", err)
 			failed = true
 		}
-		d.mgr.Compact()
+		d.Mgr.Compact()
 	}
 	d.shutdown()
 	if failed {
@@ -601,373 +499,115 @@ func main() {
 	}
 }
 
-// serveMetrics answers GET /metrics with the shared registry in Prometheus
-// text exposition format. CollectMetrics and WriteText are both safe against
-// the command loop, so a scrape never blocks traffic.
-func (d *daemon) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	d.mgr.CollectMetrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := d.reg.WriteText(w); err != nil {
-		// The response is already streaming; nothing useful left to do.
-		return
+// fatalIf exits 2 with a "merlind: ..." line on stderr when bad holds: the one
+// shape of every flag-validation and startup failure.
+func fatalIf(bad bool, format string, args ...any) {
+	if bad {
+		fmt.Fprintf(os.Stderr, "merlind: "+format+"\n", args...)
+		os.Exit(2)
 	}
 }
 
-// dispatch executes one command line and writes its reply lines to w. The
-// daemon mutex makes each command atomic against the other input sources
-// (stdin and every control-listener connection share one daemon).
-func (d *daemon) dispatch(w io.Writer, line string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	args := strings.Fields(line)
-	cmd, args := args[0], args[1:]
-	switch cmd {
-	case "deploy":
-		if len(args) < 2 {
-			return fmt.Errorf("usage: deploy <slot> <file.mir|corpus:NAME> [func]")
+// operator adapts a face's dispatcher to the local operator's stdin, where
+// scripts carry # comments and end with quit.
+func operator(dispatch fleet.DispatchFunc) fleet.DispatchFunc {
+	return func(w io.Writer, line string) error {
+		switch {
+		case strings.HasPrefix(line, "#"):
+			return nil
+		case line == "quit":
+			return fleet.ErrQuit
 		}
-		return d.deploy(w, args[0], args[1], args[2:])
-	case "traffic":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: traffic <slot> <n>")
-		}
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n <= 0 {
-			return fmt.Errorf("traffic count must be a positive integer")
-		}
-		return d.drive(w, args[0], n)
-	case "promote":
-		if len(args) < 1 {
-			return fmt.Errorf("usage: promote <slot> [force]")
-		}
-		force := len(args) > 1 && args[1] == "force"
-		if err := d.mgr.Promote(args[0], force); err != nil {
-			return err
-		}
-		st, _ := d.mgr.StatusOf(args[0])
-		fmt.Fprintf(w, "ok promote %s live=gen%d\n", args[0], st.LiveGeneration)
-		return nil
-	case "rollback":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: rollback <slot>")
-		}
-		if err := d.mgr.Rollback(args[0]); err != nil {
-			return err
-		}
-		st, _ := d.mgr.StatusOf(args[0])
-		fmt.Fprintf(w, "ok rollback %s live=gen%d\n", args[0], st.LiveGeneration)
-		return nil
-	case "abort":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: abort <slot>")
-		}
-		if err := d.mgr.Abort(args[0]); err != nil {
-			return err
-		}
-		st, _ := d.mgr.StatusOf(args[0])
-		fmt.Fprintf(w, "ok abort %s live=gen%d\n", args[0], st.LiveGeneration)
-		return nil
-	case "drain":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: drain <slot>")
-		}
-		removed := d.mgr.Remove(args[0])
-		fmt.Fprintf(w, "ok drain %s removed=%v\n", args[0], removed)
-		return nil
-	case "status":
-		for _, st := range d.mgr.Status() {
-			fmt.Fprintln(w, st)
-		}
-		if h := d.mgr.JournalHealth(); h.Configured {
-			fmt.Fprintln(w, h)
-		}
-		if d.httpSrv != nil {
-			fmt.Fprintln(w, d.httpSrv.Health())
-		}
-		fmt.Fprintln(w, "ok status")
-		return nil
-	case "events":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: events <slot>")
-		}
-		for _, ev := range d.mgr.Events(args[0]) {
-			fmt.Fprintln(w, ev)
-		}
-		fmt.Fprintf(w, "ok events %s\n", args[0])
-		return nil
-	case "maps":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: maps <slot>")
-		}
-		dumps, err := d.mgr.LiveMaps(args[0])
-		if err != nil {
-			return err
-		}
-		for _, md := range dumps {
-			line := fmt.Sprintf("map %s bytes=%d", md.Name, len(md.Data))
-			if len(md.Data) >= 8 {
-				var v uint64
-				for i := 7; i >= 0; i-- {
-					v = v<<8 | uint64(md.Data[i])
-				}
-				line += fmt.Sprintf(" u64[0]=%d", v)
-			}
-			fmt.Fprintln(w, line)
-		}
-		fmt.Fprintf(w, "ok maps %s\n", args[0])
-		return nil
-	case "metrics":
-		d.mgr.CollectMetrics()
-		if err := d.reg.WriteText(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "ok metrics")
-		return nil
-	case "tick":
-		d.mgr.Tick()
-		fmt.Fprintln(w, "ok tick")
-		return nil
-	case "build":
-		if len(args) < 1 {
-			return fmt.Errorf("usage: build <file.mir|corpus:NAME> [func]")
-		}
-		return d.build(w, args[0], args[1:])
-	case "cachestats":
-		return d.cacheStats(w)
-	case "cacheexport":
-		var since uint64
-		if len(args) > 0 {
-			v, err := strconv.ParseUint(args[0], 10, 64)
-			if err != nil {
-				return fmt.Errorf("cacheexport: since must be a non-negative integer")
-			}
-			since = v
-		}
-		return d.cacheExport(w, since)
-	case "cachemerge":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: cachemerge <base64-blob>")
-		}
-		return d.cacheMerge(w, args[0])
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
+		return dispatch(w, line)
 	}
 }
 
-// buildRequest resolves a build operand into a content-addressed request.
-// Corpus programs are rendered to canonical IR text so the same program
-// submitted on two daemons shares one key.
-func (d *daemon) buildRequest(src string, rest []string) (buildsvc.Request, error) {
-	opts := d.buildOpts
-	var source []byte
-	var fn string
-	if name, ok := strings.CutPrefix(src, "corpus:"); ok {
+// serveMetricsHTTP serves GET /metrics (Prometheus text exposition format,
+// produced by write) on addr and announces the resolved address so scripts
+// can pass :0 and scrape the chosen port. The serve loop is resilient: an
+// accept-loop death is counted, logged, and the listener re-opened — the
+// process never silently loses its scrape endpoint while it lives on.
+func serveMetricsHTTP(addr string, reg *metrics.Registry, write func(io.Writer) error) *metrics.ResilientServer {
+	ln, err := net.Listen("tcp", addr)
+	fatalIf(err != nil, "-listen: %v", err)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = write(w) // the response is already streaming; nothing useful left to do
+	})
+	fmt.Printf("ok listen %s\n", ln.Addr())
+	srv := &metrics.ResilientServer{
+		ServeErrors: reg.Counter("merlin_http_serve_errors_total",
+			"http accept-loop deaths survived by re-listening"),
+		OnError: func(err error) { fmt.Fprintln(os.Stderr, "merlind: http:", err) },
+	}
+	go srv.Serve(ln, mux)
+	return srv
+}
+
+// operand is a resolved "<file.mir|corpus:NAME> [func]" descriptor: what
+// deploy, build and journal recovery all start from.
+type operand struct {
+	mod  *ir.Module
+	text []byte // IR text; canonical for corpus programs, so the same program submitted on two daemons shares one build key
+	fn   string
+	opts core.Options
+}
+
+func (d *daemon) resolveOperand(desc string) (operand, error) {
+	fields := strings.Fields(desc)
+	if len(fields) == 0 {
+		return operand{}, fmt.Errorf("empty source descriptor")
+	}
+	op := operand{opts: d.buildOpts}
+	if name, ok := strings.CutPrefix(fields[0], "corpus:"); ok {
 		spec := findCorpus(name)
 		if spec == nil {
-			return buildsvc.Request{}, fmt.Errorf("no corpus program %q", name)
+			return operand{}, fmt.Errorf("no corpus program %q", name)
 		}
-		source = []byte(ir.Print(spec.Mod))
-		fn = spec.Func
-		opts.Hook, opts.MCPU = spec.Hook, spec.MCPU
+		op.mod, op.text, op.fn = spec.Mod, []byte(ir.Print(spec.Mod)), spec.Func
+		op.opts.Hook, op.opts.MCPU = spec.Hook, spec.MCPU
 	} else {
-		text, err := chaos.ReadFile(d.fs, src)
+		text, err := chaos.ReadFile(d.fs, fields[0])
 		if err != nil {
-			return buildsvc.Request{}, err
+			return operand{}, err
 		}
 		mod, err := ir.Parse(string(text))
 		if err != nil {
-			return buildsvc.Request{}, err
+			return operand{}, err
 		}
 		if len(mod.Funcs) == 0 {
-			return buildsvc.Request{}, fmt.Errorf("module has no functions")
+			return operand{}, fmt.Errorf("module has no functions")
 		}
-		source, fn = text, mod.Funcs[0].Name
+		op.mod, op.text, op.fn = mod, text, mod.Funcs[0].Name
 	}
-	if len(rest) > 0 {
-		fn = rest[0]
+	if len(fields) > 1 {
+		op.fn = fields[1]
 	}
-	return buildsvc.Request{Source: source, Func: fn, Opts: opts}, nil
+	return op, nil
 }
 
-// build runs one submission through the build service and reports the
-// outcome plus the producing build's stats — on artifact hits those are the
-// stats of the build that filled the entry, served without running a pass.
-func (d *daemon) build(w io.Writer, src string, rest []string) error {
-	req, err := d.buildRequest(src, rest)
-	if err != nil {
-		return err
-	}
-	res, err := d.bsvc.Submit(req)
-	if err != nil {
-		return err
-	}
-	st := res.Stats
-	fmt.Fprintf(w, "ok build key=%s outcome=%s insns=%d saved=%d searches=%d hits=%d rewrites=%d cycles-saved=%d ms=%d\n",
-		buildsvc.ShortKey(res.Key), res.Outcome, st.Insns, st.InsnsSaved,
-		st.Searches, st.CacheHits, st.Rewrites, st.CyclesSaved,
-		time.Duration(st.BuildNanos).Milliseconds())
-	return nil
-}
-
-// cacheStats reports the size of both content-addressed caches.
-func (d *daemon) cacheStats(w io.Writer) error {
-	var verdicts int
-	var seq uint64
-	if d.socache != nil {
-		verdicts, seq = d.socache.Len(), d.socache.Seq()
-	}
-	fmt.Fprintf(w, "ok cachestats verdicts=%d seq=%d artifacts=%d pending=%d\n",
-		verdicts, seq, d.bsvc.Cache().Len(), d.bsvc.Pending())
-	return nil
-}
-
-// cacheExport emits the superopt verdicts inserted at sequence >= since as
-// one base64 line, then the new watermark. The controller's fcache sync
-// drives this over the control listener.
-func (d *daemon) cacheExport(w io.Writer, since uint64) error {
-	if d.socache == nil {
-		return fmt.Errorf("no superopt cache (-superopt required)")
-	}
-	blob, seq, n, err := d.socache.Export(since)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "cachedata %s\n", base64.StdEncoding.EncodeToString(blob))
-	fmt.Fprintf(w, "ok cacheexport seq=%d entries=%d\n", seq, n)
-	return nil
-}
-
-// cacheMerge unions a base64 Export blob into the superopt cache. A verdict
-// conflict fails the whole merge and mutates nothing.
-func (d *daemon) cacheMerge(w io.Writer, b64 string) error {
-	if d.socache == nil {
-		return fmt.Errorf("no superopt cache (-superopt required)")
-	}
-	blob, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return fmt.Errorf("cachemerge: bad base64: %v", err)
-	}
-	st, err := d.socache.Merge(blob)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "ok cachemerge added=%d known=%d total=%d\n", st.Added, st.Known, d.socache.Len())
-	return nil
-}
-
-// moduleSource resolves a deploy operand (file path or corpus:NAME, plus an
-// optional function name) into a lifecycle Source. The same resolution backs
-// ResolveSource, so a journaled SourceDesc rebuilds exactly like the deploy
-// command that produced it.
-func (d *daemon) moduleSource(src string, rest []string) (lifecycle.Source, error) {
-	var mod *ir.Module
-	var fn string
-	opts := d.buildOpts
-	if name, ok := strings.CutPrefix(src, "corpus:"); ok {
-		spec := findCorpus(name)
-		if spec == nil {
-			return nil, fmt.Errorf("no corpus program %q", name)
-		}
-		mod, fn = spec.Mod, spec.Func
-		opts.Hook, opts.MCPU = spec.Hook, spec.MCPU
-	} else {
-		text, err := chaos.ReadFile(d.fs, src)
-		if err != nil {
-			return nil, err
-		}
-		mod, err = ir.Parse(string(text))
-		if err != nil {
-			return nil, err
-		}
-		if len(mod.Funcs) == 0 {
-			return nil, fmt.Errorf("module has no functions")
-		}
-		fn = mod.Funcs[0].Name
-	}
-	if len(rest) > 0 {
-		fn = rest[0]
-	}
-	return lifecycle.ModuleSource(mod, fn, opts), nil
-}
-
-// resolveSource reattaches a journaled SourceDesc after recovery.
+// resolveSource backs both the deploy command and lifecycle's ResolveSource,
+// so a journaled SourceDesc rebuilds exactly like the deploy that produced it.
 func (d *daemon) resolveSource(desc string) (lifecycle.Source, error) {
-	fields := strings.Fields(desc)
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("empty source descriptor")
-	}
-	return d.moduleSource(fields[0], fields[1:])
-}
-
-// deploy stages a candidate from a textual IR file or a named corpus program.
-func (d *daemon) deploy(w io.Writer, slot, src string, rest []string) error {
-	source, err := d.moduleSource(src, rest)
+	op, err := d.resolveOperand(desc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opts := d.deployOpts
-	opts.SourceDesc = strings.TrimSpace(src + " " + strings.Join(rest, " "))
-	if err := d.mgr.DeployWith(slot, source, opts); err != nil {
-		return err
-	}
-	st, _ := d.mgr.StatusOf(slot)
-	fmt.Fprintf(w, "ok deploy %s stage=%s live=gen%d", slot, st.Stage, st.LiveGeneration)
-	if st.CandidateGeneration > 0 {
-		fmt.Fprintf(w, " candidate=gen%d", st.CandidateGeneration)
-	}
-	fmt.Fprintln(w)
-	return nil
+	return lifecycle.ModuleSource(op.mod, op.fn, op.opts), nil
 }
 
-// drive serves n synthetic XDP packets through the slot in ServeBatch chunks,
-// mirroring them into any in-flight candidate, and reports the verdict
-// histogram.
-func (d *daemon) drive(w io.Writer, slot string, n int) error {
-	inputs := guard.Inputs(ebpf.HookXDP, n, d.seed+d.traffic)
-	d.traffic += int64(n)
-	verdicts := map[int64]int{}
-	if err := d.driver.Drive(d.mgr, slot, inputs, verdicts); err != nil {
-		return err
+// buildRequest resolves a build operand into a content-addressed request.
+func (d *daemon) buildRequest(desc string) (buildsvc.Request, error) {
+	op, err := d.resolveOperand(desc)
+	if err != nil {
+		return buildsvc.Request{}, err
 	}
-	// Traffic mutates map state without lifecycle transitions; flush so the
-	// counters survive a crash between commands.
-	if err := d.mgr.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "merlind: flush after traffic:", err)
-	}
-	st, _ := d.mgr.StatusOf(slot)
-	var vparts []string
-	for _, v := range []int64{ebpf.XDPAborted, ebpf.XDPDrop, ebpf.XDPPass, ebpf.XDPTx, ebpf.XDPRedirect} {
-		if c := verdicts[v]; c > 0 {
-			vparts = append(vparts, fmt.Sprintf("%s=%d", verdictName(v), c))
-			delete(verdicts, v)
-		}
-	}
-	for v, c := range verdicts {
-		vparts = append(vparts, fmt.Sprintf("%d=%d", v, c))
-	}
-	fmt.Fprintf(w, "ok traffic %s n=%d stage=%s served=%d mirrored=%d eseq=%d verdicts[%s]\n",
-		slot, n, st.Stage, st.Served, st.Mirrored, st.EventSeq, strings.Join(vparts, " "))
-	return nil
-}
-
-func verdictName(v int64) string {
-	switch v {
-	case ebpf.XDPAborted:
-		return "aborted"
-	case ebpf.XDPDrop:
-		return "drop"
-	case ebpf.XDPPass:
-		return "pass"
-	case ebpf.XDPTx:
-		return "tx"
-	case ebpf.XDPRedirect:
-		return "redirect"
-	}
-	return fmt.Sprintf("%d", v)
+	return buildsvc.Request{Source: op.text, Func: op.fn, Opts: op.opts}, nil
 }
 
 func findCorpus(name string) *corpus.ProgramSpec {

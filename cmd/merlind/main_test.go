@@ -11,6 +11,7 @@ import (
 	"merlin/internal/chaos"
 	"merlin/internal/core"
 	"merlin/internal/ebpf"
+	"merlin/internal/fleet"
 	"merlin/internal/guard"
 	"merlin/internal/lifecycle"
 	"merlin/internal/metrics"
@@ -19,21 +20,21 @@ import (
 
 const testSeed = 7
 
-// newTestDaemon assembles the parts of main's daemon that deploy and traffic
-// touch, with merlind's default gates.
+// newTestDaemon assembles the shared fleet.Worker the way main does for the
+// parts deploy and traffic touch, with merlind's default gates.
 func newTestDaemon() *daemon {
 	reg := metrics.New()
 	d := &daemon{
-		reg: reg,
-		fs:  chaos.OS(),
+		Worker: &fleet.Worker{Reg: reg, Seed: testSeed},
+		fs:     chaos.OS(),
 		buildOpts: core.Options{
 			Hook: ebpf.HookXDP, MCPU: 2, KernelALU32: true,
 			GuardDiffInputs: 4, PassTimeout: guard.DefaultTimeout,
 			Metrics: core.NewMetrics(reg),
 		},
-		seed: testSeed,
 	}
-	d.mgr = lifecycle.NewManager(lifecycle.Config{
+	d.Resolve = d.resolveSource
+	d.Mgr = lifecycle.NewManager(lifecycle.Config{
 		ShadowRuns: 32, CanaryRuns: 32, CycleSlack: 0.10,
 		MaxRetries: 3, Metrics: reg,
 		VM: vm.Config{Seed: testSeed, Metrics: vm.NewMetrics(reg)},
@@ -44,7 +45,7 @@ func newTestDaemon() *daemon {
 func mustDispatch(t *testing.T, d *daemon, line string) string {
 	t.Helper()
 	var out bytes.Buffer
-	if err := d.dispatch(&out, line); err != nil {
+	if err := d.Dispatch(&out, line); err != nil {
 		t.Fatalf("%s: %v", line, err)
 	}
 	return strings.TrimSpace(out.String())
@@ -73,9 +74,9 @@ func replyVerdicts(t *testing.T, reply string) map[string]int {
 // lifecycleSeries is the manager's own telemetry: what must not depend on
 // whether packets arrived one by one or in batches.
 func lifecycleSeries(d *daemon) map[string]int64 {
-	d.mgr.CollectMetrics()
+	d.Mgr.CollectMetrics()
 	out := map[string]int64{}
-	for k, v := range d.reg.Snapshot() {
+	for k, v := range d.Reg.Snapshot() {
 		if strings.HasPrefix(k, "merlin_lifecycle_") {
 			out[k] = v
 		}
@@ -108,18 +109,18 @@ func TestTrafficMatchesPerPacketServe(t *testing.T) {
 					reply := mustDispatch(t, batched, fmt.Sprintf("traffic s %d", n))
 					want := map[string]int{}
 					for _, in := range guard.Inputs(ebpf.HookXDP, n, testSeed+offset) {
-						rv, _, err := single.mgr.Serve("s", in.Ctx, in.Pkt)
+						rv, _, err := single.Mgr.Serve("s", in.Ctx, in.Pkt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want[verdictName(rv)]++
+						want[fleet.VerdictName(rv)]++
 					}
 					offset += int64(n)
 					if got := replyVerdicts(t, reply); fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("traffic s %d: verdicts %v, per-packet Serve gives %v", n, got, want)
 					}
-					bs, _ := batched.mgr.StatusOf("s")
-					ss, _ := single.mgr.StatusOf("s")
+					bs, _ := batched.Mgr.StatusOf("s")
+					ss, _ := single.Mgr.StatusOf("s")
 					if bs.String() != ss.String() {
 						t.Fatalf("traffic s %d: status\n  %s\nper-packet Serve gives\n  %s", n, bs, ss)
 					}
@@ -146,10 +147,11 @@ func TestDriveAllocsPerPacket(t *testing.T) {
 	d := newTestDaemon()
 	mustDispatch(t, d, "deploy s corpus:xdp2")
 	const n = 4096
-	mustDispatch(t, d, fmt.Sprintf("traffic s %d", n)) // sizes the reused buffers
+	traffic := fmt.Sprintf("traffic s %d", n)
+	mustDispatch(t, d, traffic) // sizes the reused buffers
 	inputs := testing.AllocsPerRun(5, func() { guard.Inputs(ebpf.HookXDP, n, testSeed) })
 	drive := testing.AllocsPerRun(5, func() {
-		if err := d.drive(io.Discard, "s", n); err != nil {
+		if err := d.Dispatch(io.Discard, traffic); err != nil {
 			t.Fatal(err)
 		}
 	})

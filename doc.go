@@ -6,6 +6,5 @@
 // tier, a simulated kernel verifier, an executing VM with microarchitecture
 // models, the K2 baseline, the benchmark corpus, and one experiment function
 // per table and figure of the paper's evaluation. See README.md for the map
-// and DESIGN.md for the design rationale; bench_test.go exposes every
-// experiment as a testing.B benchmark.
+// and DESIGN.md for the design rationale; bench/ is the end-to-end benchmark.
 package merlin

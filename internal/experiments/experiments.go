@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is a pure function returning typed rows;
-// cmd/merlin-bench renders them as the paper's tables, and bench_test.go
-// wraps each in a testing.B benchmark. The experiment index lives in
-// DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+// cmd/merlin-bench renders them as the paper's tables. The experiment index
+// lives in DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 package experiments
 
 import (

@@ -10,6 +10,11 @@
 // merlind line protocol, so the same controller drives real TCP daemons,
 // in-process workers (LocalTransport), and chaos-wrapped transports that
 // drop, delay, duplicate, and partition at will.
+//
+// The protocol's server side lives here too, once: Worker implements every
+// worker verb, and Serve is the read-line → auth → dispatch → reply loop.
+// cmd/merlind runs Serve over stdin and (via Listen) its -control and
+// -controller listeners; LocalTransport runs it per RPC over the same Worker.
 package fleet
 
 import (
@@ -425,17 +430,18 @@ func (c *Controller) openBreakerLocked(w *worker, cooldown time.Duration, why st
 // ---- membership ----------------------------------------------------------
 
 // Join registers (or re-registers) a worker. Workers announce periodically;
-// a repeat announce from a routable worker at the same address is a cheap
+// a repeat announce from a healthy worker at the same address is a cheap
 // heartbeat no-op. A new worker, a changed address, or an announce from a
-// worker the controller holds down all enter through Recovering: the
-// controller reconciles the worker against the catalog before routing to it.
+// worker with RPC failures on record (suspect or down — it may have restarted
+// empty in between) all enter through Recovering: the controller reconciles
+// the worker against the catalog before routing to it.
 func (c *Controller) Join(name, addr string) error {
 	if name == "" || addr == "" {
 		return errors.New("fleet: join needs a name and an address")
 	}
 	c.mu.Lock()
 	w := c.workers[name]
-	if w != nil && w.addr == addr && w.health.eligible() {
+	if w != nil && w.addr == addr && w.health == Healthy {
 		c.mu.Unlock()
 		return nil // heartbeat
 	}

@@ -120,6 +120,21 @@ func TestJoinHeartbeatAndLateJoinerReconciles(t *testing.T) {
 	if got := liveInsns(t, lt, "w9", "s"); got != want {
 		t.Fatalf("late joiner serves %d insns, fleet serves %d", got, want)
 	}
+
+	// A worker that died and came back empty before its failures reached
+	// DownAfter is only suspect; its announce must still reconcile it.
+	lt.Kill("w2")
+	if _, err := c.rpc("w2", "tick", false); err == nil {
+		t.Fatal("rpc to killed worker succeeded")
+	}
+	lt.Restart("w2", true)
+	if err := c.Join("w2", "w2"); err != nil {
+		t.Fatalf("suspect rejoin: %v", err)
+	}
+	if got := liveInsns(t, lt, "w2", "s"); got != want {
+		t.Fatalf("rejoined suspect serves %d insns, fleet serves %d", got, want)
+	}
+
 	st := c.FleetStatus()
 	if st.Degraded {
 		t.Fatalf("fleet degraded after clean join: %+v", st)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,17 +9,18 @@ import (
 
 	"merlin/internal/core"
 	"merlin/internal/ebpf"
-	"merlin/internal/guard"
 	"merlin/internal/lifecycle"
 	"merlin/internal/metrics"
 	"merlin/internal/superopt"
 )
 
-// LocalTransport hosts in-process workers, each a real lifecycle.Manager
-// behind a miniature merlind dispatch speaking the same reply grammar as the
-// daemon. It is the fleet test-bed: Kill drops a worker off the network like
-// a SIGKILL (connections refused, state retained or lost per Restart), and
-// wrapping the transport in WithChaos injects partitions in front of it.
+// LocalTransport hosts in-process workers: each is the same Worker merlind
+// serves on its control listener, over a real lifecycle.Manager, and every
+// RPC runs the same Serve loop a TCP connection does — so controller tests and
+// soaks exercise the daemon's protocol code, not a stand-in. It is the fleet
+// test-bed: Kill drops a worker off the network like a SIGKILL (connections
+// refused, state retained or lost per Restart), and wrapping the transport in
+// WithChaos injects partitions in front of it.
 type LocalTransport struct {
 	mu      sync.Mutex
 	workers map[string]*LocalWorker
@@ -30,107 +30,90 @@ func NewLocalTransport() *LocalTransport {
 	return &LocalTransport{workers: map[string]*LocalWorker{}}
 }
 
-// LocalWorker is one in-process merlind stand-in.
+// LocalWorker is one in-process worker: a Worker that can be taken off the
+// network and restarted.
 type LocalWorker struct {
-	mu   sync.Mutex
-	name string
-	mgr  *lifecycle.Manager
-	reg  *metrics.Registry
+	mu sync.Mutex
+	*Worker
 	cfg  lifecycle.Config
-
-	resolve func(desc string) (lifecycle.Source, error)
-	seed    uint64
-	traffic int64
-	driver  lifecycle.Driver
-	down    bool
-	token   string          // control token; "" accepts everything
-	socache *superopt.Cache // per-incarnation verdict cache (federation)
+	down bool
 }
 
 // AddWorker creates a worker reachable at an address equal to its name. The
-// manager uses cfg with a fresh metrics registry injected.
+// manager uses cfg with a fresh metrics registry injected; deploys resolve
+// through ResolveTestSource.
 func (lt *LocalTransport) AddWorker(name string, cfg lifecycle.Config) *LocalWorker {
-	w := &LocalWorker{name: name, cfg: cfg, resolve: ResolveTestSource, seed: fnv64a(name)}
-	w.reset()
+	w := &LocalWorker{cfg: cfg}
+	w.reset(name, "")
 	lt.mu.Lock()
 	lt.workers[name] = w
 	lt.mu.Unlock()
 	return w
 }
 
-func (w *LocalWorker) reset() {
-	w.reg = metrics.New()
+// reset gives the worker the state of a freshly started daemon: a new
+// registry and manager and, like merlind's default in-memory verdict cache,
+// an empty superopt cache.
+func (w *LocalWorker) reset(name, token string) {
+	reg := metrics.New()
 	cfg := w.cfg
-	cfg.Metrics = w.reg
-	w.mgr = lifecycle.NewManager(cfg)
-	// Like merlind's default in-memory verdict cache, a restart loses it.
-	w.socache = superopt.NewMemCache()
+	cfg.Metrics = reg
+	w.Worker = &Worker{
+		Mgr: lifecycle.NewManager(cfg), Reg: reg,
+		Resolve: ResolveTestSource, Seed: int64(fnv64a(name)),
+		Auth: NewAuth(token, reg), Cache: superopt.NewMemCache(),
+	}
+}
+
+// with runs f on the named worker under its lock; an unknown name is ignored.
+func (lt *LocalTransport) with(name string, f func(w *LocalWorker)) {
+	if w := lt.get(name); w != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		f(w)
+	}
 }
 
 // Kill makes the worker unreachable, as a SIGKILL would.
 func (lt *LocalTransport) Kill(name string) {
-	if w := lt.get(name); w != nil {
-		w.mu.Lock()
-		w.down = true
-		w.mu.Unlock()
-	}
+	lt.with(name, func(w *LocalWorker) { w.down = true })
 }
 
 // Restart brings a killed worker back. fresh discards its manager state —
 // the restarted daemon came up with an empty (or absent) journal — which is
 // precisely the case reconcile exists for.
 func (lt *LocalTransport) Restart(name string, fresh bool) {
-	if w := lt.get(name); w != nil {
-		w.mu.Lock()
+	lt.with(name, func(w *LocalWorker) {
 		w.down = false
 		if fresh {
-			w.reset()
+			w.reset(name, w.Auth.Token)
 		}
-		w.mu.Unlock()
-	}
+	})
 }
 
 // SetToken arms the worker's control-listener auth: RPCs must carry a
 // matching "auth <token>" prefix or they are refused.
 func (lt *LocalTransport) SetToken(name, token string) {
-	if w := lt.get(name); w != nil {
-		w.mu.Lock()
-		w.token = token
-		w.mu.Unlock()
-	}
+	lt.with(name, func(w *LocalWorker) { w.Auth.Token = token })
 }
 
 // AuthFailures reads the worker's refused-RPC counter. Per-incarnation: a
 // Restart resets the registry along with the rest of the worker.
-func (lt *LocalTransport) AuthFailures(name string) int64 {
-	w := lt.get(name)
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	reg := w.reg
-	w.mu.Unlock()
-	return reg.Snapshot()["merlin_fleet_auth_failures_total"]
+func (lt *LocalTransport) AuthFailures(name string) (n int64) {
+	lt.with(name, func(w *LocalWorker) { n = int64(w.Auth.Refused.Value()) })
+	return n
 }
 
 // Cache exposes the worker's superopt verdict cache for federation tests.
-func (lt *LocalTransport) Cache(name string) *superopt.Cache {
-	if w := lt.get(name); w != nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.socache
-	}
-	return nil
+func (lt *LocalTransport) Cache(name string) (c *superopt.Cache) {
+	lt.with(name, func(w *LocalWorker) { c = w.Worker.Cache })
+	return c
 }
 
 // Manager exposes the worker's lifecycle manager for test assertions.
-func (lt *LocalTransport) Manager(name string) *lifecycle.Manager {
-	if w := lt.get(name); w != nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.mgr
-	}
-	return nil
+func (lt *LocalTransport) Manager(name string) (m *lifecycle.Manager) {
+	lt.with(name, func(w *LocalWorker) { m = w.Mgr })
+	return m
 }
 
 func (lt *LocalTransport) get(name string) *LocalWorker {
@@ -152,142 +135,11 @@ func (lt *LocalTransport) RPC(ctx context.Context, addr, line string) ([]string,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return w.dispatch(line), nil
-}
-
-// dispatch mirrors the merlind line protocol for the verbs the controller
-// speaks. Replies reuse the daemon's exact grammar so the controller's
-// parsers are exercised identically in-process and over TCP.
-func (w *LocalWorker) dispatch(line string) []string {
-	rest, authed := CheckAuth(w.token, line)
-	if !authed {
-		if w.reg != nil {
-			w.reg.Counter("merlin_fleet_auth_failures_total",
-				"control RPCs refused for a missing or wrong token").Inc()
-		}
-		return []string{"err unauthorized"}
+	var reply strings.Builder
+	if _, _, err := Serve(strings.NewReader(line+"\n"), &reply, &w.Auth, w.Dispatch); err != nil {
+		return nil, err
 	}
-	args := strings.Fields(rest)
-	if len(args) == 0 {
-		return []string{"err empty command"}
-	}
-	cmd, args := args[0], args[1:]
-	switch cmd {
-	case "deploy":
-		if len(args) < 2 {
-			return []string{"err usage: deploy <slot> <desc>"}
-		}
-		slot, desc := args[0], strings.Join(args[1:], " ")
-		src, err := w.resolve(desc)
-		if err != nil {
-			return []string{"err " + err.Error()}
-		}
-		if err := w.mgr.DeployWith(slot, src, lifecycle.DeployOptions{SourceDesc: desc}); err != nil {
-			return []string{"err " + err.Error()}
-		}
-		st, _ := w.mgr.StatusOf(slot)
-		rep := fmt.Sprintf("ok deploy %s stage=%s live=gen%d", slot, st.Stage, st.LiveGeneration)
-		if st.CandidateGeneration > 0 {
-			rep += fmt.Sprintf(" candidate=gen%d", st.CandidateGeneration)
-		}
-		return []string{rep}
-	case "promote":
-		if len(args) < 1 {
-			return []string{"err usage: promote <slot> [force]"}
-		}
-		force := len(args) > 1 && args[1] == "force"
-		if err := w.mgr.Promote(args[0], force); err != nil {
-			return []string{"err " + err.Error()}
-		}
-		st, _ := w.mgr.StatusOf(args[0])
-		return []string{fmt.Sprintf("ok promote %s live=gen%d", args[0], st.LiveGeneration)}
-	case "rollback":
-		if len(args) != 1 {
-			return []string{"err usage: rollback <slot>"}
-		}
-		if err := w.mgr.Rollback(args[0]); err != nil {
-			return []string{"err " + err.Error()}
-		}
-		st, _ := w.mgr.StatusOf(args[0])
-		return []string{fmt.Sprintf("ok rollback %s live=gen%d", args[0], st.LiveGeneration)}
-	case "abort":
-		if len(args) != 1 {
-			return []string{"err usage: abort <slot>"}
-		}
-		if err := w.mgr.Abort(args[0]); err != nil {
-			return []string{"err " + err.Error()}
-		}
-		st, _ := w.mgr.StatusOf(args[0])
-		return []string{fmt.Sprintf("ok abort %s live=gen%d", args[0], st.LiveGeneration)}
-	case "status":
-		var out []string
-		for _, st := range w.mgr.Status() {
-			out = append(out, st.String())
-		}
-		return append(out, "ok status")
-	case "traffic":
-		if len(args) != 2 {
-			return []string{"err usage: traffic <slot> <n>"}
-		}
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n <= 0 {
-			return []string{"err traffic count must be a positive integer"}
-		}
-		inputs := guard.Inputs(ebpf.HookXDP, n, int64(w.seed)+w.traffic)
-		w.traffic += int64(n)
-		if err := w.driver.Drive(w.mgr, args[0], inputs, nil); err != nil {
-			return []string{"err " + err.Error()}
-		}
-		st, _ := w.mgr.StatusOf(args[0])
-		return []string{fmt.Sprintf("ok traffic %s n=%d stage=%s served=%d mirrored=%d eseq=%d",
-			args[0], n, st.Stage, st.Served, st.Mirrored, st.EventSeq)}
-	case "drain":
-		if len(args) != 1 {
-			return []string{"err usage: drain <slot>"}
-		}
-		removed := w.mgr.Remove(args[0])
-		return []string{fmt.Sprintf("ok drain %s removed=%v", args[0], removed)}
-	case "tick":
-		w.mgr.Tick()
-		return []string{"ok tick"}
-	case "metrics":
-		w.mgr.CollectMetrics()
-		out := strings.Split(strings.TrimRight(w.reg.Text(), "\n"), "\n")
-		return append(out, "ok metrics")
-	case "cacheexport":
-		var since uint64
-		if len(args) > 0 {
-			v, err := strconv.ParseUint(args[0], 10, 64)
-			if err != nil {
-				return []string{"err cacheexport: since must be a non-negative integer"}
-			}
-			since = v
-		}
-		blob, seq, n, err := w.socache.Export(since)
-		if err != nil {
-			return []string{"err cacheexport: " + err.Error()}
-		}
-		return []string{
-			"cachedata " + base64.StdEncoding.EncodeToString(blob),
-			fmt.Sprintf("ok cacheexport seq=%d entries=%d", seq, n),
-		}
-	case "cachemerge":
-		if len(args) != 1 {
-			return []string{"err usage: cachemerge <base64-blob>"}
-		}
-		blob, err := base64.StdEncoding.DecodeString(args[0])
-		if err != nil {
-			return []string{"err cachemerge: bad base64"}
-		}
-		st, err := w.socache.Merge(blob)
-		if err != nil {
-			return []string{"err cachemerge: " + err.Error()}
-		}
-		return []string{fmt.Sprintf("ok cachemerge added=%d known=%d total=%d",
-			st.Added, st.Known, w.socache.Len())}
-	default:
-		return []string{fmt.Sprintf("err unknown command %q", cmd)}
-	}
+	return strings.Split(strings.TrimSuffix(reply.String(), "\n"), "\n"), nil
 }
 
 // ---- test program sources ------------------------------------------------

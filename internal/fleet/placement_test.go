@@ -315,17 +315,13 @@ func TestAuthTokenGatesControlRPCs(t *testing.T) {
 
 	// Raw probes without (or with the wrong) token get the uniform refusal
 	// and are counted on the worker.
-	w := lt.get("w1")
 	for _, line := range []string{"status", "auth wrong status", "auth hunter2", "auth hunter2 "} {
 		lines, err := lt.RPC(context.Background(), "w1", line)
 		if err != nil || len(lines) != 1 || lines[0] != "err unauthorized" {
 			t.Fatalf("probe %q = %v err=%v, want uniform refusal", line, lines, err)
 		}
 	}
-	w.mu.Lock()
-	fails := w.reg.Counter("merlin_fleet_auth_failures_total", "").Value()
-	w.mu.Unlock()
-	if fails != 4 {
+	if fails := lt.AuthFailures("w1"); fails != 4 {
 		t.Fatalf("auth failures = %d, want 4", fails)
 	}
 

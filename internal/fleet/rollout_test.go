@@ -50,7 +50,7 @@ func TestDivergenceOnOneWorkerRollsBackFleet(t *testing.T) {
 	// verdict: its mirror gate will reject what w1 and w2 accepted.
 	w3 := lt.get("w3")
 	w3.mu.Lock()
-	w3.resolve = func(desc string) (lifecycle.Source, error) {
+	w3.Resolve = func(desc string) (lifecycle.Source, error) {
 		if desc == "pass:16" {
 			return ResolveTestSource("drop:16")
 		}

@@ -102,9 +102,8 @@ const (
 	// controller's RPCs to one worker are almost always sequential.
 	tcpIdlePerAddr = 2
 	// A reply line may grow a connection's read buffer from tcpReadBuf up to
-	// tcpMaxLine; a longer line fails the RPC.
+	// MaxLine; a longer line fails the RPC.
 	tcpReadBuf = 4096
-	tcpMaxLine = 1 << 20
 )
 
 // tcpConn is one worker connection and the line scanner that lives with it,
@@ -167,7 +166,7 @@ func (t *TCP) dial(ctx context.Context, addr string) (*tcpConn, error) {
 	}
 	c := &tcpConn{Conn: nc}
 	c.sc = bufio.NewScanner(c)
-	c.sc.Buffer(make([]byte, 0, tcpReadBuf), tcpMaxLine)
+	c.sc.Buffer(make([]byte, 0, tcpReadBuf), MaxLine)
 	return c, nil
 }
 

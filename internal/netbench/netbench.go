@@ -20,6 +20,9 @@ const CPUHz = 2.4e9
 // wireLatencyUS is the fixed fiber+NIC round-trip component of the loop.
 const wireLatencyUS = 35.0
 
+// DefaultBatchSize is the packets-per-RunBatch call used by batch serving.
+const DefaultBatchSize = 64
+
 // Load identifies the paper's latency workload levels.
 type Load int
 
