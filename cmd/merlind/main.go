@@ -553,7 +553,7 @@ func serveMetricsHTTP(addr string, reg *metrics.Registry, write func(io.Writer) 
 // deploy, build and journal recovery all start from.
 type operand struct {
 	mod  *ir.Module
-	text []byte // IR text; canonical for corpus programs, so the same program submitted on two daemons shares one build key
+	text []byte // the file's IR text; nil for corpus programs (buildRequest prints them)
 	fn   string
 	opts core.Options
 }
@@ -569,7 +569,7 @@ func (d *daemon) resolveOperand(desc string) (operand, error) {
 		if spec == nil {
 			return operand{}, fmt.Errorf("no corpus program %q", name)
 		}
-		op.mod, op.text, op.fn = spec.Mod, []byte(ir.Print(spec.Mod)), spec.Func
+		op.mod, op.fn = spec.Mod, spec.Func
 		op.opts.Hook, op.opts.MCPU = spec.Hook, spec.MCPU
 	} else {
 		text, err := chaos.ReadFile(d.fs, fields[0])
@@ -607,11 +607,21 @@ func (d *daemon) buildRequest(desc string) (buildsvc.Request, error) {
 	if err != nil {
 		return buildsvc.Request{}, err
 	}
+	if op.text == nil {
+		// A corpus program's source is its canonical text, so the same
+		// program submitted on two daemons shares one build key.
+		op.text = []byte(ir.Print(op.mod))
+	}
 	return buildsvc.Request{Source: op.text, Func: op.fn, Opts: op.opts}, nil
 }
 
+// xdpCorpus generates (and validates) the corpus once per process: deploys,
+// builds and journal re-attaches of corpus: operands share the modules, which
+// core.Build never mutates.
+var xdpCorpus = sync.OnceValue(corpus.XDP)
+
 func findCorpus(name string) *corpus.ProgramSpec {
-	for _, spec := range corpus.XDP() {
+	for _, spec := range xdpCorpus() {
 		if spec.Name == name {
 			return spec
 		}

@@ -13,6 +13,7 @@ import (
 	"merlin/internal/ebpf"
 	"merlin/internal/fleet"
 	"merlin/internal/guard"
+	"merlin/internal/ir"
 	"merlin/internal/lifecycle"
 	"merlin/internal/metrics"
 	"merlin/internal/vm"
@@ -158,5 +159,37 @@ func TestDriveAllocsPerPacket(t *testing.T) {
 	if perPkt := (drive - inputs) / n; perPkt > 0.02 {
 		t.Fatalf("drive allocates %.3f per packet beyond its inputs (%v per command, inputs %v)",
 			perPkt, drive, inputs)
+	}
+}
+
+// TestCorpusOperandResolvedOnce: a corpus: operand resolves to the one module
+// the process generated — every deploy, build and journal re-attach used to
+// regenerate and re-validate all 19 programs — and only a build request pays
+// for the module's canonical text.
+func TestCorpusOperandResolvedOnce(t *testing.T) {
+	d := newTestDaemon()
+	a, err := d.resolveOperand("corpus:xdp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.resolveOperand("corpus:xdp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.mod != b.mod {
+		t.Fatal("corpus module regenerated between two resolves")
+	}
+	if a.text != nil {
+		t.Fatal("resolving a corpus operand printed its text before any build asked for it")
+	}
+	req, err := d.buildRequest("corpus:xdp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ir.Print(a.mod); string(req.Source) != want || req.Func != a.fn {
+		t.Fatalf("build request source is not the module's canonical text (func %q)", req.Func)
+	}
+	if _, err := d.resolveOperand("corpus:nope"); err == nil {
+		t.Fatal("unknown corpus program resolved")
 	}
 }

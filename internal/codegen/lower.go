@@ -36,6 +36,8 @@ type regAlloc struct {
 var (
 	callerRegs = []ebpf.Register{ebpf.R1, ebpf.R2, ebpf.R3, ebpf.R4, ebpf.R5, ebpf.R0}
 	calleeRegs = []ebpf.Register{ebpf.R7, ebpf.R8, ebpf.R9}
+	// allocRegs is the spill-victim scan order: caller pool, then callee.
+	allocRegs = append(append([]ebpf.Register{}, callerRegs...), calleeRegs...)
 )
 
 func (lw *lowerer) paramReg(p *ir.Param) (ebpf.Register, error) {
@@ -122,15 +124,18 @@ func (ra *regAlloc) unpinAll() {
 }
 
 // releaseDead frees registers of values whose last use was at position i.
+// Every register-resident value is in inReg (locs[v].reg == r exactly when
+// inReg[r] == v), so the walk is over the register file, not over every value
+// the block has located so far.
 func (ra *regAlloc) releaseDead(i int) {
-	for v, l := range ra.locs {
-		if l.reg == ebpf.PseudoReg {
+	for r, v := range ra.inReg {
+		if v == nil {
 			continue
 		}
 		us := ra.uses[v]
 		if len(us) == 0 || us[len(us)-1] <= i {
-			ra.inReg[l.reg] = nil
-			l.reg = ebpf.PseudoReg
+			ra.inReg[r] = nil
+			ra.locs[v].reg = ebpf.PseudoReg
 		}
 	}
 }
@@ -189,19 +194,21 @@ func (ra *regAlloc) spill(r ebpf.Register) error {
 // spilling the live value with the farthest next use if every register is
 // occupied. preferCallee biases values that live across helper calls.
 func (ra *regAlloc) alloc(v *ir.Instr, preferCallee bool) (ebpf.Register, error) {
-	pools := [][]ebpf.Register{callerRegs, calleeRegs}
+	first, second := callerRegs, calleeRegs
 	if preferCallee {
-		pools = [][]ebpf.Register{calleeRegs, callerRegs}
+		first, second = calleeRegs, callerRegs
 	}
-	for _, pool := range pools {
-		if r := ra.takeFree(pool); r != ebpf.PseudoReg {
-			ra.claim(r, v)
-			return r, nil
-		}
+	r := ra.takeFree(first)
+	if r == ebpf.PseudoReg {
+		r = ra.takeFree(second)
+	}
+	if r != ebpf.PseudoReg {
+		ra.claim(r, v)
+		return r, nil
 	}
 	// Spill the unpinned victim whose next use is farthest away.
 	victim, worst := ebpf.PseudoReg, -1
-	for _, r := range append(append([]ebpf.Register{}, callerRegs...), calleeRegs...) {
+	for _, r := range allocRegs {
 		if ra.pinned[r] || ra.inReg[r] == nil {
 			continue
 		}

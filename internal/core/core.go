@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"merlin/internal/analysis"
@@ -106,15 +107,7 @@ func DefaultOptions() Options {
 }
 
 func (o Options) enabled(opt Optimizer) bool {
-	if o.Enable == nil {
-		return true
-	}
-	for _, e := range o.Enable {
-		if e == opt {
-			return true
-		}
-	}
-	return false
+	return o.Enable == nil || slices.Contains(o.Enable, opt)
 }
 
 // PassStat is the unified per-pass timing/effect record.
@@ -154,8 +147,13 @@ type Result struct {
 	Culprits []Optimizer
 	// FellBack reports how a guarded build degraded: "" for a normal build,
 	// "bisect" when culprit bisection chose an optimizer subset, "baseline"
-	// when no optimized candidate verified (or the pipeline itself failed).
+	// when no optimized candidate verified.
 	FellBack string
+
+	// lowerings and loads count the codegen.Compile calls of the build and
+	// the programs the guard loaded into a VM for differential validation
+	// (bisection trials excluded), at their call sites; tests pin them.
+	lowerings, loads int
 }
 
 // NIReduction returns the paper's compactness metric: the fraction of
@@ -185,42 +183,35 @@ func build(mod *ir.Module, fnName string, opts Options) (*Result, error) {
 	}
 	res := &Result{}
 
-	// Baseline: clang -O2 analog + llc only. Local functions are inlined
-	// first (the verifier checks them inside their callers; our llc analog
-	// requires a single flat function). Baseline failures are fatal even
-	// under guarding: with no baseline there is nothing to degrade to.
-	baseMod := ir.Clone(mod)
-	if _, err := irpass.Inline(baseMod); err != nil {
+	// Front end, run once: local functions are inlined (the verifier checks
+	// them inside their callers; our llc analog requires a single flat
+	// function) and the clang -O2 analog cleans up. Its lowering is the
+	// baseline — and the program the Merlin pipeline starts from. Failures
+	// here are fatal even under guarding: with no baseline there is nothing
+	// to degrade to.
+	front := ir.Clone(mod)
+	if _, err := irpass.Inline(front); err != nil {
 		return nil, fmt.Errorf("core: inline: %w", err)
 	}
-	genericMgr := &irpass.Manager{Passes: irpass.Generic()}
-	genericMgr.Run(baseMod)
-	baseline, err := codegen.Compile(baseMod, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
+	(&irpass.Manager{Passes: irpass.Generic()}).Run(front)
+	baseline, err := codegen.Compile(front, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline: %w", err)
 	}
 	res.Baseline = baseline
 
-	// Merlin pipeline: generic + IR refinement + llc + bytecode refinement.
-	po, err := runPipeline(mod, fnName, opts, opts.enabled)
+	// Merlin pipeline: IR refinement + llc + bytecode refinement.
+	po, err := runPipeline(front, baseline, fnName, opts, opts.enabled)
 	if err != nil {
-		if !opts.Guard {
-			return nil, err
-		}
-		// The guarded pipeline only errors on its non-Merlin stages (inline,
-		// generic cleanup, lowering); degrade to the baseline program.
-		res.PassFailures = append(res.PassFailures, guard.PassFailure{
-			Pass: "pipeline", Tier: "core", Kind: guard.FailError, Detail: err.Error(),
-		})
-		res.FellBack = "baseline"
-		res.Prog = baseline.Clone()
-	} else {
-		res.Prog = po.prog
-		res.Stats = po.stats
-		res.MerlinTime = po.merlin
-		res.PassFailures = po.failures
-		res.Superopt = po.superopt
+		return nil, err
 	}
+	res.Prog = po.prog
+	res.Stats = po.stats
+	res.MerlinTime = po.merlin
+	res.PassFailures = po.failures
+	res.Superopt = po.superopt
+	res.lowerings = 1 + po.lowerings // the baseline's, then the pipeline's
+	res.loads = po.loads
 
 	if opts.Verify {
 		vopts := verifier.Options{Version: opts.VerifierVersion, Limits: opts.VerifierLimits}
@@ -234,7 +225,7 @@ func build(mod *ir.Module, fnName string, opts Options) (*Result, error) {
 				Pass: "verify", Tier: "final", Kind: guard.FailVerifier,
 				Detail: fmt.Sprintf("optimized program rejected: %v", res.Verification.Err),
 			})
-			bisectCulprits(mod, fnName, opts, vopts, res)
+			bisectCulprits(front, fnName, opts, vopts, res)
 		}
 	}
 	return res, nil
@@ -253,27 +244,63 @@ func BuildForDeploy(mod *ir.Module, fnName string, opts Options) (*Result, error
 	return Build(mod, fnName, opts)
 }
 
-// pipeOut is the outcome of one optimized-pipeline run.
+// pipeOut is one optimized-pipeline run: its outcome and, while it runs, the
+// guarded pipeline's carried state. prog is the program every check so far
+// has let through; obs is — once a candidate has been compared against it —
+// its recorded behaviour on the sampled inputs. A candidate is lowered and
+// loaded once: admitting it makes its lowering the next pass's reference and
+// its observation the next comparison's "before". A rolled-back pass never
+// reaches admit's assignments, so both stay at the pre-pass program.
 type pipeOut struct {
 	prog     *ebpf.Program
+	obs      *guard.Observation // of prog; nil until a comparison needs it
+	inputs   []guard.Input      // nil: differential validation is off
 	stats    []PassStat
 	merlin   time.Duration
 	failures []guard.PassFailure
 	superopt *superopt.Stats
+
+	lowerings, loads int // see Result
 }
 
-// runPipeline runs the optimized path — inline, generic cleanup, IR
-// refinement, lowering, bytecode refinement — over a clone of mod, with the
-// optimizer set restricted by enabled. With opts.Guard set, every Merlin
-// pass is guarded and rolled back on failure; errors are then only possible
-// from the shared non-Merlin stages.
-func runPipeline(mod *ir.Module, fnName string, opts Options, enabled func(Optimizer) bool) (*pipeOut, error) {
-	out := &pipeOut{}
-	optMod := ir.Clone(mod)
-	if _, err := irpass.Inline(optMod); err != nil {
-		return nil, fmt.Errorf("core: inline: %w", err)
+// admit differentially validates cand against the accepted program and, on
+// success, makes cand the accepted program. A candidate identical to the
+// accepted program needs no run: the carried observation is its own.
+func (o *pipeOut) admit(cand *ebpf.Program) error {
+	if o.inputs != nil && !guard.SameProgram(o.prog, cand) {
+		if o.obs == nil {
+			o.obs = guard.Observe(o.prog, o.inputs)
+			o.loads++
+		}
+		obs := guard.Observe(cand, o.inputs)
+		o.loads++
+		if err := guard.Diff(o.obs, obs); err != nil {
+			return err
+		}
+		o.obs = obs
 	}
-	(&irpass.Manager{Passes: irpass.Generic()}).Run(optMod)
+	o.prog = cand
+	return nil
+}
+
+// ran enters one completed pass in the stats and the Merlin time.
+func (o *pipeOut) ran(st PassStat) {
+	o.stats = append(o.stats, st)
+	o.merlin += st.Duration
+}
+
+// runPipeline runs the optimized path — IR refinement, lowering, bytecode
+// refinement — from front (the inlined, generically cleaned module, never
+// mutated) and its lowering baseline, with the optimizer set restricted by
+// enabled. With opts.Guard set, every Merlin pass is guarded and rolled back
+// on failure, and each pass output is lowered once: the validated lowering of
+// the last accepted IR pass is the program the bytecode tier starts from; a
+// guarded run contains every failure and never returns an error.
+func runPipeline(front *ir.Module, baseline *ebpf.Program, fnName string, opts Options, enabled func(Optimizer) bool) (*pipeOut, error) {
+	out := &pipeOut{prog: baseline.Clone()}
+	if opts.Guard && opts.GuardDiffInputs > 0 {
+		out.inputs = guard.Inputs(opts.Hook, opts.GuardDiffInputs, guardDiffSeed)
+	}
 
 	var irPasses []irpass.Pass
 	if enabled(DAO) {
@@ -282,25 +309,44 @@ func runPipeline(mod *ir.Module, fnName string, opts Options, enabled func(Optim
 	if enabled(MoF) {
 		irPasses = append(irPasses, irpass.Pass{Name: string(MoF), Run: irpass.MacroOpFusion})
 	}
-	if !opts.Guard {
-		irMgr := &irpass.Manager{Passes: irPasses}
-		irMgr.Run(optMod)
-		for _, s := range irMgr.Stats {
-			out.stats = append(out.stats, PassStat{Name: s.Pass, Tier: "ir", Applied: s.Applied, Duration: s.Duration})
-			out.merlin += s.Duration
-		}
-	} else {
+	if opts.Guard {
+		optMod := front
 		for _, p := range irPasses {
 			optMod = runGuardedIRPass(optMod, p, fnName, opts, out)
 		}
+	} else if len(irPasses) > 0 {
+		optMod := ir.Clone(front)
+		irMgr := &irpass.Manager{Passes: irPasses}
+		irMgr.Run(optMod)
+		for _, s := range irMgr.Stats {
+			out.ran(PassStat{Name: s.Pass, Tier: "ir", Applied: s.Applied, Duration: s.Duration})
+		}
+		prog, err := codegen.Compile(optMod, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
+		out.lowerings++
+		if err != nil {
+			return nil, fmt.Errorf("core: llc: %w", err)
+		}
+		out.prog = prog
 	}
 
-	prog, err := codegen.Compile(optMod, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
-	if err != nil {
-		return nil, fmt.Errorf("core: llc: %w", err)
-	}
-
+	// run is one bytecode-tier pass, guarded or plain; what names the stage
+	// in a plain build's error.
 	bopts := bopt.Options{ALU32: opts.KernelALU32}
+	run := func(p bopt.Pass, what string) error {
+		if opts.Guard {
+			runGuardedBytecodePass(p, bopts, opts, out)
+			return nil
+		}
+		start := time.Now()
+		next, applied, err := p.Run(out.prog, bopts)
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", what, err)
+		}
+		out.prog = next
+		out.ran(PassStat{Name: p.Name, Tier: "bytecode", Applied: applied, Duration: time.Since(start)})
+		return nil
+	}
+
 	var bcPasses []bopt.Pass
 	for _, p := range bopt.Pipeline() {
 		if enabled(Optimizer(p.Name)) {
@@ -310,8 +356,7 @@ func runPipeline(mod *ir.Module, fnName string, opts Options, enabled func(Optim
 	// Dep analysis is charged whenever any bytecode pass runs.
 	if len(bcPasses) > 0 {
 		depStart := time.Now()
-		cur := prog.Clone()
-		cfg, err := analysis.BuildCFG(cur)
+		cfg, err := analysis.BuildCFG(out.prog)
 		if err != nil {
 			if !opts.Guard {
 				return nil, fmt.Errorf("core: bytecode refinement: %w", err)
@@ -319,29 +364,17 @@ func runPipeline(mod *ir.Module, fnName string, opts Options, enabled func(Optim
 			out.failures = append(out.failures, guard.PassFailure{
 				Pass: "Dep", Tier: "bytecode", Kind: guard.FailError, Detail: err.Error(),
 			})
-			out.prog = prog
 			return out, nil
 		}
 		analysis.Liveness(cfg)
 		analysis.Constants(cfg)
-		out.stats = append(out.stats, PassStat{Name: "Dep", Tier: "bytecode", Duration: time.Since(depStart)})
-		out.merlin += time.Since(depStart)
+		out.ran(PassStat{Name: "Dep", Tier: "bytecode", Duration: time.Since(depStart)})
 
 		for _, p := range bcPasses {
-			if !opts.Guard {
-				start := time.Now()
-				next, applied, err := p.Run(cur, bopts)
-				if err != nil {
-					return nil, fmt.Errorf("core: bytecode refinement: %w", err)
-				}
-				cur = next
-				out.stats = append(out.stats, PassStat{Name: p.Name, Tier: "bytecode", Applied: applied, Duration: time.Since(start)})
-				out.merlin += time.Since(start)
-			} else {
-				cur = runGuardedBytecodePass(cur, p, bopts, opts, out)
+			if err := run(p, "bytecode refinement"); err != nil {
+				return nil, err
 			}
 		}
-		prog = cur
 	}
 
 	// Superoptimizer tier: runs after the rule-based refinement as the "SO"
@@ -349,34 +382,24 @@ func runPipeline(mod *ir.Module, fnName string, opts Options, enabled func(Optim
 	if opts.Superopt != nil {
 		socfg := *opts.Superopt
 		socfg.ALU32 = socfg.ALU32 || opts.KernelALU32
-		var last superopt.Stats
-		pass := bopt.Pass{Name: "SO", Run: func(p *ebpf.Program, _ bopt.Options) (*ebpf.Program, int, error) {
+		out.superopt = &superopt.Stats{}
+		err := run(bopt.Pass{Name: "SO", Run: func(p *ebpf.Program, _ bopt.Options) (*ebpf.Program, int, error) {
 			np, st, err := superopt.Optimize(p, socfg)
-			last = st
+			*out.superopt = st
 			return np, st.Rewrites, err
-		}}
-		if !opts.Guard {
-			start := time.Now()
-			next, applied, err := pass.Run(prog, bopts)
-			if err != nil {
-				return nil, fmt.Errorf("core: superopt: %w", err)
-			}
-			prog = next
-			out.stats = append(out.stats, PassStat{Name: "SO", Tier: "bytecode", Applied: applied, Duration: time.Since(start)})
-			out.merlin += time.Since(start)
-		} else {
-			prog = runGuardedBytecodePass(prog, pass, bopts, opts, out)
+		}}, "superopt")
+		if err != nil {
+			return nil, err
 		}
-		out.superopt = &last
 	}
-	out.prog = prog
 	return out, nil
 }
 
 // runGuardedIRPass applies one IR-tier pass to a private clone of cur under
-// the guard, validates the result (well-formedness, lowering, optional
-// differential execution) and returns the new module — or cur unchanged,
-// recording the failure, when any containment path fires.
+// the guard, validates the result (well-formedness, lowering, differential
+// execution of the lowering against the accepted program) and returns the
+// new module — or cur unchanged, recording the failure, when any containment
+// path fires.
 func runGuardedIRPass(cur *ir.Module, p irpass.Pass, fnName string, opts Options, out *pipeOut) *ir.Module {
 	work := ir.Clone(cur)
 	applied := 0
@@ -391,47 +414,40 @@ func runGuardedIRPass(cur *ir.Module, p irpass.Pass, fnName string, opts Options
 	})
 	dur := time.Since(start)
 
-	var compiled *ebpf.Program
+	failed := func(kind guard.FailureKind, detail string) {
+		fail = &guard.PassFailure{Pass: p.Name, Tier: "ir", Kind: kind, Detail: detail}
+	}
 	if fail == nil {
 		if err := ir.Validate(work); err != nil {
-			fail = &guard.PassFailure{Pass: p.Name, Tier: "ir", Kind: guard.FailInvariant, Detail: err.Error()}
+			failed(guard.FailInvariant, err.Error())
 		}
 	}
 	if fail == nil {
 		// Validated lowering: an output module that no longer compiles is a
 		// pass fault, not a build failure.
-		c, err := codegen.Compile(work, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
+		compiled, err := codegen.Compile(work, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook})
+		out.lowerings++
 		if err != nil {
-			fail = &guard.PassFailure{Pass: p.Name, Tier: "ir", Kind: guard.FailInvariant, Detail: fmt.Sprintf("does not lower: %v", err)}
-		} else {
-			compiled = c
-		}
-	}
-	if fail == nil && opts.GuardDiffInputs > 0 {
-		// Differential execution of post-pass vs pre-pass code. If the
-		// reference module fails to compile the check is skipped — the pass
-		// cannot be blamed for a pre-existing problem.
-		if ref, err := codegen.Compile(cur, fnName, codegen.Options{MCPU: opts.MCPU, Hook: opts.Hook}); err == nil {
-			inputs := guard.Inputs(opts.Hook, opts.GuardDiffInputs, guardDiffSeed)
-			if derr := guard.DiffPrograms(ref, compiled, inputs); derr != nil {
-				fail = &guard.PassFailure{Pass: p.Name, Tier: "ir", Kind: guard.FailDiff, Detail: derr.Error()}
-			}
+			failed(guard.FailInvariant, fmt.Sprintf("does not lower: %v", err))
+		} else if derr := out.admit(compiled); derr != nil {
+			failed(guard.FailDiff, derr.Error())
 		}
 	}
 	if fail != nil {
+		// applied is not read here: a timed-out pass may still be writing it.
 		out.failures = append(out.failures, *fail)
 		return cur
 	}
-	out.stats = append(out.stats, PassStat{Name: p.Name, Tier: "ir", Applied: applied, Duration: dur})
-	out.merlin += dur
+	out.ran(PassStat{Name: p.Name, Tier: "ir", Applied: applied, Duration: dur})
 	return work
 }
 
 // runGuardedBytecodePass applies one bytecode-tier pass to a private clone of
-// cur under the guard, validates the result and returns it — or cur
-// unchanged, recording the failure, when any containment path fires.
-func runGuardedBytecodePass(cur *ebpf.Program, p bopt.Pass, bopts bopt.Options, opts Options, out *pipeOut) *ebpf.Program {
-	work := cur.Clone()
+// the accepted program under the guard, validates the result and admits it —
+// or leaves the accepted program unchanged, recording the failure, when any
+// containment path fires.
+func runGuardedBytecodePass(p bopt.Pass, bopts bopt.Options, opts Options, out *pipeOut) {
+	work := out.prog.Clone()
 	var next *ebpf.Program
 	applied := 0
 	start := time.Now()
@@ -450,21 +466,15 @@ func runGuardedBytecodePass(cur *ebpf.Program, p bopt.Pass, bopts bopt.Options, 
 	if fail == nil {
 		if err := guard.ValidateProgram(next); err != nil {
 			fail = &guard.PassFailure{Pass: p.Name, Tier: "bytecode", Kind: guard.FailInvariant, Detail: err.Error()}
-		}
-	}
-	if fail == nil && opts.GuardDiffInputs > 0 {
-		inputs := guard.Inputs(opts.Hook, opts.GuardDiffInputs, guardDiffSeed)
-		if err := guard.DiffPrograms(cur, next, inputs); err != nil {
-			fail = &guard.PassFailure{Pass: p.Name, Tier: "bytecode", Kind: guard.FailDiff, Detail: err.Error()}
+		} else if derr := out.admit(next); derr != nil {
+			fail = &guard.PassFailure{Pass: p.Name, Tier: "bytecode", Kind: guard.FailDiff, Detail: derr.Error()}
 		}
 	}
 	if fail != nil {
 		out.failures = append(out.failures, *fail)
-		return cur
+		return
 	}
-	out.stats = append(out.stats, PassStat{Name: p.Name, Tier: "bytecode", Applied: applied, Duration: dur})
-	out.merlin += dur
-	return next
+	out.ran(PassStat{Name: p.Name, Tier: "bytecode", Applied: applied, Duration: dur})
 }
 
 // bisectCulprits delta-debugs a final verifier rejection over the enabled
@@ -474,7 +484,7 @@ func runGuardedBytecodePass(cur *ebpf.Program, p bopt.Pass, bopts bopt.Options, 
 // greedy order; the surviving subset yields the best program that verifies.
 // With nothing survivable, Prog falls back to the (already compiled)
 // baseline. res is updated in place.
-func bisectCulprits(mod *ir.Module, fnName string, opts Options, vopts verifier.Options, res *Result) {
+func bisectCulprits(front *ir.Module, fnName string, opts Options, vopts verifier.Options, res *Result) {
 	// Bisection isolates the six paper optimizers; the superopt tier is
 	// switched off for the trials (and for the chosen fallback output) so it
 	// can neither mask nor be blamed for a rule-based culprit.
@@ -491,18 +501,11 @@ func bisectCulprits(mod *ir.Module, fnName string, opts Options, vopts verifier.
 	var best *pipeOut
 	var bestStats verifier.Stats
 	inSet := func(set []Optimizer) func(Optimizer) bool {
-		return func(o Optimizer) bool {
-			for _, e := range set {
-				if e == o {
-					return true
-				}
-			}
-			return false
-		}
+		return func(o Optimizer) bool { return slices.Contains(set, o) }
 	}
 	for _, o := range enabledList {
 		trial := append(append([]Optimizer{}, kept...), o)
-		po, err := runPipeline(mod, fnName, opts, inSet(trial))
+		po, err := runPipeline(front, res.Baseline, fnName, opts, inSet(trial))
 		if err != nil {
 			res.Culprits = append(res.Culprits, o)
 			continue

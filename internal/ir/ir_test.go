@@ -342,3 +342,36 @@ func TestCloneIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateAllocationsDoNotScalePerInstruction: Validate's bookkeeping is
+// a few maps per function, not a table built per instruction — a module four
+// times as long does not allocate more per instruction, and a 1000-instruction
+// block validates in far fewer allocations than it has instructions.
+func TestValidateAllocationsDoNotScalePerInstruction(t *testing.T) {
+	chain := func(n int) *Module {
+		b := NewModule("chain")
+		ctx := &Param{Name: "ctx", Ty: Ptr}
+		b.NewFunc("f", ctx)
+		var v Value = b.Load(I64, ctx, 8)
+		for i := 0; i < n; i++ {
+			v = b.Bin(Add, I64, v, ConstInt(I64, int64(i)))
+		}
+		b.Ret(v)
+		return b.Mod
+	}
+	allocs := func(m *Module) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := Validate(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 1000
+	a1, a4 := allocs(chain(n)), allocs(chain(4*n))
+	if a1 >= n/4 {
+		t.Errorf("Validate of %d instructions made %.0f allocations: something is allocated per instruction", n, a1)
+	}
+	if a4/4 > a1 {
+		t.Errorf("allocations per instruction rose with module size: %.0f for %d, %.0f for %d", a1, n, a4, 4*n)
+	}
+}

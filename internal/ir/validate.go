@@ -89,12 +89,14 @@ func validateFunc(m *Module, f *Function) error {
 
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// wantArgs is each fixed-arity op's operand count (calls are variadic).
+var wantArgs = map[Op]int{
+	OpAlloca: 0, OpLoad: 1, OpStore: 2, OpBin: 2, OpICmp: 2, OpGEP: 2,
+	OpZExt: 1, OpSExt: 1, OpTrunc: 1, OpBswap: 1, OpAtomicRMW: 2, OpMapPtr: 0,
+	OpBr: 0, OpCondBr: 1, OpRet: 1,
+}
+
 func checkInstr(m *Module, f *Function, blocks map[*Block]bool, in *Instr) error {
-	wantArgs := map[Op]int{
-		OpAlloca: 0, OpLoad: 1, OpStore: 2, OpBin: 2, OpICmp: 2, OpGEP: 2,
-		OpZExt: 1, OpSExt: 1, OpTrunc: 1, OpBswap: 1, OpAtomicRMW: 2, OpMapPtr: 0,
-		OpBr: 0, OpCondBr: 1, OpRet: 1,
-	}
 	if n, ok := wantArgs[in.Op]; ok && in.Op != OpCall && len(in.Args) != n {
 		return fmt.Errorf("want %d operands, have %d", n, len(in.Args))
 	}

@@ -450,11 +450,15 @@ func isEOF(err error) bool {
 
 // frame wraps payload in the on-disk record framing.
 func frame(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], Checksum(payload))
-	copy(buf[headerSize:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
+}
+
+// appendFrame appends one framed record to buf.
+func appendFrame(buf, payload []byte) []byte {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], Checksum(payload))
+	return append(append(buf, hdr[:]...), payload...)
 }
 
 // Append writes one record to the journal. With sync set the record is
@@ -463,6 +467,21 @@ func frame(payload []byte) []byte {
 // the configured durability policy decides when the record reaches stable
 // storage.
 func (l *Log) Append(payload []byte, sync bool) error {
+	return l.AppendBatch([][]byte{payload}, sync)
+}
+
+// AppendBatch writes payloads as consecutive records with one write and at
+// most one fsync: the durability policy (or sync) is applied to the batch as
+// it would be to its last record, so every record is as durable when
+// AppendBatch returns as len(payloads) Appends would have left it. Each
+// payload is framed on its own — replay, torn-tail repair and record counts
+// cannot tell a batch from single appends — and a failed write rolls the
+// whole batch back to the last record boundary. A batch is never split
+// across segments: rotation is decided before it is written.
+func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
+	if len(payloads) == 0 {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -474,7 +493,10 @@ func (l *Log) Append(payload []byte, sync bool) error {
 	if l.size > 0 && l.size >= l.segBytes {
 		l.rotateLocked()
 	}
-	buf := frame(payload)
+	var buf []byte
+	for _, p := range payloads {
+		buf = appendFrame(buf, p)
+	}
 	if _, err := l.f.Write(buf); err != nil {
 		// The write may have landed partially; garbage after the last record
 		// boundary would otherwise hide every later append from the scanner.
@@ -490,8 +512,8 @@ func (l *Log) Append(payload []byte, sync bool) error {
 	}
 	l.size += int64(len(buf))
 	l.total += int64(len(buf))
-	l.recs++
-	l.stats.Appends++
+	l.recs += len(payloads)
+	l.stats.Appends += len(payloads)
 	if sync {
 		if err := l.fsyncLocked(true); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
@@ -504,16 +526,17 @@ func (l *Log) Append(payload []byte, sync bool) error {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
 	case ModeGroup:
-		l.pending++
+		l.pending += len(payloads)
 		if l.pending >= l.policy.MaxBatch {
 			// Inline flush at the batch bound: this is the backpressure —
-			// the in-flight window never exceeds MaxBatch records.
+			// the in-flight window never exceeds MaxBatch records (plus one
+			// caller's batch).
 			if err := l.fsyncLocked(false); err != nil {
 				return fmt.Errorf("journal: group fsync: %w", err)
 			}
 		}
 	case ModeAsync:
-		l.pending++
+		l.pending += len(payloads)
 	}
 	return nil
 }

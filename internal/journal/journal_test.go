@@ -73,8 +73,16 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 // TestTornTailSweep is the crash-injection core: truncate the journal at
 // every possible byte length and prove Open always succeeds, recovers every
-// record before the cut, and reports damage iff the cut fell mid-record.
+// record before the cut, and reports damage iff the cut fell mid-record. The
+// records are written once by single appends and once as one AppendBatch: a
+// batch torn at any byte must recover exactly like the appends it replaces —
+// a whole-record prefix, never a partial batch that hides its intact head.
 func TestTornTailSweep(t *testing.T) {
+	t.Run("append", func(t *testing.T) { tornTailSweep(t, false) })
+	t.Run("batch", func(t *testing.T) { tornTailSweep(t, true) })
+}
+
+func tornTailSweep(t *testing.T, batch bool) {
 	base := t.TempDir()
 	seed := filepath.Join(base, "seed")
 	l := mustOpen(t, seed)
@@ -82,11 +90,18 @@ func TestTornTailSweep(t *testing.T) {
 	boundaries := map[int64]int{0: 0} // valid prefix length → record count
 	var total int64
 	for i, r := range recs {
-		if err := l.Append(r, false); err != nil {
-			t.Fatal(err)
+		if !batch {
+			if err := l.Append(r, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 		total += headerSize + int64(len(r))
 		boundaries[total] = i + 1
+	}
+	if batch {
+		if err := l.AppendBatch(recs, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l.Close()
 	blob, err := os.ReadFile(filepath.Join(seed, journalName))

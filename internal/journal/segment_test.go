@@ -188,44 +188,97 @@ func TestAsyncPolicy(t *testing.T) {
 	l.Close()
 }
 
-// TestTornAppendRollsBack: a torn write is rolled back to the last record
-// boundary, later appends land cleanly, and a reopen sees no corruption.
+// TestTornAppendRollsBack: a torn write — one record or a whole batch — is
+// rolled back to the last record boundary, later appends land cleanly, and a
+// reopen sees no corruption and no part of the torn batch.
 func TestTornAppendRollsBack(t *testing.T) {
-	dir := t.TempDir()
-	inj := chaos.Wrap(chaos.OS(), chaos.NewSchedule(
-		chaos.Step{Op: chaos.OpWrite, Skip: 2, Fault: chaos.Torn},
-	))
-	l := openSmall(t, dir, Options{FS: inj, SegmentBytes: 1 << 20})
-	for i := 0; i < 2; i++ {
-		if err := l.Append(payloadN(i), true); err != nil {
+	for _, batch := range []bool{false, true} {
+		dir := t.TempDir()
+		inj := chaos.Wrap(chaos.OS(), chaos.NewSchedule(
+			chaos.Step{Op: chaos.OpWrite, Skip: 2, Fault: chaos.Torn},
+		))
+		l := openSmall(t, dir, Options{FS: inj, SegmentBytes: 1 << 20})
+		for i := 0; i < 2; i++ {
+			if err := l.Append(payloadN(i), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if batch {
+			// Half the buffer lands: the first record whole, the second cut.
+			err = l.AppendBatch([][]byte{[]byte("torn-batch-head"), []byte("torn-batch-tail")}, false)
+		} else {
+			err = l.Append([]byte("this-one-tears"), false)
+		}
+		if err == nil {
+			t.Fatal("torn append reported success")
+		}
+		if st := l.Stats(); st.WedgeRepairs != 1 || st.Appends != 2 {
+			t.Fatalf("torn append not rolled back: %+v", st)
+		}
+		if err := l.Append([]byte("after-the-tear"), true); err != nil {
+			t.Fatalf("append after rollback: %v", err)
+		}
+		l.Close()
+
+		l2, err := Open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var got []string
+		if err := l2.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 3 || got[2] != "after-the-tear" {
+			t.Fatalf("batch=%v: records after torn append = %v", batch, got)
+		}
+		if st := l2.Stats(); st.CorruptRecords != 0 {
+			t.Fatalf("rollback left corruption for reopen to find: %+v", st)
+		}
+		l2.Close()
 	}
-	if err := l.Append([]byte("this-one-tears"), false); err == nil {
-		t.Fatal("torn append reported success")
+}
+
+// TestAppendBatchSyncsOncePerBatch: a batch is one write and one
+// policy-governed fsync however many records it frames, while every count a
+// caller can observe (records, appends, the group-commit window) moves per
+// record.
+func TestAppendBatchSyncsOncePerBatch(t *testing.T) {
+	recs := make([][]byte, 10)
+	for i := range recs {
+		recs[i] = payloadN(i)
 	}
-	if st := l.Stats(); st.WedgeRepairs != 1 {
-		t.Fatalf("torn append not rolled back: %+v", st)
+	l := openSmall(t, t.TempDir(), Options{SegmentBytes: 1 << 20})
+	if err := l.AppendBatch(recs, false); err != nil {
+		t.Fatal(err)
 	}
-	if err := l.Append([]byte("after-the-tear"), true); err != nil {
-		t.Fatalf("append after rollback: %v", err)
+	if err := l.AppendBatch(nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Fsyncs != 1 || st.Appends != 10 {
+		t.Fatalf("sync policy: %+v, want 1 fsync for 10 appended records", st)
+	}
+	if got := replayAll(t, l); len(got) != 10 || string(got[9]) != string(recs[9]) {
+		t.Fatalf("batch replayed as %d records", len(got))
 	}
 	l.Close()
 
-	l2, err := Open(dir)
-	if err != nil {
+	g := openSmall(t, t.TempDir(), Options{
+		SegmentBytes: 1 << 20,
+		Policy:       Policy{Mode: ModeGroup, Interval: time.Hour, MaxBatch: 16},
+	})
+	defer g.Close()
+	if err := g.AppendBatch(recs, false); err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+	if st := g.Stats(); st.Fsyncs != 0 {
+		t.Fatalf("group commit flushed a 10-record batch below MaxBatch 16: %+v", st)
+	}
+	if err := g.AppendBatch(recs, false); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[2] != "after-the-tear" {
-		t.Fatalf("records after torn append = %v", got)
-	}
-	if st := l2.Stats(); st.CorruptRecords != 0 {
-		t.Fatalf("rollback left corruption for reopen to find: %+v", st)
+	if st := g.Stats(); st.Fsyncs != 1 {
+		t.Fatalf("group commit window did not count records (20 >= 16): %+v", st)
 	}
 }
 

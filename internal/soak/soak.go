@@ -299,10 +299,12 @@ func survivingSegments(dir string) ([]string, error) {
 // SweepPrefixes replays the crash at every point of the surviving byte
 // stream: for each segment and a set of truncation offsets within it, it
 // builds a copy of the state dir holding exactly the stream's prefix (whole
-// earlier segments, the truncated one, no later ones) and requires
-// VerifyRecovery to pass on it. samplesPerSegment bounds the offsets tried
-// per segment (boundary cases 0 and full size are always included).
-func SweepPrefixes(dir string, samplesPerSegment int) error {
+// earlier segments, the truncated one, no later ones) and requires verify to
+// pass on it (VerifyRecovery for a lifecycle state dir; any journal-backed
+// store brings its own). samplesPerSegment bounds the offsets tried per
+// segment (boundary cases 0 and full size are always included; the segment's
+// size plus one tries every byte).
+func SweepPrefixes(dir string, samplesPerSegment int, verify func(caseDir string) error) error {
 	if samplesPerSegment < 2 {
 		samplesPerSegment = 2
 	}
@@ -347,7 +349,7 @@ func SweepPrefixes(dir string, samplesPerSegment int) error {
 			if err := os.WriteFile(filepath.Join(caseDir, seg), data[:cut], 0o644); err != nil {
 				return err
 			}
-			if _, err := VerifyRecovery(caseDir); err != nil {
+			if err := verify(caseDir); err != nil {
 				return fmt.Errorf("prefix %s truncated to %d bytes (case %d): %w", seg, cut, caseNum-1, err)
 			}
 			os.RemoveAll(caseDir)

@@ -120,32 +120,46 @@ func (c *Cache) Get(key string) (Verdict, bool) {
 // Put memoizes a verdict, appending it to the journal when persistent.
 // Re-putting a known key is a no-op.
 func (c *Cache) Put(key string, v Verdict) {
-	c.iomu.Lock()
-	defer c.iomu.Unlock()
-	c.putIOLocked(key, v)
+	c.PutAll([]string{key}, []Verdict{v})
 }
 
-// putIOLocked inserts key under iomu: map insert under a short mu critical
-// section, then the journal append without holding mu, so concurrent readers
-// never wait on disk.
-func (c *Cache) putIOLocked(key string, v Verdict) {
+// PutAll memoizes vs[i] under keys[i]. The entries new to the cache reach
+// the journal as one batch — one write and one policy-governed sync for the
+// whole call (journal.AppendBatch), each verdict still its own record — so a
+// caller resolving many windows pays for durability once: when PutAll
+// returns, every verdict is as durable as a Put each would have made it.
+func (c *Cache) PutAll(keys []string, vs []Verdict) {
+	c.iomu.Lock()
+	defer c.iomu.Unlock()
+	c.putIOLocked(keys, vs)
+}
+
+// putIOLocked inserts the entries under iomu: map inserts under a short mu
+// critical section, then the journal append without holding mu, so concurrent
+// readers never wait on disk.
+func (c *Cache) putIOLocked(keys []string, vs []Verdict) {
+	var fresh []int // indices of the entries new to the cache
 	c.mu.Lock()
-	if _, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return
+	for i, key := range keys {
+		if _, ok := c.entries[key]; !ok {
+			c.entries[key] = vs[i]
+			c.order = append(c.order, key)
+			fresh = append(fresh, i)
+		}
 	}
-	c.entries[key] = v
-	c.order = append(c.order, key)
 	c.mu.Unlock()
-	if c.log == nil {
+	if c.log == nil || len(fresh) == 0 {
 		return
 	}
-	payload, err := json.Marshal(encodeEntry(key, v))
-	if err != nil {
-		return
+	payloads := make([][]byte, 0, len(fresh))
+	for _, i := range fresh {
+		if payload, err := json.Marshal(encodeEntry(keys[i], vs[i])); err == nil {
+			payloads = append(payloads, payload)
+		}
 	}
-	if c.log.Append(payload, false) == nil {
-		c.appended++
+	if c.log.AppendBatch(payloads, false) == nil {
+		// The compaction threshold counts records, not batches.
+		c.appended += len(payloads)
 		if c.appended >= compactThreshold {
 			_ = c.compactIOLocked()
 		}
@@ -283,7 +297,7 @@ func (c *Cache) Merge(blob []byte) (MergeStats, error) {
 		if _, ok := c.Get(d.key); ok {
 			continue
 		}
-		c.putIOLocked(d.key, d.v)
+		c.putIOLocked([]string{d.key}, []Verdict{d.v})
 		st.Added++
 	}
 	return st, nil

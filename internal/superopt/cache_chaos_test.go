@@ -2,6 +2,8 @@ package superopt
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -76,5 +78,103 @@ func TestCacheGroupCommitPolicy(t *testing.T) {
 	defer c2.Close()
 	if c2.Len() != 64 {
 		t.Fatalf("reopened cache has %d entries, want 64", c2.Len())
+	}
+}
+
+// TestOptimizeSyncsVerdictsOnce: every search miss of one Optimize call
+// reaches the journal in one batch — at most one fsync per call under the
+// default sync-every-append policy, where it used to be one per miss — and all
+// of them are on disk when Optimize returns: a second cache replaying the
+// same directory's journal resolves every window without searching.
+func TestOptimizeSyncsVerdictsOnce(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var insns []ebpf.Instruction
+	for i := 0; i < 6; i++ { // six distinct foldable chains: several misses
+		insns = append(insns,
+			ebpf.LoadMem(ebpf.SizeDW, ebpf.R2, ebpf.R1, int16(8*i)),
+			ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, int32(5+i)),
+			ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, int32(3+2*i)),
+			ebpf.ALU64Reg(ebpf.ALUAdd, ebpf.R0, ebpf.R2))
+	}
+	insns = append(insns, ebpf.Exit())
+	prog := &ebpf.Program{Name: "t", Hook: ebpf.HookTracepoint, MCPU: 3, Insns: insns}
+
+	before := c.log.Stats()
+	_, st, err := Optimize(prog, Config{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.log.Stats()
+	if st.Searches < 2 {
+		t.Fatalf("want several search misses in one call, got %d", st.Searches)
+	}
+	if got := after.Appends - before.Appends; got != st.Searches {
+		t.Errorf("journal holds %d new records for %d searched verdicts", got, st.Searches)
+	}
+	if got := after.Fsyncs - before.Fsyncs; got > 1 {
+		t.Errorf("%d fsyncs for one Optimize call with %d misses, want at most 1", got, st.Searches)
+	}
+	if c.appended != st.Searches {
+		t.Errorf("compaction accounting counted %d, want the %d records", c.appended, st.Searches)
+	}
+
+	// The journal as it stands (cache still open, nothing compacted) already
+	// serves every verdict.
+	segs, err := journal.SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyDir := t.TempDir()
+	for _, seg := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, seg), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	replayed, err := OpenCache(copyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	_, st2, err := Optimize(prog, Config{Cache: replayed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Searches != 0 || st2.CacheHits != st.Searches+st.CacheHits {
+		t.Errorf("replayed journal: searches=%d hits=%d, want 0 and %d", st2.Searches, st2.CacheHits, st.Searches+st.CacheHits)
+	}
+}
+
+// TestPutAllCompactionCountsRecords: the compaction threshold is reached by
+// records, however few batches carried them.
+func TestPutAllCompactionCountsRecords(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := make([]string, compactThreshold-1)
+	vs := make([]Verdict, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("window-%03d", i)
+	}
+	c.PutAll(keys, vs)
+	if c.appended != len(keys) || c.log.Stats().SnapshotBytes != 0 {
+		t.Fatalf("one batch below the threshold: appended=%d stats=%+v", c.appended, c.log.Stats())
+	}
+	c.PutAll(append(keys[:1:1], "one-more"), make([]Verdict, 2)) // a known key is not a record
+	if c.appended != 0 {
+		t.Fatalf("crossing the threshold by records did not compact: appended=%d", c.appended)
+	}
+	if c.Len() != compactThreshold {
+		t.Fatalf("cache holds %d entries, want %d", c.Len(), compactThreshold)
 	}
 }

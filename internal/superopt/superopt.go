@@ -193,13 +193,16 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 		}
 		close(idx)
 		wg.Wait()
+		keys := make([]string, len(misses))
 		for i, j := range misses {
+			keys[i] = j.key
 			verdicts[j.key] = results[i]
 			st.Candidates += candidates[i]
 			st.SearchTime += durs[i]
 			cfg.Metrics.observeSearch(durs[i])
-			cache.Put(j.key, results[i])
 		}
+		// One journal write and sync for the call's verdicts, not one each.
+		cache.PutAll(keys, results)
 	}
 
 	// Greedy selection: scan left to right, taking the longest improved

@@ -234,3 +234,37 @@ func TestVerifierLogProcessedLine(t *testing.T) {
 		t.Fatal("log should be empty by default")
 	}
 }
+
+// TestQuietVerifyAllocatesNothingPerInstruction: with the log off nothing is
+// formatted per processed instruction — a straight-line program verifies in
+// far fewer allocations than it has instructions, and one four times as long
+// does not allocate more per instruction.
+func TestQuietVerifyAllocatesNothingPerInstruction(t *testing.T) {
+	line := func(n int) *ebpf.Program {
+		insns := make([]ebpf.Instruction, 0, 2*n+2)
+		insns = append(insns, ebpf.Mov64Imm(ebpf.R0, 0))
+		for i := 0; i < n; i++ {
+			insns = append(insns,
+				ebpf.LoadMem(ebpf.SizeDW, ebpf.R2, ebpf.R1, int16(8*(i%2))),
+				ebpf.ALU64Reg(ebpf.ALUAdd, ebpf.R0, ebpf.R2))
+		}
+		insns = append(insns, ebpf.Exit())
+		return &ebpf.Program{Name: "line", Hook: ebpf.HookTracepoint, Insns: insns}
+	}
+	allocs := func(p *ebpf.Program) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if st := Verify(p, Options{}); !st.Passed {
+				t.Fatal(st.Err)
+			}
+		})
+	}
+	small, big := line(1000), line(4000)
+	a1, a4 := allocs(small), allocs(big)
+	if a1 >= float64(len(small.Insns))/4 {
+		t.Errorf("Verify of %d instructions made %.0f allocations: something is allocated per instruction", len(small.Insns), a1)
+	}
+	if a4/float64(len(big.Insns)) > a1/float64(len(small.Insns)) {
+		t.Errorf("allocations per instruction rose with program size: %.0f for %d, %.0f for %d",
+			a1, len(small.Insns), a4, len(big.Insns))
+	}
+}

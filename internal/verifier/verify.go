@@ -197,7 +197,11 @@ func (v *checker) run() error {
 			}
 			ins := v.prog.Insns[st.pc]
 			v.npi += ins.Slots()
-			v.logf("%d: (%02x) %s\n", v.slotOf[st.pc], ins.Opcode, ebpf.Mnemonic(ins))
+			if v.opts.LogLevel > 0 {
+				// Rendering the mnemonic is most of a quiet verification's
+				// cost; format the line only when the log is kept.
+				v.logf("%d: (%02x) %s\n", v.slotOf[st.pc], ins.Opcode, ebpf.Mnemonic(ins))
+			}
 
 			// Periodic checkpointing, as the kernel does after enough
 			// processed instructions: placement depends on instruction
