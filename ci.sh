@@ -140,6 +140,9 @@ bash bench/run.sh -workload serve-batch -seconds 1
 # surviving journal segment.
 MERLIN_SOAK_OPS=200 MERLIN_SOAK_SEEDS=2 \
     go test -race -run 'TestChaosSoak|TestSoakGroupCommitBatches' ./internal/soak/
+# The keyed store under both caches gets the same faults and a second pass of
+# its merge-while-compacting race, over the verdict and artifact codecs.
+go test -race -count=2 -run 'TestStoreChaosSurvival|TestStoreMergeWhileCompacting' ./internal/journal/
 
 # Degraded-mode smoke: an uncreatable -state-dir (a regular file blocks the
 # path, which fails MkdirAll even for root) must not stop merlind from

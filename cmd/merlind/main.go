@@ -23,7 +23,8 @@
 //	build <file.mir|corpus:NAME> [func]           run the build service
 //	                                              (dedup + artifact cache)
 //	cachestats                                    superopt + artifact cache sizes
-//	cacheexport [since]                           export superopt verdicts ≥ since
+//	cacheexport [since]                           export one line-sized chunk of
+//	                                              the superopt verdicts ≥ since
 //	cachemerge <b64>                              union a peer's verdicts in
 //	status                                        one line per slot
 //	events <slot>                                 dump the slot's event ring
@@ -92,11 +93,14 @@
 // journal-framed artifact cache (-build-cache, persistent and exclusively
 // locked like the other state directories; empty keeps artifacts in memory).
 // A full queue rejects with a typed error instead of blocking the daemon.
-// `cachestats` reports cache sizes; `cacheexport`/`cachemerge` move superopt
-// verdict deltas between daemons as base64 blobs — the controller's `fcache`
-// verb drives them fleet-wide (pull every worker's delta, merge as a union
-// with loud conflict detection, push the merged cache back), so one
-// machine's search pays for every machine's build.
+// `cachestats` reports cache sizes and how many entries were dropped at open
+// as another producer version's; `cacheexport`/`cachemerge` move superopt
+// verdict deltas between daemons as base64 blobs, one protocol-line-sized
+// chunk at a time (`cacheexport` answers seq=<reached> end=<current>; ask
+// again from seq until they meet) — the controller's `fcache` verb drives
+// them fleet-wide (pull every worker's delta, merge as a union with loud
+// conflict detection, push the merged cache back), so one machine's search
+// pays for every machine's build.
 //
 // The HTTP listener is resilient: if its accept loop dies (fd exhaustion, a
 // dying interface) the error is logged and counted (merlin_http_serve_errors

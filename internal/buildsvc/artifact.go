@@ -1,13 +1,20 @@
 package buildsvc
 
 import (
+	"bytes"
 	"encoding/json"
-	"sync"
 
+	"merlin/internal/core"
 	"merlin/internal/ebpf"
 	"merlin/internal/journal"
 	"merlin/internal/objfile"
+	"merlin/internal/superopt"
 )
+
+// Producer versions what a cached artifact means: everything core.Build runs,
+// superopt included. Either constant moving makes every artifact cached
+// before read as stale.
+const Producer = core.PipelineVersion + "+" + superopt.Producer
 
 // artifactCompactThreshold bounds the artifact journal like the superopt
 // cache bounds its verdict journal. Artifacts are bigger than verdicts, so
@@ -43,191 +50,86 @@ type Artifact struct {
 	Stats ArtifactStats
 }
 
-// artifactEntry is the journal/wire record framing for one artifact. The
-// program travels as an objfile envelope, the same serialization merlind
-// uses for deploy sources.
-type artifactEntry struct {
-	Key   []byte
-	Prog  []byte
-	Stats ArtifactStats
-}
-
 // ArtifactCache is the content-addressed build-artifact cache: build key ->
-// optimized program + stats. Persistence, framing and failure semantics
-// mirror the superopt verdict cache exactly — journal-framed (CRC32C,
-// torn-tail tolerant, atomic compaction, chaos-FS injectable through
-// journal.Options), damaged entries degrade to misses, and the same
-// iomu-before-mu lock ordering keeps readers off the disk path.
+// optimized program + stats, a journal.Store (which documents persistence,
+// locking and the producer check) over ArtifactCodec. What it adds is
+// ownership: programs are cloned on the way in and on the way out, so no
+// caller ever shares a program with the cache.
 type ArtifactCache struct {
-	iomu     sync.Mutex // mutator/journal order; acquired before mu
-	mu       sync.RWMutex
-	log      *journal.Log // nil for in-memory caches
-	entries  map[string]Artifact
-	appended int // journal records since the last compaction (under iomu)
+	s *journal.Store[Artifact]
 }
 
 // NewMemArtifactCache returns a transient in-memory artifact cache.
 func NewMemArtifactCache() *ArtifactCache {
-	return &ArtifactCache{entries: map[string]Artifact{}}
+	return &ArtifactCache{journal.NewMemStore[Artifact](Producer, ArtifactCodec{})}
 }
 
 // OpenArtifactCache opens (creating if needed) a persistent artifact cache
 // in dir. The journal's advisory lock makes a second opener fail fast naming
 // the holder pid.
 func OpenArtifactCache(dir string) (*ArtifactCache, error) {
-	return OpenArtifactCacheWith(dir, journal.Options{})
-}
-
-// OpenArtifactCacheWith is OpenArtifactCache with explicit journal options
-// (chaos.FS injection, segment rotation, fsync policy).
-func OpenArtifactCacheWith(dir string, o journal.Options) (*ArtifactCache, error) {
-	log, err := journal.OpenWith(dir, o)
+	s, err := journal.OpenStore[Artifact](dir, journal.Options{}, Producer, ArtifactCodec{}, artifactCompactThreshold)
 	if err != nil {
 		return nil, err
 	}
-	c := &ArtifactCache{log: log, entries: map[string]Artifact{}}
-	if snap, ok := log.Snapshot(); ok {
-		var es []artifactEntry
-		if json.Unmarshal(snap, &es) == nil {
-			for _, e := range es {
-				c.addEntry(e)
-			}
-		}
-	}
-	_ = log.Replay(func(payload []byte) error {
-		var e artifactEntry
-		if json.Unmarshal(payload, &e) == nil {
-			c.addEntry(e)
-		}
-		return nil
-	})
-	return c, nil
-}
-
-// addEntry inserts a decoded entry during open/replay (the cache is not yet
-// shared). Undecodable programs degrade to misses.
-func (c *ArtifactCache) addEntry(e artifactEntry) {
-	if len(e.Key) == 0 || len(e.Prog) == 0 {
-		return
-	}
-	prog, err := objfile.Unmarshal(e.Prog)
-	if err != nil {
-		return
-	}
-	if _, dup := c.entries[string(e.Key)]; dup {
-		return
-	}
-	c.entries[string(e.Key)] = Artifact{Prog: prog, Stats: e.Stats}
+	return &ArtifactCache{s}, nil
 }
 
 // Get returns the cached artifact for key. The returned program is a clone:
 // callers own it outright.
 func (c *ArtifactCache) Get(key string) (Artifact, bool) {
-	c.mu.RLock()
-	a, ok := c.entries[key]
-	c.mu.RUnlock()
+	a, ok := c.s.Get(key)
 	if !ok {
 		return Artifact{}, false
 	}
 	return Artifact{Prog: a.Prog.Clone(), Stats: a.Stats}, true
 }
 
-// Put stores an artifact, appending it to the journal when persistent.
-// Re-putting a known key is a no-op (the key is content-addressed: same key,
-// same artifact). The program is cloned on the way in.
+// Put stores an artifact. Re-putting a known key is a no-op (the key is
+// content-addressed: same key, same artifact). The program is cloned on the
+// way in.
 func (c *ArtifactCache) Put(key string, a Artifact) {
-	c.iomu.Lock()
-	defer c.iomu.Unlock()
-	c.mu.Lock()
-	if _, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return
-	}
-	a.Prog = a.Prog.Clone()
-	c.entries[key] = a
-	c.mu.Unlock()
-	if c.log == nil {
-		return
-	}
-	payload, err := encodeArtifact(key, a)
-	if err != nil {
-		return
-	}
-	if c.log.Append(payload, false) == nil {
-		c.appended++
-		if c.appended >= artifactCompactThreshold {
-			_ = c.compactIOLocked()
-		}
-	}
-}
-
-func encodeArtifact(key string, a Artifact) ([]byte, error) {
-	pb, err := objfile.Marshal(a.Prog)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(artifactEntry{Key: []byte(key), Prog: pb, Stats: a.Stats})
+	c.s.Put(key, Artifact{Prog: a.Prog.Clone(), Stats: a.Stats})
 }
 
 // Len returns the number of cached artifacts.
-func (c *ArtifactCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
+func (c *ArtifactCache) Len() int { return c.s.Len() }
 
-// compactIOLocked folds the cache into one snapshot record; iomu held, mu
-// taken only to collect a consistent view.
-func (c *ArtifactCache) compactIOLocked() error {
-	if c.log == nil {
-		return nil
-	}
-	c.mu.RLock()
-	es := make([]artifactEntry, 0, len(c.entries))
-	for k, a := range c.entries {
-		pb, err := objfile.Marshal(a.Prog)
-		if err != nil {
-			continue
-		}
-		es = append(es, artifactEntry{Key: []byte(k), Prog: pb, Stats: a.Stats})
-	}
-	c.mu.RUnlock()
-	payload, err := json.Marshal(es)
-	if err != nil {
-		return err
-	}
-	if err := c.log.Compact(payload); err != nil {
-		return err
-	}
-	c.appended = 0
-	return nil
-}
-
-// Flush compacts appended artifacts into the snapshot.
-func (c *ArtifactCache) Flush() error {
-	c.iomu.Lock()
-	defer c.iomu.Unlock()
-	if c.appended == 0 {
-		return nil
-	}
-	return c.compactIOLocked()
-}
+// Stale returns how many entries open dropped as another producer's.
+func (c *ArtifactCache) Stale() int { return c.s.Stale() }
 
 // Close flushes and releases the journal (and its directory lock).
-func (c *ArtifactCache) Close() error {
-	c.iomu.Lock()
-	defer c.iomu.Unlock()
-	if c.log == nil {
-		return nil
+func (c *ArtifactCache) Close() error { return c.s.Close() }
+
+// ArtifactCodec frames one artifact as a JSON record. The program travels as
+// an objfile envelope, the same serialization merlind uses for deploy
+// sources.
+type ArtifactCodec struct{}
+
+type artifactEntry struct {
+	Key   []byte
+	Prog  []byte
+	Stats ArtifactStats
+}
+
+func (ArtifactCodec) Encode(key string, a Artifact) []byte {
+	// Neither marshal can fail: both structs hold only strings, ints and bytes.
+	pb, _ := objfile.Marshal(a.Prog)
+	b, _ := json.Marshal(artifactEntry{Key: []byte(key), Prog: pb, Stats: a.Stats})
+	return b
+}
+
+func (ArtifactCodec) Decode(entry []byte) (string, Artifact, bool) {
+	var e artifactEntry
+	if json.Unmarshal(entry, &e) != nil {
+		return "", Artifact{}, false
 	}
-	var ferr error
-	if c.appended != 0 {
-		ferr = c.compactIOLocked()
-	}
-	err := c.log.Close()
-	c.log = nil
-	if ferr != nil {
-		return ferr
-	}
-	return err
+	prog, err := objfile.Unmarshal(e.Prog)
+	return string(e.Key), Artifact{Prog: prog, Stats: e.Stats}, err == nil
+}
+
+// Equal compares the programs: the key is content-addressed, so the same key
+// means the same bytecode, whichever build (and BuildNanos) produced it.
+func (ArtifactCodec) Equal(a, b Artifact) bool {
+	return bytes.Equal(a.Prog.Encode(), b.Prog.Encode())
 }

@@ -30,6 +30,14 @@ import (
 	"merlin/internal/verifier"
 )
 
+// PipelineVersion versions what Build emits for a given module and Options:
+// the IR passes, lowering, the bytecode passes and the guard's accept/reject
+// decisions (superopt carries its own, superopt.Producer). Bump it whenever a
+// change can move any program's output — buildsvc's artifact cache then reads
+// everything built before as stale. TestProducerVersionsPinned fails when
+// testdata/corpus_parity.golden moves without a bump.
+const PipelineVersion = "core/1"
+
 // Optimizer identifies one of the paper's six optimizations.
 type Optimizer string
 

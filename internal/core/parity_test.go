@@ -99,6 +99,32 @@ func TestCorpusParity(t *testing.T) {
 	}
 }
 
+// TestProducerVersionsPinned is the guard against a forgotten version bump:
+// the caches drop what another producer version wrote, which only helps if
+// the version moves when the output does. The pin below records which
+// versions the committed golden table was generated under; a golden that
+// changed while both constants stayed fails here.
+func TestProducerVersionsPinned(t *testing.T) {
+	const (
+		pinnedCore     = "core/1"
+		pinnedSuperopt = "superopt/1"
+		pinnedGolden   = "2bc6ee16a38f7d0ed16cc25f6979b484d800d559a6afb4cb6d367b8707973bb7"
+	)
+	raw, err := os.ReadFile(parityGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := fmt.Sprintf("%x", sha256.Sum256(raw))
+	bumped := PipelineVersion != pinnedCore || superopt.Producer != pinnedSuperopt
+	switch {
+	case golden != pinnedGolden && !bumped:
+		t.Fatalf("%s changed (sha256 %s) under %s and %s: bump the producer version of whichever moved it "+
+			"(core.PipelineVersion, superopt.Producer), then re-pin all three values here", parityGolden, golden, pinnedCore, pinnedSuperopt)
+	case golden != pinnedGolden || bumped:
+		t.Fatalf("re-pin: the tree is at %s, %s with golden sha256 %s", PipelineVersion, superopt.Producer, golden)
+	}
+}
+
 // TestVerifierLogParity pins the verifier's kernel-style log (LogLevel 1) on
 // one XDP and one tracepoint program to the text the parent commit produced,
 // and requires that switching the log off changes nothing else in Stats: the

@@ -8,10 +8,11 @@ package fleet
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
+	"merlin/internal/journal"
 	"merlin/internal/superopt"
 )
 
@@ -26,7 +27,8 @@ type CacheSyncReport struct {
 	// Pushed counts workers that accepted the merged union.
 	Pushed int
 	// Skipped counts workers unreachable (or erroring) in either phase;
-	// their watermark is untouched, so the next round self-heals.
+	// their watermark stops at the last chunk merged, so the next round
+	// self-heals.
 	Skipped int
 	// Union is the size of the controller's merged cache after the round.
 	Union int
@@ -39,8 +41,11 @@ func (r CacheSyncReport) String() string {
 
 // CacheSync runs one federation round: pull each worker's superopt verdict
 // delta (per-worker watermarks keep repeat rounds incremental), merge into
-// the controller-held union, then push the union to every worker. Unreachable
-// workers are skipped and caught up next round. A verdict conflict — the
+// the controller-held union, then push the union to every worker. Both
+// directions move in chunks that fit a protocol line, so a union of any size
+// federates; a merge is atomic per chunk, and a watermark advances per chunk
+// pulled. Unreachable workers, and workers built from another producer
+// version, are skipped and caught up next round. A verdict conflict — the
 // same key with a different verdict, which can only mean a corrupt cache or
 // proof — aborts the sync with a loud error naming the worker; nothing is
 // silently overwritten. stepMu serializes the round against rollout steps
@@ -58,133 +63,98 @@ func (c *Controller) CacheSync() (CacheSyncReport, error) {
 	if c.met != nil {
 		c.met.cacheSyncs.Inc()
 	}
-
-	for _, name := range workers {
-		since := c.fedSeqs[name]
-		lines, err := c.rpc(name, fmt.Sprintf("cacheexport %d", since), true)
-		if err != nil {
-			rep.Skipped++
-			if c.met != nil {
-				c.met.cacheSkips.Inc()
-			}
-			continue
-		}
-		if _, isErr := ReplyErr(lines); isErr {
-			// A worker without -superopt (or a malformed request) answers
-			// err; it has nothing to federate. Skip, don't abort.
-			rep.Skipped++
-			if c.met != nil {
-				c.met.cacheSkips.Inc()
-			}
-			continue
-		}
-		blob, seq, n, perr := parseCacheExport(lines)
-		if perr != nil {
-			rep.Skipped++
-			if c.met != nil {
-				c.met.cacheSkips.Inc()
-			}
-			continue
-		}
-		if _, err := c.fedCache.Merge(blob); err != nil {
-			if c.met != nil {
-				c.met.cacheConflicts.Inc()
-			}
-			return rep, fmt.Errorf("fleet: cache sync: merging worker %s: %w", name, err)
-		}
-		c.fedSeqs[name] = seq
-		rep.Pulled++
-		rep.Entries += n
+	skip := func() {
+		rep.Skipped++
 		if c.met != nil {
-			c.met.cachePulled.Add(uint64(n))
+			c.met.cacheSkips.Inc()
 		}
+	}
+	conflict := func(err error) (CacheSyncReport, error) {
+		if c.met != nil {
+			c.met.cacheConflicts.Inc()
+		}
+		return rep, err
+	}
+
+pull:
+	for _, name := range workers {
+		for {
+			lines, err := c.rpc(name, fmt.Sprintf("cacheexport %d", c.fedSeqs[name]), true)
+			if _, isErr := ReplyErr(lines); err != nil || isErr {
+				// Unreachable, or a worker without -superopt (or a
+				// malformed request) answering err: it has nothing to
+				// federate. Skip, don't abort.
+				skip()
+				continue pull
+			}
+			blob, seq, n, end, err := parseCacheExport(lines)
+			if err == nil {
+				_, err = c.fedCache.Merge(blob)
+			}
+			if errors.Is(err, journal.ErrConflict) {
+				return conflict(fmt.Errorf("fleet: cache sync: merging worker %s: %w", name, err))
+			}
+			if err != nil {
+				skip()
+				continue pull
+			}
+			c.fedSeqs[name] = seq
+			rep.Entries += n
+			if c.met != nil {
+				c.met.cachePulled.Add(uint64(n))
+			}
+			if n == 0 || seq >= end {
+				break
+			}
+		}
+		rep.Pulled++
 	}
 
 	rep.Union = c.fedCache.Len()
 	if c.met != nil {
 		c.met.cacheUnion.Set(int64(rep.Union))
 	}
-	blob, _, n, err := c.fedCache.Export(0)
-	if err != nil {
-		return rep, fmt.Errorf("fleet: cache sync: export union: %w", err)
+	var pushes []string // the union, one cachemerge line per chunk
+	for since, end := uint64(0), c.fedCache.Seq(); since < end; {
+		blob, next, _ := c.fedCache.ExportChunk(since, cacheChunkBytes)
+		pushes = append(pushes, "cachemerge "+base64.StdEncoding.EncodeToString(blob))
+		since = next
 	}
-	push := "cachemerge " + base64.StdEncoding.EncodeToString(blob)
+push:
 	for _, name := range workers {
-		// The union merge is idempotent, so retrying reads is safe.
-		lines, err := c.rpc(name, push, true)
-		if err != nil {
-			rep.Skipped++
-			if c.met != nil {
-				c.met.cacheSkips.Inc()
+		for _, line := range pushes {
+			// The union merge is idempotent, so retrying reads is safe.
+			lines, err := c.rpc(name, line, true)
+			errLine, isErr := ReplyErr(lines)
+			if isErr && strings.Contains(errLine, "conflict") {
+				return conflict(fmt.Errorf("fleet: cache sync: worker %s rejected the union: %s", name, errLine))
 			}
-			continue
-		}
-		if errLine, isErr := ReplyErr(lines); isErr {
-			if strings.Contains(errLine, "conflict") {
-				if c.met != nil {
-					c.met.cacheConflicts.Inc()
-				}
-				return rep, fmt.Errorf("fleet: cache sync: worker %s rejected the union: %s", name, errLine)
+			if err != nil || isErr {
+				skip()
+				continue push
 			}
-			rep.Skipped++
-			if c.met != nil {
-				c.met.cacheSkips.Inc()
-			}
-			continue
 		}
 		rep.Pushed++
 		if c.met != nil {
-			c.met.cachePushed.Add(uint64(n))
+			c.met.cachePushed.Add(uint64(rep.Union))
 		}
 	}
 	return rep, nil
 }
 
-// parseCacheExport extracts the base64 blob and watermark from a cacheexport
-// reply: a "cachedata <b64>" line followed by "ok cacheexport seq=N
-// entries=M".
-func parseCacheExport(lines []string) (blob []byte, seq uint64, entries int, err error) {
-	var b64 string
-	for _, l := range lines {
-		if rest, ok := strings.CutPrefix(l, "cachedata "); ok {
-			b64 = strings.TrimSpace(rest)
-		}
+// parseCacheExport extracts the base64 blob, the sequence it reaches and the
+// worker's current sequence from a cacheexport reply: a "cachedata <b64>"
+// line followed by "ok cacheexport seq=N entries=M end=E".
+func parseCacheExport(lines []string) (blob []byte, seq uint64, entries int, end uint64, err error) {
+	b64, ok := strings.CutPrefix(lines[0], "cachedata ")
+	if !ok || len(lines) != 2 {
+		return nil, 0, 0, 0, fmt.Errorf("fleet: cacheexport reply is not a cachedata line and an ok line")
 	}
-	if b64 == "" {
-		return nil, 0, 0, fmt.Errorf("fleet: cacheexport reply missing cachedata line")
+	if blob, err = base64.StdEncoding.DecodeString(strings.TrimSpace(b64)); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fleet: cacheexport blob: %w", err)
 	}
-	blob, err = base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("fleet: cacheexport blob: %w", err)
+	if _, err = fmt.Sscanf(lines[1], "ok cacheexport seq=%d entries=%d end=%d", &seq, &entries, &end); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fleet: cacheexport reply %q: %w", lines[1], err)
 	}
-	last, ok := ReplyOK(lines)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("fleet: cacheexport reply not ok")
-	}
-	for _, f := range strings.Fields(last) {
-		if v, ok := strings.CutPrefix(f, "seq="); ok {
-			seq, err = strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("fleet: cacheexport seq: %w", err)
-			}
-		}
-		if v, ok := strings.CutPrefix(f, "entries="); ok {
-			entries, err = strconv.Atoi(v)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("fleet: cacheexport entries: %w", err)
-			}
-		}
-	}
-	return blob, seq, entries, nil
-}
-
-// FederatedCacheSize reports the controller union's current size (0 before
-// the first sync).
-func (c *Controller) FederatedCacheSize() int {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	if c.fedCache == nil {
-		return 0
-	}
-	return c.fedCache.Len()
+	return blob, seq, entries, end, nil
 }

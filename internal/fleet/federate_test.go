@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"merlin/internal/ebpf"
+	"merlin/internal/journal"
 	"merlin/internal/superopt"
 )
 
@@ -115,5 +116,59 @@ func TestCacheSyncConflictAborts(t *testing.T) {
 	// The union and the healthy worker keep the original verdict.
 	if v, ok := lt.Cache("w1").Get("shared"); !ok || v.Repl[0] != fedV(1).Repl[0] {
 		t.Fatalf("w1's verdict disturbed by failed sync: %+v ok=%v", v, ok)
+	}
+}
+
+// TestCacheSyncChunksPastLineLimit: a union several times MaxLine federates
+// in both directions — no worker is skipped, and every worker ends up holding
+// all of it. As one cachedata/cachemerge line each way, every worker answered
+// "err line too long" and the round reported them skipped, forever.
+func TestCacheSyncChunksPastLineLimit(t *testing.T) {
+	c, lt := testFleet(t, 3, Config{})
+	const perWorker = 40
+	pad := strings.Repeat("k", MaxLine/16) // 40 keys of 64 KiB: 2.5 MiB a worker
+	for w, name := range []string{"w1", "w2"} {
+		for i := 0; i < perWorker; i++ {
+			lt.Cache(name).Put(fmt.Sprintf("%s-%d-%d", pad, w, i), fedV(i))
+		}
+	}
+	rep, err := c.CacheSync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pulled != 3 || rep.Pushed != 3 || rep.Skipped != 0 || rep.Entries != 2*perWorker || rep.Union != 2*perWorker {
+		t.Fatalf("sync report %+v, want all three pulled and pushed, none skipped, union %d", rep, 2*perWorker)
+	}
+	for _, w := range []string{"w1", "w2", "w3"} {
+		if n := lt.Cache(w).Len(); n != rep.Union {
+			t.Errorf("%s holds %d entries after the sync, want the union's %d", w, n, rep.Union)
+		}
+	}
+	// The next round pulls only what the push added and changes nothing.
+	rep, err = c.CacheSync()
+	if err != nil || rep.Skipped != 0 || rep.Union != 2*perWorker {
+		t.Fatalf("second sync %+v err=%v", rep, err)
+	}
+}
+
+// TestCacheSyncSkipsOtherProducers: a worker whose cache was written by
+// another producer version is skipped — its verdicts are not merged and the
+// union is not pushed into it — without failing the round for the rest.
+func TestCacheSyncSkipsOtherProducers(t *testing.T) {
+	c, lt := testFleet(t, 2, Config{})
+	lt.Cache("w1").Put("k", fedV(1))
+	lt.with("w2", func(w *LocalWorker) {
+		w.Worker.Cache = journal.NewMemStore[superopt.Verdict]("superopt/0", superopt.VerdictCodec{})
+		w.Worker.Cache.Put("old", fedV(2))
+	})
+	rep, err := c.CacheSync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pulled != 1 || rep.Pushed != 1 || rep.Skipped != 2 || rep.Union != 1 {
+		t.Fatalf("sync report %+v, want w2 skipped in both phases", rep)
+	}
+	if lt.Cache("w2").Len() != 1 {
+		t.Fatal("the union was merged into a cache of another producer")
 	}
 }

@@ -154,15 +154,14 @@ func TestOverlongLineKeepsConnection(t *testing.T) {
 	}
 }
 
-// A verdict delta that cannot fit one protocol line is an err reply the
-// controller skips, not a cachedata line its scanner would choke on.
+// A single verdict that cannot fit one protocol line is an err reply the
+// controller skips, not a cachedata line its scanner would choke on. (A
+// delta of many entries is chunked instead: TestCacheSyncChunksPastLineLimit.)
 func TestOversizedCacheExportIsAnErrReply(t *testing.T) {
 	c, lt := testFleet(t, 2, Config{})
-	for i := 0; i < 4; i++ {
-		lt.Cache("w1").Put(strings.Repeat("k", MaxLine/4)+itoa(i), fedV(i))
-	}
+	lt.Cache("w1").Put(strings.Repeat("k", MaxLine), fedV(1))
 	lines, err := lt.RPC(context.Background(), "w1", "cacheexport 0")
-	if err != nil || len(lines) != 1 || !strings.HasPrefix(lines[0], "err cacheexport: 4 entries") {
+	if err != nil || len(lines) != 1 || !strings.HasPrefix(lines[0], "err cacheexport: the entry at 0 exceeds") {
 		t.Fatalf("cacheexport = %.80q err=%v", lines, err)
 	}
 	rep, err := c.CacheSync()

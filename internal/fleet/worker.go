@@ -283,41 +283,46 @@ func (wk *Worker) build(w io.Writer, desc string) error {
 	return nil
 }
 
-// cacheStats reports the size of both content-addressed caches.
+// cacheStats reports the size of both content-addressed caches, and how many
+// entries their opens dropped as another producer's.
 func (wk *Worker) cacheStats(w io.Writer) error {
-	var verdicts, artifacts, pending int
+	var verdicts, artifacts, pending, stale int
 	var seq uint64
 	if wk.Cache != nil {
-		verdicts, seq = wk.Cache.Len(), wk.Cache.Seq()
+		verdicts, seq, stale = wk.Cache.Len(), wk.Cache.Seq(), wk.Cache.Stale()
 	}
 	if wk.Builds != nil {
 		artifacts, pending = wk.Builds.Cache().Len(), wk.Builds.Pending()
+		stale += wk.Builds.Cache().Stale()
 	}
-	fmt.Fprintf(w, "ok cachestats verdicts=%d seq=%d artifacts=%d pending=%d\n",
-		verdicts, seq, artifacts, pending)
+	fmt.Fprintf(w, "ok cachestats verdicts=%d seq=%d artifacts=%d pending=%d stale=%d\n",
+		verdicts, seq, artifacts, pending, stale)
 	return nil
 }
 
 var errNoCache = errors.New("no superopt cache (-superopt required)")
 
-// cacheExport emits the superopt verdicts inserted at sequence >= since as
-// one base64 line, then the new watermark. The controller's fcache sync
-// drives this over the control listener. A delta too large for one protocol
-// line is an err reply: the controller could not read the cachedata line.
+// cacheChunkBytes bounds the blob of one cachedata or cachemerge line at half
+// of MaxLine: base64 grows it by a third, and the verb and the auth header
+// ride in the rest.
+const cacheChunkBytes = MaxLine / 2
+
+// cacheExport emits one chunk of the superopt verdicts inserted at sequence
+// >= since as a base64 line, then the sequence the chunk reached and the
+// cache's own: the controller's fcache sync asks again from seq until it
+// reaches end. Only a single entry too large for a protocol line is an err
+// reply — the controller could not read the cachedata line.
 func (wk *Worker) cacheExport(w io.Writer, since uint64) error {
 	if wk.Cache == nil {
 		return errNoCache
 	}
-	blob, seq, n, err := wk.Cache.Export(since)
-	if err != nil {
-		return err
+	blob, seq, n := wk.Cache.ExportChunk(since, cacheChunkBytes)
+	line := "cachedata " + base64.StdEncoding.EncodeToString(blob)
+	if len(line) >= MaxLine {
+		return fmt.Errorf("the entry at %d exceeds the %d-byte line limit", seq-1, MaxLine)
 	}
-	const prefix = "cachedata "
-	if len(prefix)+base64.StdEncoding.EncodedLen(len(blob))+1 > MaxLine {
-		return fmt.Errorf("%d entries since %d exceed the %d-byte line limit", n, since, MaxLine)
-	}
-	fmt.Fprintf(w, "%s%s\n", prefix, base64.StdEncoding.EncodeToString(blob))
-	fmt.Fprintf(w, "ok cacheexport seq=%d entries=%d\n", seq, n)
+	fmt.Fprintln(w, line)
+	fmt.Fprintf(w, "ok cacheexport seq=%d entries=%d end=%d\n", seq, n, wk.Cache.Seq())
 	return nil
 }
 

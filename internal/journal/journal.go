@@ -49,7 +49,8 @@
 //	record := u32le payload length | u32le CRC32C(payload) | payload
 //
 // Each segment is a sequence of records; the snapshot file holds exactly one.
-// Payload contents are opaque to this package.
+// Payload contents are opaque to the Log. Store (store.go) is the one keyed
+// map built on it, shared by the caches that memoize optimizer results.
 package journal
 
 import (

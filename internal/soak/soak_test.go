@@ -1,17 +1,11 @@
 package soak
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
-	"slices"
 	"strconv"
 	"testing"
 
-	"merlin/internal/chaos"
-	"merlin/internal/ebpf"
 	"merlin/internal/journal"
-	"merlin/internal/superopt"
 )
 
 // lifecycleRecovers is SweepPrefixes' check for a lifecycle state dir.
@@ -136,78 +130,5 @@ func TestSoakRotationUnderChurn(t *testing.T) {
 	}
 	if err := SweepPrefixes(dir, 4, lifecycleRecovers); err != nil {
 		t.Fatalf("multi-segment prefix sweep: %v", err)
-	}
-}
-
-// TestVerdictBatchTornAtEveryByte crashes a superopt verdict batch (one
-// Cache.PutAll, one journal write) at every byte offset of what reached the
-// disk: the cache must reopen from each prefix holding exactly a whole-record
-// prefix of the batch, in order, with no verdict altered, and accept new
-// verdicts. The batch goes through a chaos.FS whose first write tears, so the
-// surviving journal also holds the rollback of a torn batch ahead of it.
-func TestVerdictBatchTornAtEveryByte(t *testing.T) {
-	dir := t.TempDir()
-	inj := chaos.Wrap(chaos.OS(), chaos.NewSchedule(chaos.Step{Op: chaos.OpWrite, Name: "journal.log", Fault: chaos.Torn}))
-	c, err := superopt.OpenCacheWith(dir, journal.Options{FS: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	verdict := func(i int) superopt.Verdict {
-		if i%3 == 0 {
-			return superopt.Verdict{}
-		}
-		return superopt.Verdict{Improved: true, Repl: []ebpf.Instruction{ebpf.Mov64Imm(ebpf.R0, int32(i))}}
-	}
-	batch := func(prefix string, n int) ([]string, []superopt.Verdict) {
-		keys, vs := make([]string, n), make([]superopt.Verdict, n)
-		for i := range keys {
-			keys[i], vs[i] = fmt.Sprintf("%s-%02d", prefix, i), verdict(i)
-		}
-		return keys, vs
-	}
-	c.PutAll(batch("torn", 4)) // half lands, is rolled back; memory keeps it, disk must not
-	keys, vs := batch("window", 12)
-	c.PutAll(keys, vs)
-	if st := inj.Stats(); st.TornWrites != 1 {
-		t.Fatalf("the torn batch was not injected: %+v", st)
-	}
-	info, err := os.Stat(filepath.Join(dir, "journal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	last := -1
-	err = SweepPrefixes(dir, int(info.Size())+1, func(caseDir string) error {
-		rc, err := superopt.OpenCache(caseDir)
-		if err != nil {
-			return fmt.Errorf("reopen: %w", err)
-		}
-		defer rc.Close()
-		n := rc.Len()
-		if n < last {
-			return fmt.Errorf("a longer prefix recovered fewer verdicts: %d after %d", n, last)
-		}
-		last = n
-		for i, k := range keys {
-			got, ok := rc.Get(k)
-			if ok != (i < n) {
-				return fmt.Errorf("%d verdicts recovered but %s present=%v: not a whole-record prefix", n, k, ok)
-			}
-			if ok && (got.Improved != vs[i].Improved || !slices.Equal(got.Repl, vs[i].Repl)) {
-				return fmt.Errorf("%s recovered altered: %+v", k, got)
-			}
-		}
-		rc.PutAll([]string{"after-the-crash"}, []superopt.Verdict{{Improved: true}})
-		if _, ok := rc.Get("after-the-crash"); !ok {
-			return fmt.Errorf("recovered cache refused a new verdict")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != len(keys) {
-		t.Fatalf("the whole journal recovered %d of %d verdicts", last, len(keys))
 	}
 }

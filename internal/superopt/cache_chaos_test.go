@@ -88,7 +88,8 @@ func TestCacheGroupCommitPolicy(t *testing.T) {
 // same directory's journal resolves every window without searching.
 func TestOptimizeSyncsVerdictsOnce(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir)
+	inj := chaos.Wrap(chaos.OS(), chaos.NewSchedule()) // no faults: it counts
+	c, err := OpenCacheWith(dir, journal.Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,23 +104,20 @@ func TestOptimizeSyncsVerdictsOnce(t *testing.T) {
 	insns = append(insns, ebpf.Exit())
 	prog := &ebpf.Program{Name: "t", Hook: ebpf.HookTracepoint, MCPU: 3, Insns: insns}
 
-	before := c.log.Stats()
+	before := inj.Stats()
 	_, st, err := Optimize(prog, Config{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := c.log.Stats()
+	after := inj.Stats()
 	if st.Searches < 2 {
 		t.Fatalf("want several search misses in one call, got %d", st.Searches)
 	}
-	if got := after.Appends - before.Appends; got != st.Searches {
-		t.Errorf("journal holds %d new records for %d searched verdicts", got, st.Searches)
+	if got := after.Ops[chaos.OpWrite] - before.Ops[chaos.OpWrite]; got != 1 {
+		t.Errorf("%d journal writes for one Optimize call with %d misses, want 1", got, st.Searches)
 	}
-	if got := after.Fsyncs - before.Fsyncs; got > 1 {
+	if got := after.Ops[chaos.OpSync] - before.Ops[chaos.OpSync]; got > 1 {
 		t.Errorf("%d fsyncs for one Optimize call with %d misses, want at most 1", got, st.Searches)
-	}
-	if c.appended != st.Searches {
-		t.Errorf("compaction accounting counted %d, want the %d records", c.appended, st.Searches)
 	}
 
 	// The journal as it stands (cache still open, nothing compacted) already
@@ -139,6 +137,16 @@ func TestOptimizeSyncsVerdictsOnce(t *testing.T) {
 		}
 	}
 	c.Close()
+	// One record per searched verdict, which is also what the store counts
+	// towards compaction (journal's TestStoreBatchIsOneWriteOneSync).
+	l, err := journal.Open(copyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Records; got != st.Searches {
+		t.Errorf("journal holds %d records for %d searched verdicts", got, st.Searches)
+	}
+	l.Close()
 	replayed, err := OpenCache(copyDir)
 	if err != nil {
 		t.Fatal(err)
@@ -150,31 +158,5 @@ func TestOptimizeSyncsVerdictsOnce(t *testing.T) {
 	}
 	if st2.Searches != 0 || st2.CacheHits != st.Searches+st.CacheHits {
 		t.Errorf("replayed journal: searches=%d hits=%d, want 0 and %d", st2.Searches, st2.CacheHits, st.Searches+st.CacheHits)
-	}
-}
-
-// TestPutAllCompactionCountsRecords: the compaction threshold is reached by
-// records, however few batches carried them.
-func TestPutAllCompactionCountsRecords(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	keys := make([]string, compactThreshold-1)
-	vs := make([]Verdict, len(keys))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("window-%03d", i)
-	}
-	c.PutAll(keys, vs)
-	if c.appended != len(keys) || c.log.Stats().SnapshotBytes != 0 {
-		t.Fatalf("one batch below the threshold: appended=%d stats=%+v", c.appended, c.log.Stats())
-	}
-	c.PutAll(append(keys[:1:1], "one-more"), make([]Verdict, 2)) // a known key is not a record
-	if c.appended != 0 {
-		t.Fatalf("crossing the threshold by records did not compact: appended=%d", c.appended)
-	}
-	if c.Len() != compactThreshold {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), compactThreshold)
 	}
 }

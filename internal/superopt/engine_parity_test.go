@@ -153,6 +153,6 @@ func TestCacheKeyPinned(t *testing.T) {
 	// LE32: {add r0,5}{xor r0,r1} | 0x0001 | alu32 | 40000.
 	const want = "070000000005000000af0001000000000000010001409c0000"
 	if got != want {
-		t.Fatalf("cache key drifted:\ngot  %s\nwant %s", got, want)
+		t.Fatalf("cache key drifted — bump the producer version (Producer, %q) with it:\ngot  %s\nwant %s", Producer, got, want)
 	}
 }
