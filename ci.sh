@@ -121,6 +121,12 @@ rm -rf "$SO_DIR"
 # where the superopt build diverges from the Merlin-only build.
 go test -run FuzzSuperopt -fuzz FuzzSuperopt -fuzztime 20s ./internal/difftest/
 
+# Search-loop parity fuzz, no timing threshold: random 2-5 instruction ALU
+# windows (every op the extractor admits, both widths), random live-out
+# obligations and budgets; the column enumerator must agree with the
+# test-only oracle on the verdict and on the candidate count.
+go test -run FuzzSearchParity -fuzz FuzzSearchParity -fuzztime 10s ./internal/superopt/
+
 # Execution-engine differential fuzz: the same hunt for any generated
 # program where the pre-decoded engine diverges from the reference switch
 # interpreter.

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -252,6 +253,56 @@ func TestEditableDeleteAcrossWide(t *testing.T) {
 	}
 	if got := q.BranchTarget(1); got != 4 || !q.Insns[4].IsExit() {
 		t.Fatalf("target = %d (%s)", got, Mnemonic(q.Insns[got]))
+	}
+}
+
+// TestMakeEditableTargets pins which slots a branch may land on: the start of
+// any element including the last, never the second slot of an lddw, never
+// outside the program (the slot one past the end included).
+func TestMakeEditableTargets(t *testing.T) {
+	// Slots: 0 branch, 1-2 lddw, 3 mov, 4 exit.
+	prog := func(off int16) *Program {
+		return &Program{Name: "t", Insns: []Instruction{
+			JumpImm(JumpEq, R1, 0, off),
+			LoadImm64(R2, 0x1122334455),
+			Mov64Imm(R0, 0),
+			Exit(),
+		}}
+	}
+	for _, tc := range []struct {
+		name   string
+		off    int16
+		target int // element index, -1 for an error
+	}{
+		{"next element", 0, 1},
+		{"second slot of lddw", 1, -1},
+		{"after lddw", 2, 2},
+		{"last slot", 3, 3},
+		{"one past the end", 4, -1},
+		{"far past the end", 100, -1},
+		{"itself", -1, 0},
+		{"before the start", -2, -1},
+	} {
+		e, err := MakeEditable(prog(tc.off))
+		if tc.target < 0 {
+			want := fmt.Sprintf("ebpf: t: branch at 0 targets invalid slot %d", 1+int(tc.off))
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if e.Target[0] != tc.target {
+			t.Errorf("%s: target element %d, want %d", tc.name, e.Target[0], tc.target)
+		}
+		for i := 1; i < len(e.Target); i++ {
+			if e.Target[i] != -1 {
+				t.Errorf("%s: non-branch %d has target %d", tc.name, i, e.Target[i])
+			}
+		}
 	}
 }
 

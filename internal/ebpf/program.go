@@ -199,19 +199,23 @@ func MakeEditable(p *Program) (*Editable, error) {
 		Target: make([]int, len(p.Insns)),
 	}
 	idx := p.SlotIndex()
-	slotToElem := make(map[int]int, len(p.Insns))
+	// Slots are dense: the element starting at each one, -1 for the second
+	// slot of a wide instruction.
+	slotToElem := make([]int32, idx[len(p.Insns)])
 	for i := range p.Insns {
-		slotToElem[idx[i]] = i
+		slotToElem[idx[i]] = int32(i)
+		for s := idx[i] + 1; s < idx[i+1]; s++ {
+			slotToElem[s] = -1
+		}
 	}
 	for i, ins := range e.Insns {
 		e.Target[i] = -1
 		if ins.IsCondJump() || ins.IsUncondJump() {
 			want := idx[i] + ins.Slots() + int(ins.Offset)
-			j, ok := slotToElem[want]
-			if !ok {
+			if want < 0 || want >= len(slotToElem) || slotToElem[want] < 0 {
 				return nil, fmt.Errorf("ebpf: %s: branch at %d targets invalid slot %d", p.Name, i, want)
 			}
-			e.Target[i] = j
+			e.Target[i] = int(slotToElem[want])
 		}
 	}
 	return e, nil

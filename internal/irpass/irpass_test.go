@@ -299,6 +299,68 @@ entry:
 	}
 }
 
+// TestMoFAcrossBlocks fuses two triples in one block and one in the next from
+// a single use-count map, which must still be the function's use counts after
+// every block.
+func TestMoFAcrossBlocks(t *testing.T) {
+	m := parse(t, `module "mof3"
+func f(%ctx: ptr) -> i64 {
+entry:
+  %p = gep %ctx, 16
+  %q = gep %ctx, 24
+  %a = load i64, %p, align 8
+  %a2 = bin add i64 %a, 1
+  store i64 %p, %a2, align 8
+  %b = load i64, %q, align 8
+  %b2 = bin xor i64 %b, %ctx
+  store i64 %q, %b2, align 8
+  br next
+next:
+  %c = load i64, %ctx, align 8
+  %c2 = bin or i64 %c, 4
+  store i64 %ctx, %c2, align 8
+  ret 0
+}
+`)
+	f := m.Funcs[0]
+	uses := useCounts(f)
+	applied := []int{}
+	for _, b := range f.Blocks {
+		applied = append(applied, fuseBlock(b, uses))
+		fresh := useCounts(f)
+		for in, n := range uses {
+			if fresh[in] != n {
+				t.Errorf("after block %s: kept use count %d for %s, recount says %d", b.Name, n, in.Name, fresh[in])
+			}
+		}
+		for in, n := range fresh {
+			if uses[in] != n {
+				t.Errorf("after block %s: recount has %d uses of %s, kept map %d", b.Name, n, in.Name, uses[in])
+			}
+		}
+	}
+	if len(applied) != 2 || applied[0] != 2 || applied[1] != 1 {
+		t.Fatalf("applied per block = %v, want [2 1]:\n%s", applied, ir.Print(m))
+	}
+	const want = `module "mof3"
+
+func f(%ctx: ptr) -> i64 {
+entry:
+  %p = gep %ctx, 16
+  %q = gep %ctx, 24
+  atomicrmw add i64 %p, 1, align 8
+  atomicrmw xor i64 %q, %ctx, align 8
+  br next
+next:
+  atomicrmw or i64 %ctx, 4, align 8
+  ret 0
+}
+`
+	if got := ir.Print(m); got != want {
+		t.Fatalf("printed IR:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestMoFRejects(t *testing.T) {
 	cases := []struct {
 		name, body string

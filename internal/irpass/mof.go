@@ -16,16 +16,18 @@ import "merlin/internal/ir"
 //     atomics exist only at those widths.
 func MacroOpFusion(f *ir.Function) int {
 	applied := 0
+	uses := useCounts(f)
 	for _, b := range f.Blocks {
-		applied += fuseBlock(f, b)
+		applied += fuseBlock(b, uses)
 	}
 	return applied
 }
 
-func fuseBlock(f *ir.Function, b *ir.Block) int {
+// fuseBlock fuses every triple in b. uses is the whole function's use counts,
+// kept correct across each fusion.
+func fuseBlock(b *ir.Block, uses map[*ir.Instr]int) int {
 	applied := 0
 	for {
-		uses := useCounts(f)
 		fused := false
 		for si, st := range b.Instrs {
 			if st.Op != ir.OpStore {
@@ -74,6 +76,13 @@ func fuseBlock(f *ir.Function, b *ir.Block) int {
 			rmw.Parent = b
 			removeInstr(op)
 			removeInstr(ld)
+			// The store's two uses passed to rmw; the load's use of the
+			// pointer is gone, and so are the load and the op.
+			if p, ok := ld.Args[0].(*ir.Instr); ok {
+				uses[p]--
+			}
+			delete(uses, op)
+			delete(uses, ld)
 			applied++
 			fused = true
 			break // indices shifted; rescan the block

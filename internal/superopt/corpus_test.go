@@ -139,3 +139,32 @@ func TestCorpusColdWarm(t *testing.T) {
 		t.Error("warm pass reported zero cache hits")
 	}
 }
+
+// TestSearchOracleParity holds the search loop to its oracle on the windows
+// that matter: every distinct canonical window of the benchmark's 37-program
+// build set (every XDP program plus the first six of each security suite), as
+// the superopt tier meets them after the bytecode refinement.
+func TestSearchOracleParity(t *testing.T) {
+	set := corpus.XDP()
+	for _, suite := range [][]*corpus.ProgramSpec{corpus.Sysdig(), corpus.Tetragon(), corpus.Tracee()} {
+		set = append(set, suite[:6]...)
+	}
+	if testing.Short() {
+		set = set[:8]
+	}
+	seen := map[string]bool{}
+	windows := 0
+	for _, spec := range set {
+		res, err := core.Build(spec.Mod, spec.Func, core.Options{
+			Hook: spec.Hook, MCPU: spec.MCPU, KernelALU32: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		windows += superopt.CheckProgramParity(t, res.Prog, seen)
+	}
+	t.Logf("%d programs, %d distinct windows", len(set), windows)
+	if windows == 0 {
+		t.Fatal("the build set produced no windows")
+	}
+}

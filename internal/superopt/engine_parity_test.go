@@ -120,8 +120,7 @@ func TestProofVerdictEngineParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// The exact vector recipe searchWindow proves against.
-			vecs := buildVectors(len(tc.liveIn), seed)
-			vecs = append(vecs, randomVectors(len(tc.liveIn), seed+0x517e, 32)...)
+			vecs := newVectorSet(len(tc.liveIn), seed).proof
 			fast := proveEquivalent(tc.orig, tc.cand, tc.liveIn, tc.liveOut, vecs, seed)
 			ref := refProveEquivalent(t, tc.orig, tc.cand, tc.liveIn, tc.liveOut, vecs, seed)
 			if fast != ref {

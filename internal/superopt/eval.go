@@ -7,84 +7,112 @@ import (
 	"merlin/internal/ebpf"
 )
 
-// regFile is the register state used by the fast filter evaluator.
-type regFile [ebpf.NumRegisters]uint64
-
-// evalSeq executes a straight-line ALU sequence over regs, mirroring the
-// semantics of internal/vm's execALU exactly: div-by-zero yields 0,
-// mod-by-zero leaves dst, shifts mask the count by width-1, 32-bit ops
-// truncate then zero-extend, and ALUEnd byte-swaps the low imm bits.
+// aluStep is the one scalar ALU operation of the fast filter: op applied to
+// dst value a and source value src, mirroring internal/vm's execALU exactly:
+// div-by-zero yields 0, mod-by-zero leaves dst, shifts mask the count by
+// width-1, 32-bit ops truncate then zero-extend, and ALUEnd byte-swaps the
+// low src bits (its "source" is the swap width, never a register).
 //
-// The evaluator is only a filter: any divergence from the vm is caught when
-// survivors are re-proven on the vm itself (a too-permissive evaluator costs
-// proof time, a too-strict one costs only missed rewrites — never
+// The filter built on it is only a filter: any divergence from the vm is
+// caught when survivors are re-proven on the vm itself (a too-permissive step
+// costs proof time, a too-strict one costs only missed rewrites — never
 // correctness).
-func evalSeq(insns []ebpf.Instruction, regs *regFile) {
-	for _, ins := range insns {
-		is32 := ins.Class() == ebpf.ClassALU
-		var src uint64
-		if ins.SourceField() == ebpf.SourceX {
-			src = regs[ins.Src]
-		} else {
-			src = uint64(int64(ins.Imm))
-		}
-		a := regs[ins.Dst]
-		if ins.ALUOpField() == ebpf.ALUEnd {
-			regs[ins.Dst] = bswapBits(a, ins.Imm)
-			continue
-		}
-		bits := uint64(64)
-		if is32 {
-			a &= 0xffffffff
-			src &= 0xffffffff
-			bits = 32
-		}
-		var r uint64
-		switch ins.ALUOpField() {
-		case ebpf.ALUAdd:
-			r = a + src
-		case ebpf.ALUSub:
-			r = a - src
-		case ebpf.ALUMul:
-			r = a * src
-		case ebpf.ALUDiv:
-			if src == 0 {
-				r = 0
-			} else {
-				r = a / src
-			}
-		case ebpf.ALUMod:
-			if src == 0 {
-				r = a
-			} else {
-				r = a % src
-			}
-		case ebpf.ALUOr:
-			r = a | src
-		case ebpf.ALUAnd:
-			r = a & src
-		case ebpf.ALUXor:
-			r = a ^ src
-		case ebpf.ALULsh:
-			r = a << (src & (bits - 1))
-		case ebpf.ALURsh:
-			r = a >> (src & (bits - 1))
-		case ebpf.ALUArsh:
-			if is32 {
-				r = uint64(uint32(int32(uint32(a)) >> (src & 31)))
-			} else {
-				r = uint64(int64(a) >> (src & 63))
-			}
-		case ebpf.ALUNeg:
-			r = -a
-		case ebpf.ALUMov:
-			r = src
-		}
-		if is32 {
-			r &= 0xffffffff
-		}
-		regs[ins.Dst] = r
+func aluStep(op ebpf.ALUOp, is32 bool, a, src uint64) uint64 {
+	if op == ebpf.ALUEnd {
+		return bswapBits(a, int32(src))
 	}
+	bits := uint64(64)
+	if is32 {
+		a &= 0xffffffff
+		src &= 0xffffffff
+		bits = 32
+	}
+	var r uint64
+	switch op {
+	case ebpf.ALUAdd:
+		r = a + src
+	case ebpf.ALUSub:
+		r = a - src
+	case ebpf.ALUMul:
+		r = a * src
+	case ebpf.ALUDiv:
+		if src == 0 {
+			r = 0
+		} else {
+			r = a / src
+		}
+	case ebpf.ALUMod:
+		if src == 0 {
+			r = a
+		} else {
+			r = a % src
+		}
+	case ebpf.ALUOr:
+		r = a | src
+	case ebpf.ALUAnd:
+		r = a & src
+	case ebpf.ALUXor:
+		r = a ^ src
+	case ebpf.ALULsh:
+		r = a << (src & (bits - 1))
+	case ebpf.ALURsh:
+		r = a >> (src & (bits - 1))
+	case ebpf.ALUArsh:
+		if is32 {
+			r = uint64(uint32(int32(uint32(a)) >> (src & 31)))
+		} else {
+			r = uint64(int64(a) >> (src & 63))
+		}
+	case ebpf.ALUNeg:
+		r = -a
+	case ebpf.ALUMov:
+		r = src
+	}
+	if is32 {
+		r &= 0xffffffff
+	}
+	return r
+}
+
+// columns holds one column per register: element v of a column is that
+// register's value on test vector v.
+type columns [ebpf.NumRegisters][]uint64
+
+// evalColumn computes ins over vectors [lo,hi): out[v] from dst column a and
+// source column src, or ins's sign-extended immediate when src is nil.
+func evalColumn(ins *ebpf.Instruction, a, src, out []uint64, lo, hi int) {
+	op, is32 := ins.ALUOpField(), ins.Class() == ebpf.ClassALU
+	if src == nil {
+		imm := uint64(int64(ins.Imm))
+		for v := lo; v < hi; v++ {
+			out[v] = aluStep(op, is32, a[v], imm)
+		}
+		return
+	}
+	for v := lo; v < hi; v++ {
+		out[v] = aluStep(op, is32, a[v], src[v])
+	}
+}
+
+// columnIs reports whether evalColumn's result over [lo,hi) would equal
+// want, without storing it and stopping at the first difference.
+func columnIs(ins *ebpf.Instruction, a, src, want []uint64, lo, hi int) bool {
+	op, is32 := ins.ALUOpField(), ins.Class() == ebpf.ClassALU
+	if src == nil {
+		imm := uint64(int64(ins.Imm))
+		for v := lo; v < hi; v++ {
+			if aluStep(op, is32, a[v], imm) != want[v] {
+				return false
+			}
+		}
+		return true
+	}
+	for v := lo; v < hi; v++ {
+		if aluStep(op, is32, a[v], src[v]) != want[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // bswapBits reverses the byte order of the low bits of v (16/32/64),
@@ -126,6 +154,10 @@ func regList(m analysis.RegMask) []ebpf.Register {
 	return rs
 }
 
+// randomVecs is how many seeded random vectors close the filter set, and how
+// many more (from a second stream) the proof set adds.
+const randomVecs = 32
+
 // buildVectors produces the live-in test vectors for a window with n live-in
 // registers: the full lattice cross-product when n <= 2 (the common case),
 // lattice rotations otherwise, plus seeded random vectors mixing full-range,
@@ -155,7 +187,7 @@ func buildVectors(n int, seed int64) [][]uint64 {
 			vecs = append(vecs, vec)
 		}
 	}
-	return append(vecs, randomVectors(n, seed, 32)...)
+	return append(vecs, randomVectors(n, seed, randomVecs)...)
 }
 
 // randomVectors returns count seeded vectors of n values each.
@@ -182,15 +214,61 @@ func randomVectors(n int, seed int64, count int) [][]uint64 {
 	return vecs
 }
 
-// fillRegs loads a live-in vector into a register file. Registers outside
-// the live-in set get a poison pattern: every legal candidate is structurally
-// barred from reading them, so if a bug ever lets one through, the poison
-// makes the divergence visible instead of silently matching zeroes.
-func fillRegs(rf *regFile, liveIn []ebpf.Register, vec []uint64) {
-	for i := range rf {
-		rf[i] = 0xbad0bad000000000 | uint64(i)
+// poison is what a register outside the live-in set holds before a window or
+// candidate writes it: every legal candidate is structurally barred from
+// reading one, so if a bug ever lets one through, the poison makes the
+// divergence visible instead of silently matching zeroes.
+func poison(r ebpf.Register) uint64 { return 0xbad0bad000000000 | uint64(r) }
+
+// vectorSet is the test inputs for every window with n live-in registers
+// under one seed. It is built once per Optimize call and only read
+// afterwards, so the search workers share it.
+type vectorSet struct {
+	// size is the number of filter vectors.
+	size int
+	// liveIn[i] is the column of the i-th live-in register over the filter
+	// vectors. The filter is a conjunction over vectors, so their order is
+	// unobservable; the columns put the seeded-random vectors first, because
+	// a wrong candidate rarely survives one of those, while the lattice's
+	// leading all-zero corner lets most of them through.
+	liveIn [][]uint64
+	// poison[r] is the constant column of register r when it is not live-in.
+	poison columns
+	// proof is the row-form vectors survivors are re-proven on: the filter
+	// vectors plus a second random stream.
+	proof [][]uint64
+}
+
+// carve cuts the next size-element column off the front of slab.
+func carve(slab *[]uint64, size int) []uint64 {
+	c := (*slab)[:size:size]
+	*slab = (*slab)[size:]
+	return c
+}
+
+func newVectorSet(n int, seed int64) *vectorSet {
+	filter := buildVectors(n, seed)
+	vs := &vectorSet{size: len(filter), liveIn: make([][]uint64, n)}
+	lattice := 0
+	if n > 0 {
+		lattice = len(filter) - randomVecs
 	}
-	for i, r := range liveIn {
-		rf[r] = vec[i]
+	slab := make([]uint64, (n+len(vs.poison))*vs.size)
+	for i := range vs.liveIn {
+		vs.liveIn[i] = carve(&slab, vs.size)
+		for v := range filter {
+			vs.liveIn[i][v] = filter[(lattice+v)%len(filter)][i]
+		}
 	}
+	for r := range vs.poison {
+		vs.poison[r] = carve(&slab, vs.size)
+		for v := range vs.poison[r] {
+			vs.poison[r][v] = poison(ebpf.Register(r))
+		}
+	}
+	// Its own backing array: filter's spare capacity must not be written by
+	// an append the workers could race on.
+	vs.proof = make([][]uint64, 0, len(filter)+randomVecs)
+	vs.proof = append(append(vs.proof, filter...), randomVectors(n, seed+0x517e, randomVecs)...)
+	return vs
 }

@@ -26,16 +26,17 @@ var searchOps = []ebpf.ALUOp{
 }
 
 // searchWindow resolves one canonical window: it enumerates candidate
-// sequences strictly shorter than the window, filters them on the test
+// sequences strictly shorter than the window, filters them on vs's test
 // vectors with the fast evaluator, and proves survivors on the vm. It
-// returns the verdict plus the number of candidates constructed.
-func searchWindow(cw canonWindow, cfg Config) (Verdict, int) {
+// returns the verdict plus the number of candidates counted against the
+// budget.
+func searchWindow(cw canonWindow, cfg Config, vs *vectorSet) (Verdict, int) {
 	if cw.liveOut == 0 {
 		// Nothing the window defines is live: it is dead code and the empty
 		// sequence replaces it (pure ALU has no side effects to preserve).
 		return Verdict{Improved: true}, 0
 	}
-	s := newSearcher(cw, cfg)
+	s := newSearcher(cw, cfg, vs)
 	repl, ok := s.run()
 	if !ok {
 		return Verdict{}, s.candidates
@@ -43,42 +44,176 @@ func searchWindow(cw canonWindow, cfg Config) (Verdict, int) {
 	return Verdict{Improved: true, Repl: repl}, s.candidates
 }
 
+// eagerPrefix is how many leading vectors of an interior column are computed
+// when its instruction is pushed. The rest is computed only if a complete
+// candidate agrees with the window on all of these.
+const eagerPrefix = 8
+
+// noReg stands for "no register" where one is optional.
+const noReg = ebpf.Register(ebpf.NumRegisters)
+
+// level is the register state after a prefix of the candidate: levels[0] is
+// the window's entry state, levels[k] the state after k instructions. A state
+// is one column per register, held as indices into searcher.table, so
+// pushing an instruction copies eleven bytes and repoints the one register it
+// wrote at the level's own column; every other column is the level below's.
+type level struct {
+	col [ebpf.NumRegisters]uint8
+	ins ebpf.Instruction
+	// full reports that the level's own column is computed past the eager
+	// prefix.
+	full bool
+	// differs holds the live-out registers whose column differs from the
+	// window's somewhere in the eager prefix.
+	differs analysis.RegMask
+}
+
 type searcher struct {
-	cw         canonWindow
-	cfg        Config
-	liveIn     []ebpf.Register
-	liveOut    []ebpf.Register
-	defs       []ebpf.Register
-	imms       []int32
-	vectors    [][]uint64
-	baseline   [][]uint64 // expected live-out values per vector
-	proofVecs  [][]uint64
+	cw      canonWindow
+	cfg     Config
+	vs      *vectorSet
+	liveIn  []ebpf.Register
+	liveOut []ebpf.Register
+	defs    []ebpf.Register
+	imms    []int32
+	prefix  int     // min(eagerPrefix, vs.size)
+	want    columns // the window's live-out columns
+	// table[r], r < NumRegisters, is register r's column in the entry state;
+	// table[NumRegisters+k] is levels[k]'s own column.
+	table      [][]uint64
+	levels     []level
+	seq        []ebpf.Instruction
+	choices    map[choiceKey][]choiceGroup
 	candidates int
 }
 
-func newSearcher(cw canonWindow, cfg Config) *searcher {
+func newSearcher(cw canonWindow, cfg Config, vs *vectorSet) *searcher {
 	s := &searcher{
 		cw:      cw,
 		cfg:     cfg,
+		vs:      vs,
 		liveIn:  regList(cw.liveIn),
 		liveOut: regList(cw.liveOut),
 		defs:    regList(cw.defs),
 		imms:    immPool(cw.insns),
+		prefix:  min(eagerPrefix, vs.size),
+		table:   make([][]uint64, ebpf.NumRegisters+len(cw.insns)+1),
+		levels:  make([]level, len(cw.insns)-1),
+		seq:     make([]ebpf.Instruction, 0, len(cw.insns)-1),
+		choices: map[choiceKey][]choiceGroup{},
 	}
-	s.vectors = buildVectors(len(s.liveIn), cfg.Seed)
-	s.proofVecs = append(s.vectors, randomVectors(len(s.liveIn), cfg.Seed+0x517e, 32)...)
-	s.baseline = make([][]uint64, len(s.vectors))
-	var rf regFile
-	for vi, vec := range s.vectors {
-		fillRegs(&rf, s.liveIn, vec)
-		evalSeq(cw.insns, &rf)
-		outs := make([]uint64, len(s.liveOut))
-		for oi, r := range s.liveOut {
-			outs[oi] = rf[r]
-		}
-		s.baseline[vi] = outs
+	copy(s.table, vs.poison[:])
+	for i, r := range s.liveIn {
+		s.table[r] = vs.liveIn[i]
 	}
+	root := &s.levels[0]
+	for r := range root.col {
+		root.col[r] = uint8(r)
+	}
+	slab := make([]uint64, (len(cw.insns)+len(s.liveOut))*vs.size)
+	for i := range cw.insns {
+		s.table[ebpf.NumRegisters+1+i] = carve(&slab, vs.size)
+	}
+	// Run the window itself, in full, over the columns the levels will own:
+	// its live-out columns, copied out, are what every candidate is compared
+	// with.
+	end := *root
+	for k := range cw.insns {
+		ins, own := &cw.insns[k], uint8(ebpf.NumRegisters+1+k)
+		evalColumn(ins, s.column(&end, ins.Dst), s.source(&end, ins), s.table[own], 0, vs.size)
+		end.col[ins.Dst] = own
+	}
+	for _, r := range s.liveOut {
+		s.want[r] = carve(&slab, vs.size)
+		copy(s.want[r], s.column(&end, r))
+	}
+	root.differs = s.differing(root, cw.liveOut, 0, s.prefix)
 	return s
+}
+
+// column is register r's column in lv.
+func (s *searcher) column(lv *level, r ebpf.Register) []uint64 { return s.table[lv.col[r]] }
+
+// source is the column of the register ins reads besides its dst, in lv; nil
+// when its source is an immediate.
+func (s *searcher) source(lv *level, ins *ebpf.Instruction) []uint64 {
+	if ins.SourceField() == ebpf.SourceX && ins.ALUOpField() != ebpf.ALUEnd {
+		return s.column(lv, ins.Src)
+	}
+	return nil
+}
+
+// push makes levels[k] the state after ins runs on levels[k-1], computing the
+// eager prefix of the one column ins writes.
+func (s *searcher) push(k int, ins *ebpf.Instruction) {
+	lv, below := &s.levels[k], &s.levels[k-1]
+	own := uint8(ebpf.NumRegisters + k)
+	evalColumn(ins, s.column(below, ins.Dst), s.source(below, ins), s.table[own], 0, s.prefix)
+	lv.col, lv.differs = below.col, below.differs
+	lv.col[ins.Dst] = own
+	lv.ins, lv.full = *ins, s.prefix == s.vs.size
+	if s.cw.liveOut.Has(ins.Dst) {
+		lv.differs = lv.differs.Without(ins.Dst) |
+			s.differing(lv, analysis.RegMask(0).With(ins.Dst), 0, s.prefix)
+	}
+}
+
+// fill computes the rest of table[i] when it is a level's column still short
+// of its lazy tail — and first the rest of the columns that one reads.
+func (s *searcher) fill(i uint8) {
+	if i < ebpf.NumRegisters {
+		return // entry columns are complete
+	}
+	k := int(i) - ebpf.NumRegisters
+	lv, below := &s.levels[k], &s.levels[k-1]
+	if lv.full {
+		return
+	}
+	src := s.source(below, &lv.ins)
+	s.fill(below.col[lv.ins.Dst])
+	if src != nil {
+		s.fill(below.col[lv.ins.Src])
+	}
+	evalColumn(&lv.ins, s.column(below, lv.ins.Dst), src, s.table[i], s.prefix, s.vs.size)
+	lv.full = true
+}
+
+// differing returns the registers of regs whose column in lv differs from
+// the window's over vectors [lo,hi).
+func (s *searcher) differing(lv *level, regs analysis.RegMask, lo, hi int) analysis.RegMask {
+	var d analysis.RegMask
+	for _, r := range s.liveOut {
+		if !regs.Has(r) {
+			continue
+		}
+		got, want := s.column(lv, r), s.want[r]
+		for v := lo; v < hi; v++ {
+			if got[v] != want[v] {
+				d = d.With(r)
+				break
+			}
+		}
+	}
+	return d
+}
+
+// settled reports whether every live-out register except dst (noReg for
+// none) equals the window's on every vector in lv, computing the lazy
+// tails that takes.
+func (s *searcher) settled(lv *level, dst ebpf.Register) bool {
+	others := s.cw.liveOut
+	if dst != noReg {
+		others = others.Without(dst)
+	}
+	if lv.differs&others != 0 {
+		return false
+	}
+	for _, r := range s.liveOut {
+		if others.Has(r) {
+			s.fill(lv.col[r])
+		}
+	}
+	return s.differing(lv, others, s.prefix, s.vs.size) == 0
 }
 
 // immPool builds the immediate vocabulary: the window's own immediates,
@@ -118,10 +253,16 @@ func immPool(insns []ebpf.Instruction) []int32 {
 // minimal-length replacement and the outcome is deterministic.
 func (s *searcher) run() ([]ebpf.Instruction, bool) {
 	for l := 0; l < len(s.cw.insns); l++ {
-		seq := make([]ebpf.Instruction, l)
-		found, abort := s.dfs(seq, 0, s.cw.liveIn)
+		s.seq = s.seq[:l]
+		var found, abort bool
+		if l == 0 {
+			abort = !s.spend(1)
+			found = !abort && s.settled(&s.levels[0], noReg) && s.proved()
+		} else {
+			found, abort = s.dfs(0, s.cw.liveIn, noReg)
+		}
 		if found {
-			return seq, true
+			return s.seq, true
 		}
 		if abort {
 			break
@@ -130,68 +271,140 @@ func (s *searcher) run() ([]ebpf.Instruction, bool) {
 	return nil, false
 }
 
-// dfs fills seq[depth:] from the vocabulary. readable tracks which canonical
-// registers hold defined values (live-ins plus everything the candidate has
-// written); reading outside it would make the candidate's behavior depend on
-// garbage, so such sequences are never constructed.
-func (s *searcher) dfs(seq []ebpf.Instruction, depth int, readable analysis.RegMask) (found, abort bool) {
-	if depth == len(seq) {
-		s.candidates++
-		if s.candidates > s.cfg.Budget {
+// spend counts n more candidates against the budget. When it runs out among
+// them it reports false, leaving the count where counting them one at a time
+// would have stopped.
+func (s *searcher) spend(n int) bool {
+	if s.candidates += n; s.candidates > s.cfg.Budget {
+		s.candidates = s.cfg.Budget + 1
+		return false
+	}
+	return true
+}
+
+// proved is the vm proof of the complete candidate in seq.
+func (s *searcher) proved() bool {
+	return proveEquivalent(s.cw.insns, s.seq, s.liveIn, s.liveOut, s.vs.proof, s.cfg.Seed)
+}
+
+// dfs enumerates seq[depth:] over levels[depth]. readable tracks which
+// canonical registers hold defined values (live-ins plus everything the
+// candidate has written); prev is the register seq[depth-1] wrote
+// (noReg at depth 0). Interior instructions are pushed as levels; the last
+// one never is.
+func (s *searcher) dfs(depth int, readable analysis.RegMask, prev ebpf.Register) (found, abort bool) {
+	lv := &s.levels[depth]
+	last := depth == len(s.seq)-1
+	for _, g := range s.choicesAt(readable, prev, last) {
+		if last {
+			if found, abort = s.leaves(lv, g); found || abort {
+				return found, abort
+			}
+			continue
+		}
+		for i := range g.insns {
+			s.seq[depth] = g.insns[i]
+			s.push(depth+1, &g.insns[i])
+			if found, abort = s.dfs(depth+1, readable.With(g.dst), g.dst); found || abort {
+				return found, abort
+			}
+		}
+	}
+	return false, false
+}
+
+// leaves counts and judges the complete candidates that end lv's state with
+// one of g's instructions. One is accepted when every live-out column equals
+// the window's on every filter vector and the vm proof agrees. Its own column
+// is compared in place, stopping at the first difference; and when some other
+// live-out register already differs in lv, which no last instruction can
+// repair, the group is counted — the budget must run out on the same
+// candidate either way — without being evaluated at all.
+func (s *searcher) leaves(lv *level, g choiceGroup) (found, abort bool) {
+	if lv.differs.Without(g.dst) != 0 {
+		return false, !s.spend(len(g.insns))
+	}
+	a, want := s.column(lv, g.dst), s.want[g.dst]
+	for i := range g.insns {
+		if !s.spend(1) {
 			return false, true
 		}
-		if s.accept(seq) && proveEquivalent(s.cw.insns, seq, s.liveIn, s.liveOut, s.proofVecs, s.cfg.Seed) {
+		ins := &g.insns[i]
+		src := s.source(lv, ins)
+		if !columnIs(ins, a, src, want, 0, s.prefix) {
+			continue
+		}
+		s.fill(lv.col[g.dst])
+		if src != nil {
+			s.fill(lv.col[ins.Src])
+		}
+		if !columnIs(ins, a, src, want, s.prefix, s.vs.size) || !s.settled(lv, g.dst) {
+			continue
+		}
+		s.seq[len(s.seq)-1] = *ins
+		if s.proved() {
 			return true, false
 		}
-		return false, false
 	}
-	last := depth == len(seq)-1
-	try := func(ins ebpf.Instruction) (bool, bool) {
-		seq[depth] = ins
-		return s.dfs(seq, depth+1, readable.With(ins.Dst))
+	return false, false
+}
+
+// choiceKey is everything the instructions that may come next depend on.
+type choiceKey struct {
+	readable analysis.RegMask
+	prev     ebpf.Register
+	last     bool
+}
+
+// choiceGroup is the next-instruction candidates writing one register.
+type choiceGroup struct {
+	dst   ebpf.Register
+	insns []ebpf.Instruction
+}
+
+// choicesAt is the enumeration order, stated once for interior and last
+// instructions alike: destinations ascending, then searchOps order, register
+// sources before immediates. Sequences that read an undefined register,
+// overwrite the previous instruction's only effect, or end by defining a
+// dead register are never constructed. The lists are memoized per searcher:
+// a search revisits the same few keys at every node.
+func (s *searcher) choicesAt(readable analysis.RegMask, prev ebpf.Register, last bool) []choiceGroup {
+	key := choiceKey{readable, prev, last}
+	if gs, ok := s.choices[key]; ok {
+		return gs
 	}
+	var gs []choiceGroup
 	for _, dst := range s.defs {
 		if last && !s.cw.liveOut.Has(dst) {
 			continue // a final insn defining a dead register is wasted
 		}
+		var insns []ebpf.Instruction
 		dstReadable := readable.Has(dst)
-		prevDefined := depth > 0 && seq[depth-1].Dst == dst
 		for _, op := range searchOps {
 			switch op {
 			case ebpf.ALUNeg:
-				if !dstReadable {
-					continue
-				}
-				if f, a := try(ebpf.ALU64Imm(ebpf.ALUNeg, dst, 0)); f || a {
-					return f, a
+				if dstReadable {
+					insns = append(insns, ebpf.ALU64Imm(ebpf.ALUNeg, dst, 0))
 				}
 			case ebpf.ALUMov:
-				if prevDefined {
+				if prev == dst {
 					continue // would kill the previous insn's only effect
 				}
 				for _, src := range s.defs {
 					if src == dst || !readable.Has(src) {
 						continue
 					}
-					if f, a := try(ebpf.Mov64Reg(dst, src)); f || a {
-						return f, a
-					}
+					insns = append(insns, ebpf.Mov64Reg(dst, src))
 					if s.cfg.ALU32 {
-						if f, a := try(ebpf.Mov32Reg(dst, src)); f || a {
-							return f, a
-						}
+						insns = append(insns, ebpf.Mov32Reg(dst, src))
 					}
 				}
 				if s.cfg.ALU32 && dstReadable {
 					// movl dst, dst: the zero-extension idiom.
-					if f, a := try(ebpf.Mov32Reg(dst, dst)); f || a {
-						return f, a
-					}
+					insns = append(insns, ebpf.Mov32Reg(dst, dst))
 				}
 				for _, imm := range s.imms {
-					if f, a := try(ebpf.Mov64Imm(dst, imm)); f || a {
-						return f, a
-					}
+					insns = append(insns, ebpf.Mov64Imm(dst, imm))
 				}
 			default:
 				if !dstReadable {
@@ -204,22 +417,19 @@ func (s *searcher) dfs(seq []ebpf.Instruction, depth int, readable analysis.RegM
 					if src == dst && !selfOpUseful(op) {
 						continue
 					}
-					if f, a := try(ebpf.ALU64Reg(op, dst, src)); f || a {
-						return f, a
-					}
+					insns = append(insns, ebpf.ALU64Reg(op, dst, src))
 				}
 				for _, imm := range s.imms {
-					if immIdentity(op, imm) {
-						continue
-					}
-					if f, a := try(ebpf.ALU64Imm(op, dst, imm)); f || a {
-						return f, a
+					if !immIdentity(op, imm) {
+						insns = append(insns, ebpf.ALU64Imm(op, dst, imm))
 					}
 				}
 			}
 		}
+		gs = append(gs, choiceGroup{dst, insns})
 	}
-	return false, false
+	s.choices[key] = gs
+	return gs
 }
 
 // selfOpUseful reports whether op with src == dst computes something a
@@ -242,21 +452,4 @@ func immIdentity(op ebpf.ALUOp, imm int32) bool {
 		return imm == -1 || imm == 0
 	}
 	return false
-}
-
-// accept runs the fast evaluator over every test vector, comparing the
-// candidate's live-out registers against the window's.
-func (s *searcher) accept(seq []ebpf.Instruction) bool {
-	var rf regFile
-	for vi, vec := range s.vectors {
-		fillRegs(&rf, s.liveIn, vec)
-		evalSeq(seq, &rf)
-		base := s.baseline[vi]
-		for oi, r := range s.liveOut {
-			if rf[r] != base[oi] {
-				return false
-			}
-		}
-	}
-	return true
 }

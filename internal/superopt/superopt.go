@@ -19,6 +19,7 @@ package superopt
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -175,6 +176,16 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 		results := make([]Verdict, len(misses))
 		candidates := make([]int, len(misses))
 		durs := make([]time.Duration, len(misses))
+		// One vector set per live-in count, built before the pool starts and
+		// only read by it; building them is search time too.
+		setup := time.Now()
+		var sets [ebpf.NumRegisters + 1]*vectorSet
+		for _, j := range misses {
+			if n := bits.OnesCount16(uint16(j.cw.liveIn)); sets[n] == nil {
+				sets[n] = newVectorSet(n, cfg.Seed)
+			}
+		}
+		st.SearchTime = time.Since(setup)
 		var wg sync.WaitGroup
 		idx := make(chan int)
 		for w := 0; w < cfg.Workers; w++ {
@@ -183,7 +194,8 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 				defer wg.Done()
 				for i := range idx {
 					start := time.Now()
-					results[i], candidates[i] = searchWindow(misses[i].cw, cfg)
+					cw := misses[i].cw
+					results[i], candidates[i] = searchWindow(cw, cfg, sets[bits.OnesCount16(uint16(cw.liveIn))])
 					durs[i] = time.Since(start)
 				}
 			}()

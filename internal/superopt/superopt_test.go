@@ -188,7 +188,9 @@ func TestOptimizeBranchIntoWindowStart(t *testing.T) {
 }
 
 // TestOptimizeDeterministic: identical inputs and configuration produce
-// bit-identical outputs regardless of worker count.
+// bit-identical outputs and candidate counts regardless of worker count. The
+// chains have one, two and three live-in registers, so under -race the
+// workers search from several shared vector sets at once.
 func TestOptimizeDeterministic(t *testing.T) {
 	prog := &ebpf.Program{Name: "t", Hook: ebpf.HookTracepoint, MCPU: 3, Insns: []ebpf.Instruction{
 		ebpf.LoadMem(ebpf.SizeDW, ebpf.R2, ebpf.R1, 0),
@@ -198,19 +200,37 @@ func TestOptimizeDeterministic(t *testing.T) {
 		ebpf.Mov64Reg(ebpf.R2, ebpf.R4),
 		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, 4),
 		ebpf.ALU64Imm(ebpf.ALUSub, ebpf.R2, 1),
-		ebpf.Mov64Reg(ebpf.R0, ebpf.R2),
+		ebpf.LoadMem(ebpf.SizeDW, ebpf.R5, ebpf.R1, 16),
+		ebpf.ALU64Reg(ebpf.ALUXor, ebpf.R5, ebpf.R2),
+		ebpf.ALU64Reg(ebpf.ALUAdd, ebpf.R5, ebpf.R3),
+		ebpf.ALU64Reg(ebpf.ALUXor, ebpf.R5, ebpf.R2),
+		ebpf.ALU64Imm(ebpf.ALUAnd, ebpf.R5, 0xff),
+		ebpf.LoadMem(ebpf.SizeDW, ebpf.R6, ebpf.R1, 24),
+		ebpf.ALU64Imm(ebpf.ALULsh, ebpf.R6, 3),
+		ebpf.ALU64Imm(ebpf.ALULsh, ebpf.R6, 2),
+		ebpf.ALU64Reg(ebpf.ALUOr, ebpf.R6, ebpf.R5),
+		ebpf.Mov64Reg(ebpf.R0, ebpf.R6),
+		ebpf.ALU64Reg(ebpf.ALUAdd, ebpf.R0, ebpf.R2),
 		ebpf.Exit(),
 	}}
 	var outs []*ebpf.Program
-	for _, workers := range []int{1, 8} {
-		out, _, err := Optimize(prog, Config{Workers: workers})
+	var stats []Stats
+	for _, workers := range []int{1, 4} {
+		out, st, err := Optimize(prog, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, out)
+		outs, stats = append(outs, out), append(stats, st)
 	}
 	if !reflect.DeepEqual(outs[0].Insns, outs[1].Insns) {
 		t.Errorf("outputs differ across worker counts:\n%v\n%v", outs[0].Insns, outs[1].Insns)
+	}
+	if stats[0].Candidates != stats[1].Candidates || stats[0].Searches != stats[1].Searches {
+		t.Errorf("searches/candidates differ across worker counts: %d/%d vs %d/%d",
+			stats[0].Searches, stats[0].Candidates, stats[1].Searches, stats[1].Candidates)
+	}
+	if stats[0].Searches < 8 || stats[0].Rewrites == 0 {
+		t.Errorf("stats %+v: want several searches and at least one rewrite", stats[0])
 	}
 	checkEquivalent(t, prog, outs[0])
 }
