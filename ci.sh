@@ -132,6 +132,13 @@ go test -run FuzzSearchParity -fuzz FuzzSearchParity -fuzztime 10s ./internal/su
 # interpreter.
 go test -run FuzzVMEquivalence -fuzz FuzzVMEquivalence -fuzztime 20s ./internal/difftest/
 
+# Scalar-semantics fuzz, no timing threshold: one fuzzed ALU or compare
+# opcode (defined or not, either width, either operand form) on fuzzed
+# operands must give the semantics table's answer on both engines and
+# verify — or, when the ISA does not define the op field, fault or fall
+# through identically on both engines and be rejected by the verifier.
+go test -run FuzzScalarSemantics -fuzz FuzzScalarSemantics -fuzztime 10s ./internal/difftest/
+
 # Benchmark correctness smokes, no timing threshold: a real merlind worker
 # driven through the shared dispatcher, and the in-process batch path; each
 # recomputes its verdict histograms on vm.NewRef and exits non-zero on any

@@ -231,37 +231,16 @@ func Constants(cfg *CFG) []RegConsts {
 	transfer := func(rc RegConsts, ins ebpf.Instruction) RegConsts {
 		switch ins.Class() {
 		case ebpf.ClassALU64, ebpf.ClassALU:
-			is32 := ins.Class() == ebpf.ClassALU
 			op := ins.ALUOpField()
-			var src ConstVal
-			if ins.SourceField() == ebpf.SourceX {
+			src := ConstVal{Known: true, Val: int64(ins.Imm)}
+			if ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd {
 				src = rc[ins.Src]
-			} else {
-				src = ConstVal{Known: true, Val: int64(ins.Imm)}
 			}
-			if op == ebpf.ALUEnd {
-				if d := rc[ins.Dst]; d.Known {
-					rc[ins.Dst] = ConstVal{Known: true, Val: int64(bswapConst(uint64(d.Val), ins.Imm))}
-				} else {
-					rc.clear(ins.Dst)
-				}
-				return rc
-			}
+			// mov does not read its destination. An op the ISA does not
+			// define faults in the VM: its destination is never a constant.
 			dst := rc[ins.Dst]
-			if op == ebpf.ALUMov {
-				if src.Known {
-					v := src.Val
-					if is32 {
-						v = int64(uint32(v))
-					}
-					rc[ins.Dst] = ConstVal{Known: true, Val: v}
-				} else {
-					rc.clear(ins.Dst)
-				}
-				return rc
-			}
-			if dst.Known && src.Known {
-				v := evalALUConst(op, is32, uint64(dst.Val), uint64(src.Val))
+			v, ok := ebpf.EvalALU(op, ins.Class() == ebpf.ClassALU, uint64(dst.Val), uint64(src.Val))
+			if ok && src.Known && (dst.Known || op == ebpf.ALUMov) {
 				rc[ins.Dst] = ConstVal{Known: true, Val: int64(v)}
 			} else {
 				rc.clear(ins.Dst)
@@ -325,75 +304,4 @@ func Constants(cfg *CFG) []RegConsts {
 		}
 	}
 	return before
-}
-
-// bswapConst reverses the byte order of the low `bits` bits.
-func bswapConst(v uint64, bits int32) uint64 {
-	switch bits {
-	case 16:
-		return uint64(uint16(v)>>8 | uint16(v)<<8)
-	case 32:
-		x := uint32(v)
-		return uint64(x>>24 | x>>8&0xff00 | x<<8&0xff0000 | x<<24)
-	default:
-		r := uint64(0)
-		for i := 0; i < 8; i++ {
-			r = r<<8 | (v >> (8 * i) & 0xff)
-		}
-		return r
-	}
-}
-
-func evalALUConst(op ebpf.ALUOp, is32 bool, a, b uint64) uint64 {
-	bits := uint64(64)
-	if is32 {
-		a &= 0xffffffff
-		b &= 0xffffffff
-		bits = 32
-	}
-	var r uint64
-	switch op {
-	case ebpf.ALUAdd:
-		r = a + b
-	case ebpf.ALUSub:
-		r = a - b
-	case ebpf.ALUMul:
-		r = a * b
-	case ebpf.ALUDiv:
-		if b == 0 {
-			r = 0
-		} else {
-			r = a / b
-		}
-	case ebpf.ALUMod:
-		if b == 0 {
-			r = a
-		} else {
-			r = a % b
-		}
-	case ebpf.ALUOr:
-		r = a | b
-	case ebpf.ALUAnd:
-		r = a & b
-	case ebpf.ALUXor:
-		r = a ^ b
-	case ebpf.ALULsh:
-		r = a << (b & (bits - 1))
-	case ebpf.ALURsh:
-		r = a >> (b & (bits - 1))
-	case ebpf.ALUArsh:
-		if is32 {
-			r = uint64(uint32(int32(uint32(a)) >> (b & 31)))
-		} else {
-			r = uint64(int64(a) >> (b & 63))
-		}
-	case ebpf.ALUNeg:
-		r = -a
-	default:
-		return 0
-	}
-	if is32 {
-		r &= 0xffffffff
-	}
-	return r
 }

@@ -217,3 +217,25 @@ func TestConstantsWideAndMapLoads(t *testing.T) {
 		t.Error("map pseudo loads are not constants")
 	}
 }
+
+// An ALU op field the ISA does not define faults in the VM: constant
+// propagation must not record its destination as a known value (it used to
+// say 0, which CP&DCE would fold into a mov).
+func TestConstantsUndefinedALUOpIsUnknown(t *testing.T) {
+	for _, class := range []ebpf.Class{ebpf.ClassALU64, ebpf.ClassALU} {
+		for _, field := range []uint8{0xe0, 0xf0} {
+			p := &ebpf.Program{Insns: []ebpf.Instruction{
+				ebpf.Mov64Imm(ebpf.R0, 1),
+				{Opcode: field | uint8(class), Dst: ebpf.R0, Imm: 2},
+				ebpf.Exit(),
+			}}
+			cfg, err := BuildCFG(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cv := Constants(cfg)[2][ebpf.R0]; cv.Known {
+				t.Errorf("opcode %#02x: r0 after the undefined op = %+v, want unknown", p.Insns[1].Opcode, cv)
+			}
+		}
+	}
+}

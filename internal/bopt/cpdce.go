@@ -74,7 +74,7 @@ func foldBranchesRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 		if !b.Known {
 			continue
 		}
-		taken, ok := evalCondConst(ins, uint64(a.Val), uint64(b.Val))
+		taken, ok := ebpf.EvalJump(ins.JumpOpField(), ins.Class() == ebpf.ClassJMP32, uint64(a.Val), uint64(b.Val))
 		if !ok {
 			continue
 		}
@@ -95,43 +95,6 @@ func foldBranchesRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 	}
 	out, err := ed.Finalize()
 	return applied, out, err
-}
-
-// evalCondConst decides a conditional branch over known constants.
-func evalCondConst(ins ebpf.Instruction, a, b uint64) (bool, bool) {
-	if ins.Class() == ebpf.ClassJMP32 {
-		a &= 0xffffffff
-		b &= 0xffffffff
-	}
-	sa, sb := int64(a), int64(b)
-	if ins.Class() == ebpf.ClassJMP32 {
-		sa, sb = int64(int32(uint32(a))), int64(int32(uint32(b)))
-	}
-	switch ins.JumpOpField() {
-	case ebpf.JumpEq:
-		return a == b, true
-	case ebpf.JumpNE:
-		return a != b, true
-	case ebpf.JumpGT:
-		return a > b, true
-	case ebpf.JumpGE:
-		return a >= b, true
-	case ebpf.JumpLT:
-		return a < b, true
-	case ebpf.JumpLE:
-		return a <= b, true
-	case ebpf.JumpSet:
-		return a&b != 0, true
-	case ebpf.JumpSGT:
-		return sa > sb, true
-	case ebpf.JumpSGE:
-		return sa >= sb, true
-	case ebpf.JumpSLT:
-		return sa < sb, true
-	case ebpf.JumpSLE:
-		return sa <= sb, true
-	}
-	return false, false
 }
 
 // unreachableRound removes instructions no path from the entry reaches

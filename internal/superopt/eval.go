@@ -7,90 +7,25 @@ import (
 	"merlin/internal/ebpf"
 )
 
-// aluStep is the one scalar ALU operation of the fast filter: op applied to
-// dst value a and source value src, mirroring internal/vm's execALU exactly:
-// div-by-zero yields 0, mod-by-zero leaves dst, shifts mask the count by
-// width-1, 32-bit ops truncate then zero-extend, and ALUEnd byte-swaps the
-// low src bits (its "source" is the swap width, never a register).
-//
-// The filter built on it is only a filter: any divergence from the vm is
-// caught when survivors are re-proven on the vm itself (a too-permissive step
-// costs proof time, a too-strict one costs only missed rewrites — never
-// correctness).
-func aluStep(op ebpf.ALUOp, is32 bool, a, src uint64) uint64 {
-	if op == ebpf.ALUEnd {
-		return bswapBits(a, int32(src))
-	}
-	bits := uint64(64)
-	if is32 {
-		a &= 0xffffffff
-		src &= 0xffffffff
-		bits = 32
-	}
-	var r uint64
-	switch op {
-	case ebpf.ALUAdd:
-		r = a + src
-	case ebpf.ALUSub:
-		r = a - src
-	case ebpf.ALUMul:
-		r = a * src
-	case ebpf.ALUDiv:
-		if src == 0 {
-			r = 0
-		} else {
-			r = a / src
-		}
-	case ebpf.ALUMod:
-		if src == 0 {
-			r = a
-		} else {
-			r = a % src
-		}
-	case ebpf.ALUOr:
-		r = a | src
-	case ebpf.ALUAnd:
-		r = a & src
-	case ebpf.ALUXor:
-		r = a ^ src
-	case ebpf.ALULsh:
-		r = a << (src & (bits - 1))
-	case ebpf.ALURsh:
-		r = a >> (src & (bits - 1))
-	case ebpf.ALUArsh:
-		if is32 {
-			r = uint64(uint32(int32(uint32(a)) >> (src & 31)))
-		} else {
-			r = uint64(int64(a) >> (src & 63))
-		}
-	case ebpf.ALUNeg:
-		r = -a
-	case ebpf.ALUMov:
-		r = src
-	}
-	if is32 {
-		r &= 0xffffffff
-	}
-	return r
-}
-
 // columns holds one column per register: element v of a column is that
 // register's value on test vector v.
 type columns [ebpf.NumRegisters][]uint64
 
 // evalColumn computes ins over vectors [lo,hi): out[v] from dst column a and
-// source column src, or ins's sign-extended immediate when src is nil.
+// source column src, or ins's sign-extended immediate when src is nil. The
+// step is ebpf.EvalALU itself — the semantics the vm re-proves survivors on —
+// and extraction admits only ops it defines, so its ok result is dropped.
 func evalColumn(ins *ebpf.Instruction, a, src, out []uint64, lo, hi int) {
 	op, is32 := ins.ALUOpField(), ins.Class() == ebpf.ClassALU
 	if src == nil {
 		imm := uint64(int64(ins.Imm))
 		for v := lo; v < hi; v++ {
-			out[v] = aluStep(op, is32, a[v], imm)
+			out[v], _ = ebpf.EvalALU(op, is32, a[v], imm)
 		}
 		return
 	}
 	for v := lo; v < hi; v++ {
-		out[v] = aluStep(op, is32, a[v], src[v])
+		out[v], _ = ebpf.EvalALU(op, is32, a[v], src[v])
 	}
 }
 
@@ -101,36 +36,18 @@ func columnIs(ins *ebpf.Instruction, a, src, want []uint64, lo, hi int) bool {
 	if src == nil {
 		imm := uint64(int64(ins.Imm))
 		for v := lo; v < hi; v++ {
-			if aluStep(op, is32, a[v], imm) != want[v] {
+			if r, _ := ebpf.EvalALU(op, is32, a[v], imm); r != want[v] {
 				return false
 			}
 		}
 		return true
 	}
 	for v := lo; v < hi; v++ {
-		if aluStep(op, is32, a[v], src[v]) != want[v] {
+		if r, _ := ebpf.EvalALU(op, is32, a[v], src[v]); r != want[v] {
 			return false
 		}
 	}
 	return true
-}
-
-// bswapBits reverses the byte order of the low bits of v (16/32/64),
-// matching the vm's ALUEnd semantics.
-func bswapBits(v uint64, bits int32) uint64 {
-	switch bits {
-	case 16:
-		return uint64(uint16(v)>>8 | uint16(v)<<8)
-	case 32:
-		x := uint32(v)
-		return uint64(x>>24 | x>>8&0xff00 | x<<8&0xff0000 | x<<24)
-	default:
-		r := uint64(0)
-		for i := 0; i < 8; i++ {
-			r = r<<8 | (v >> (8 * i) & 0xff)
-		}
-		return r
-	}
 }
 
 // lattice is the exhaustive small-input set: boundary values of every

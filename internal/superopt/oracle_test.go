@@ -18,8 +18,8 @@ import (
 // regFile is the register state of the oracle's per-vector evaluator.
 type regFile [ebpf.NumRegisters]uint64
 
-// evalSeq executes a straight-line ALU sequence over regs, one aluStep per
-// instruction.
+// evalSeq executes a straight-line ALU sequence over regs, one ebpf.EvalALU
+// per instruction.
 func evalSeq(insns []ebpf.Instruction, regs *regFile) {
 	for _, ins := range insns {
 		op := ins.ALUOpField()
@@ -27,7 +27,7 @@ func evalSeq(insns []ebpf.Instruction, regs *regFile) {
 		if ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd {
 			src = regs[ins.Src]
 		}
-		regs[ins.Dst] = aluStep(op, ins.Class() == ebpf.ClassALU, regs[ins.Dst], src)
+		regs[ins.Dst], _ = ebpf.EvalALU(op, ins.Class() == ebpf.ClassALU, regs[ins.Dst], src)
 	}
 }
 

@@ -25,6 +25,9 @@ func (v *checker) condJump(st *state, ins ebpf.Instruction) (*state, *state, boo
 	}
 	op := ins.JumpOpField()
 	is32 := ins.Class() == ebpf.ClassJMP32
+	if _, ok := ebpf.EvalJump(op, is32, 0, 0); !ok {
+		return nil, nil, false, fmt.Errorf("unknown opcode %#02x", ins.Opcode)
+	}
 
 	tgt, ok := v.elemAt[v.slotOf[st.pc]+ins.Slots()+int(ins.Offset)]
 	if !ok {

@@ -22,6 +22,9 @@ func (v *checker) alu(st *state, ins ebpf.Instruction) error {
 	}
 	is32 := ins.Class() == ebpf.ClassALU
 	op := ins.ALUOpField()
+	if _, ok := ebpf.EvalALU(op, is32, 0, 0); !ok {
+		return fmt.Errorf("unknown opcode %#02x", ins.Opcode)
+	}
 
 	var src RegState
 	switch {
@@ -55,7 +58,12 @@ func (v *checker) alu(st *state, ins ebpf.Instruction) error {
 		if dst.Type != Scalar {
 			return fmt.Errorf("byte swap on non-scalar R%d", ins.Dst)
 		}
-		st.regs[ins.Dst] = boundedScalar(int(ins.Imm) / 8)
+		// ebpf.Bswap swaps all 64 bits for every width but 16 and 32.
+		res := scalarUnknown()
+		if ins.Imm == 16 || ins.Imm == 32 {
+			res = boundedScalar(int(ins.Imm) / 8)
+		}
+		st.regs[ins.Dst] = res
 		return nil
 	}
 	if op == ebpf.ALUNeg {
@@ -147,7 +155,9 @@ func aluScalar(op ebpf.ALUOp, is32 bool, a, b RegState) RegState {
 		a, b = trunc32(a), trunc32(b)
 	}
 	if a.Known() && b.Known() {
-		return mask32(scalarConst(evalALU(op, bits, a.UMin, b.UMin)), is32)
+		// alu rejected the ops the table does not define.
+		r, _ := ebpf.EvalALU(op, is32, a.UMin, b.UMin)
+		return scalarConst(r)
 	}
 	out := scalarUnknown()
 	switch op {
@@ -215,52 +225,6 @@ func orUpperBound(a, b uint64) uint64 {
 		m |= m >> i
 	}
 	return m
-}
-
-func evalALU(op ebpf.ALUOp, bits uint, a, b uint64) uint64 {
-	var r uint64
-	switch op {
-	case ebpf.ALUAdd:
-		r = a + b
-	case ebpf.ALUSub:
-		r = a - b
-	case ebpf.ALUMul:
-		r = a * b
-	case ebpf.ALUDiv:
-		if b == 0 {
-			r = 0
-		} else {
-			r = a / b
-		}
-	case ebpf.ALUMod:
-		if b == 0 {
-			r = a
-		} else {
-			r = a % b
-		}
-	case ebpf.ALUOr:
-		r = a | b
-	case ebpf.ALUAnd:
-		r = a & b
-	case ebpf.ALUXor:
-		r = a ^ b
-	case ebpf.ALULsh:
-		r = a << (b & uint64(bits-1))
-	case ebpf.ALURsh:
-		r = a >> (b & uint64(bits-1))
-	case ebpf.ALUArsh:
-		if bits == 32 {
-			r = uint64(uint32(int32(uint32(a)) >> (b & 31)))
-		} else {
-			r = uint64(int64(a) >> (b & 63))
-		}
-	case ebpf.ALUNeg:
-		r = -a
-	}
-	if bits == 32 {
-		r &= 0xffffffff
-	}
-	return r
 }
 
 // load type-checks a memory load and returns the loaded abstract value.

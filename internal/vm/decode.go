@@ -13,25 +13,35 @@ import (
 // every operand already resolved: register numbers, sign-extended (and
 // pre-masked) immediates, branch targets as element indices, map handles
 // folded into lddw constants, and helper calls bound to their spec cost and
-// body. runFast executes the stream in one tight switch loop; hot operations
-// (ALU, loads/stores, branches) are fully inlined micro-ops, while complex
-// or cold ones (helper calls, atomics, guaranteed faults) are pre-bound
-// closures invoked through the kClosure escape hatch. All decoding, table
-// lookups and branch-target resolution happened once, at load.
+// body. runFast executes the stream in one tight switch loop. All decoding,
+// table lookups and branch-target resolution happened once, at load.
+//
+// What a scalar instruction computes is stated once, in internal/ebpf
+// (EvalALU, EvalJump, EvalAtomic), and this engine holds one rule about when
+// it may say it again: an operation gets an inline or fused case only if some
+// corpus program executes it (TestSpecialisedKindsOccurInCorpus fails on a
+// specialisation nobody's program reaches). That is the 64-bit
+// mov/add/sub/and/or/xor/lsh/rsh, mov32, the jeq/jne/jle compares, the
+// width-specialised loads and stores with their region checks inlined, and
+// the fused groups below. Everything else — 64-bit mul/div/mod/neg/arsh,
+// every other 32-bit ALU form, byte swaps, the other eight compares, all of
+// JMP32, atomics — is the table itself, called through the generic
+// kAluI/kAluR/kJccI/kJccR kinds and the atomic closure. The inline cases are
+// held to the table by internal/difftest's bytecode sweep.
 //
 // Two further load-time transformations matter for speed:
 //
 //   - The uop struct holds only the hot 24 bytes the dispatch loop touches
 //     (kind, registers, two operand words, branch target). Everything
-//     touched rarely — pre-built fault errors, generic compare/ALU
-//     functions, closures, branch-predictor keys — lives in a parallel cold
+//     touched rarely — pre-built fault errors, the generic kinds' op and
+//     width, closures, branch-predictor keys — lives in a parallel cold
 //     table indexed by the same pc, so large programs keep several times
 //     more of their instruction stream resident in L1. A memory fault's
 //     mnemonic is not stored at all: the fault branch renders it from the
 //     program, so loading pays nothing for text only a fault report reads.
 //
 //   - fuse() combines the corpus's hottest consecutive micro-op pairs and
-//     triples (the mov/shift/xor/sub chains of hashing and field-extraction
+//     triples (the mov/shift/sub chains of hashing and field-extraction
 //     code) into single superinstructions, removing a dispatch per fused
 //     element. Fused ops charge exactly the per-instruction cycles and
 //     step-limit iterations of their parts: when the step limit would
@@ -46,7 +56,8 @@ import (
 // relative to faults, so both engines produce identical Stats and identical
 // RuntimeError kind/pc/detail on every input. internal/difftest holds the
 // rig that proves this continuously; RefMachine (ref.go) pins the original
-// switch interpreter as the oracle.
+// switch interpreter as the oracle for everything but the table, which
+// ebpf.TestScalarSemanticsGolden pins on its own.
 
 // Sentinel next-pc values a dop closure can return instead of an element
 // index.
@@ -88,11 +99,11 @@ const (
 	kClosure uint8 = iota // invoke cold.d (calls, atomics, fault ops)
 	kExit
 	kJa   // unconditional jump to u.tgt
-	kJccI // conditional via cold.cmp against u.imm
-	kJccR // conditional via cold.cmp against reg u.src
+	kJccI // conditional via ebpf.EvalJump against u.imm
+	kJccR // conditional via ebpf.EvalJump against reg u.src
 	kLddw // 64-bit immediate (map handles pre-folded)
-	kAluI // generic ALU via cold.alu, imm operand (div/mod/arsh32/bswap)
-	kAluR // generic ALU via cold.alu, reg operand
+	kAluI // generic ALU via ebpf.EvalALU, imm operand
+	kAluR // generic ALU via ebpf.EvalALU, reg operand
 
 	kLdx1
 	kLdx2
@@ -125,98 +136,48 @@ const (
 	kLshR
 	kRshI
 	kRshR
-	kMulI
-	kMulR
-	kArshI
-	kArshR
-	kNeg
 
-	// Inlined 32-bit ALU (results truncated; kMovI covers mov32 imm with a
-	// pre-masked immediate).
+	// The one 32-bit ALU form the corpus executes (kMovI covers mov32 imm
+	// with a pre-masked immediate).
 	kMov32R
-	kAdd32I
-	kAdd32R
-	kSub32I
-	kSub32R
-	kAnd32I
-	kAnd32R
-	kOr32I
-	kOr32R
-	kXor32I
-	kXor32R
-	kLsh32I
-	kLsh32R
-	kRsh32I
-	kRsh32R
-	kNeg32
 
 	// Fused superinstructions (see fuse). Operand layout per kind:
 	//   kFMovLshRsh  mov dst,src ; lsh64 dst,imm ; rsh64 dst,off
-	//   kFMovLsh     mov dst,src ; lsh64 dst,imm
-	//   kFMovXor     mov dst,src ; xor64 dst,imm
 	//   kFMovAddI    mov dst,src ; add64 dst,imm
 	//   kFMovSub     mov dst,src ; sub64 dst,reg(tgt)      [tgt != dst]
 	//   kFLshRsh     lsh64 dst,imm ; rsh64 dst,off
-	//   kFXorMov     xor64 dst,imm ; mov tgt>>8,reg(tgt&255)
 	//   kFSubMov     sub64 dst,src ; mov tgt>>8,reg(tgt&255)
 	//   kFRshMov     rsh64 dst,imm ; mov tgt>>8,reg(tgt&255)
 	//   kFMovMov     mov dst,src ; mov tgt>>8,reg(tgt&255)
 	//   kFHash7      the 7-op unrolled hash-mix round; see fuse for the
 	//                imm nibble/shift packing
 	kFMovLshRsh
-	kFMovLsh
-	kFMovXor
 	kFMovAddI
 	kFMovSub
 	kFLshRsh
-	kFXorMov
 	kFSubMov
 	kFRshMov
 	kFMovMov
 	kFHash7
 
-	// Specialized 64-bit conditional jumps: the compare is inlined in the
-	// dispatch case (no indirect call, no cold-table touch on the hot
-	// path). Immediate/register variants alternate. JMP32 and unknown
-	// compare ops stay on the generic kJccI/kJccR path.
+	// Specialized 64-bit conditional jumps, for the three compares the corpus
+	// executes: the compare is inlined in the dispatch case (no call, no
+	// cold-table touch on the hot path). Immediate/register variants
+	// alternate. Every other compare, and all of JMP32, is kJccI/kJccR.
 	kJeqI
 	kJeqR
 	kJneI
 	kJneR
-	kJgtI
-	kJgtR
-	kJgeI
-	kJgeR
-	kJltI
-	kJltR
 	kJleI
 	kJleR
-	kJsetI
-	kJsetR
-	kJsgtI
-	kJsgtR
-	kJsgeI
-	kJsgeR
-	kJsltI
-	kJsltR
-	kJsleI
-	kJsleR
 )
 
 // jccKind maps a 64-bit conditional jump op to its specialized
 // immediate-variant kind (the register variant is the next kind).
 var jccKind = map[ebpf.JumpOp]uint8{
-	ebpf.JumpEq:  kJeqI,
-	ebpf.JumpNE:  kJneI,
-	ebpf.JumpGT:  kJgtI,
-	ebpf.JumpGE:  kJgeI,
-	ebpf.JumpLT:  kJltI,
-	ebpf.JumpLE:  kJleI,
-	ebpf.JumpSet: kJsetI,
-	ebpf.JumpSGT: kJsgtI,
-	ebpf.JumpSGE: kJsgeI,
-	ebpf.JumpSLT: kJsltI,
-	ebpf.JumpSLE: kJsleI,
+	ebpf.JumpEq: kJeqI,
+	ebpf.JumpNE: kJneI,
+	ebpf.JumpLE: kJleI,
 }
 
 // uop is one pre-decoded instruction element: the 24 hot bytes the dispatch
@@ -234,11 +195,11 @@ type uop struct {
 // coldOp holds the rarely-touched parts of an element, indexed by the same
 // pc as code.
 type coldOp struct {
-	cmp  func(a, b uint64) bool   // conditional-jump compare
-	alu  func(a, b uint64) uint64 // generic ALU operation
-	d    dop                      // closure body for kClosure
-	fe   *RuntimeError            // pre-built fault for bad taken-branch targets
-	slot int32                    // original slot index; branch-predictor key
+	d    dop           // closure body for kClosure
+	fe   *RuntimeError // pre-built fault for bad taken-branch targets
+	slot int32         // original slot index; branch-predictor key
+	op   uint8         // kAluI/kAluR: ebpf.ALUOp; kJccI/kJccR: ebpf.JumpOp
+	is32 bool          // ALU / JMP32 class: the table's 32-bit form
 }
 
 // compile translates the loaded program into its pre-decoded form. It never
@@ -296,18 +257,12 @@ func fuse(code []uop) {
 		}
 		var f uop
 		switch {
-		case a.exec == kMovR && b.exec == kLshI && b.dst == a.dst:
-			f = uop{exec: kFMovLsh, dst: a.dst, src: a.src, imm: b.imm}
-		case a.exec == kMovR && b.exec == kXorI && b.dst == a.dst:
-			f = uop{exec: kFMovXor, dst: a.dst, src: a.src, imm: b.imm}
 		case a.exec == kMovR && b.exec == kAddI && b.dst == a.dst:
 			f = uop{exec: kFMovAddI, dst: a.dst, src: a.src, imm: b.imm}
 		case a.exec == kMovR && b.exec == kSubR && b.dst == a.dst && b.src != a.dst:
 			f = uop{exec: kFMovSub, dst: a.dst, src: a.src, tgt: int32(b.src)}
 		case a.exec == kLshI && b.exec == kRshI && b.dst == a.dst:
 			f = uop{exec: kFLshRsh, dst: a.dst, imm: a.imm, off: b.imm}
-		case a.exec == kXorI && b.exec == kMovR:
-			f = uop{exec: kFXorMov, dst: a.dst, imm: a.imm, tgt: pack(b.dst, b.src)}
 		case a.exec == kSubR && b.exec == kMovR:
 			f = uop{exec: kFSubMov, dst: a.dst, src: a.src, tgt: pack(b.dst, b.src)}
 		case a.exec == kRshI && b.exec == kMovR:
@@ -473,111 +428,11 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 			cycles += aluC
 			regs[u.dst] >>= regs[u.src] & 63
 			pc++
-		case kMulI:
-			instrs++
-			cycles += aluC
-			regs[u.dst] *= u.imm
-			pc++
-		case kMulR:
-			instrs++
-			cycles += aluC
-			regs[u.dst] *= regs[u.src]
-			pc++
-		case kArshI:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = uint64(int64(regs[u.dst]) >> u.imm)
-			pc++
-		case kArshR:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = uint64(int64(regs[u.dst]) >> (regs[u.src] & 63))
-			pc++
-		case kNeg:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = -regs[u.dst]
-			pc++
 
 		case kMov32R:
 			instrs++
 			cycles += aluC
 			regs[u.dst] = regs[u.src] & 0xffffffff
-			pc++
-		case kAdd32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] + u.imm) & 0xffffffff
-			pc++
-		case kAdd32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] + regs[u.src]) & 0xffffffff
-			pc++
-		case kSub32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] - u.imm) & 0xffffffff
-			pc++
-		case kSub32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] - regs[u.src]) & 0xffffffff
-			pc++
-		case kAnd32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = regs[u.dst] & u.imm & 0xffffffff
-			pc++
-		case kAnd32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = regs[u.dst] & regs[u.src] & 0xffffffff
-			pc++
-		case kOr32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] | u.imm) & 0xffffffff
-			pc++
-		case kOr32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] | regs[u.src]) & 0xffffffff
-			pc++
-		case kXor32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] ^ u.imm) & 0xffffffff
-			pc++
-		case kXor32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] ^ regs[u.src]) & 0xffffffff
-			pc++
-		case kLsh32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] << u.imm) & 0xffffffff
-			pc++
-		case kLsh32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] << (regs[u.src] & 31)) & 0xffffffff
-			pc++
-		case kRsh32I:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] & 0xffffffff) >> u.imm
-			pc++
-		case kRsh32R:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (regs[u.dst] & 0xffffffff) >> (regs[u.src] & 31)
-			pc++
-		case kNeg32:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = (-regs[u.dst]) & 0xffffffff
 			pc++
 
 		case kFMovLshRsh:
@@ -601,32 +456,6 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 			cycles += aluC
 			regs[u.dst] >>= u.off
 			pc += 3
-		case kFMovLsh:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = regs[u.src]
-			if step+1 >= limit {
-				pc++
-				continue
-			}
-			step++
-			instrs++
-			cycles += aluC
-			regs[u.dst] <<= u.imm
-			pc += 2
-		case kFMovXor:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = regs[u.src]
-			if step+1 >= limit {
-				pc++
-				continue
-			}
-			step++
-			instrs++
-			cycles += aluC
-			regs[u.dst] ^= u.imm
-			pc += 2
 		case kFMovAddI:
 			instrs++
 			cycles += aluC
@@ -665,19 +494,6 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 			instrs++
 			cycles += aluC
 			regs[u.dst] >>= u.off
-			pc += 2
-		case kFXorMov:
-			instrs++
-			cycles += aluC
-			regs[u.dst] ^= u.imm
-			if step+1 >= limit {
-				pc++
-				continue
-			}
-			step++
-			instrs++
-			cycles += aluC
-			regs[uint8(u.tgt>>8)] = regs[uint8(u.tgt)]
 			pc += 2
 		case kFSubMov:
 			instrs++
@@ -740,15 +556,15 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 			step += 6
 			pc += 7
 
-		case kAluI:
+		case kAluI, kAluR:
 			instrs++
 			cycles += aluC
-			regs[u.dst] = cold[pc].alu(regs[u.dst], u.imm)
-			pc++
-		case kAluR:
-			instrs++
-			cycles += aluC
-			regs[u.dst] = cold[pc].alu(regs[u.dst], regs[u.src])
+			b := u.imm
+			if u.exec == kAluR {
+				b = regs[u.src]
+			}
+			// compileALU admits only ops the table defines.
+			regs[u.dst], _ = ebpf.EvalALU(ebpf.ALUOp(cold[pc].op), cold[pc].is32, regs[u.dst], b)
 			pc++
 
 		case kLddw:
@@ -880,59 +696,11 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 		case kJneR:
 			taken = regs[u.dst] != regs[u.src]
 			goto brTail
-		case kJgtI:
-			taken = regs[u.dst] > u.imm
-			goto brTail
-		case kJgtR:
-			taken = regs[u.dst] > regs[u.src]
-			goto brTail
-		case kJgeI:
-			taken = regs[u.dst] >= u.imm
-			goto brTail
-		case kJgeR:
-			taken = regs[u.dst] >= regs[u.src]
-			goto brTail
-		case kJltI:
-			taken = regs[u.dst] < u.imm
-			goto brTail
-		case kJltR:
-			taken = regs[u.dst] < regs[u.src]
-			goto brTail
 		case kJleI:
 			taken = regs[u.dst] <= u.imm
 			goto brTail
 		case kJleR:
 			taken = regs[u.dst] <= regs[u.src]
-			goto brTail
-		case kJsetI:
-			taken = regs[u.dst]&u.imm != 0
-			goto brTail
-		case kJsetR:
-			taken = regs[u.dst]&regs[u.src] != 0
-			goto brTail
-		case kJsgtI:
-			taken = int64(regs[u.dst]) > int64(u.imm)
-			goto brTail
-		case kJsgtR:
-			taken = int64(regs[u.dst]) > int64(regs[u.src])
-			goto brTail
-		case kJsgeI:
-			taken = int64(regs[u.dst]) >= int64(u.imm)
-			goto brTail
-		case kJsgeR:
-			taken = int64(regs[u.dst]) >= int64(regs[u.src])
-			goto brTail
-		case kJsltI:
-			taken = int64(regs[u.dst]) < int64(u.imm)
-			goto brTail
-		case kJsltR:
-			taken = int64(regs[u.dst]) < int64(regs[u.src])
-			goto brTail
-		case kJsleI:
-			taken = int64(regs[u.dst]) <= int64(u.imm)
-			goto brTail
-		case kJsleR:
-			taken = int64(regs[u.dst]) <= int64(regs[u.src])
 			goto brTail
 
 		case kJccI, kJccR:
@@ -940,7 +708,8 @@ func (m *Machine) runFast(ctx, pkt []byte, st *Stats) (int64, error) {
 			if u.exec == kJccR {
 				b = regs[u.src]
 			}
-			taken = cold[pc].cmp(regs[u.dst], b)
+			// An undefined compare op is never taken, as in runRef.
+			taken, _ = ebpf.EvalJump(ebpf.JumpOp(cold[pc].op), cold[pc].is32, regs[u.dst], b)
 			goto brTail
 
 		case kExit:
@@ -1138,144 +907,64 @@ func (m *Machine) compileInsn(pc int, ins ebpf.Instruction) (uop, coldOp, error)
 	}
 }
 
-// aluKinds names the inline micro-ops of one ALU operation: immediate and
-// register form.
-type aluKinds struct{ imm, reg uint8 }
-
-// alu64Kinds / alu32Kinds map an ALU operation to its inline micro-ops;
-// operations absent here go through the generic kAluI/kAluR.
-var (
-	alu64Kinds = map[ebpf.ALUOp]aluKinds{
-		ebpf.ALUAdd:  {kAddI, kAddR},
-		ebpf.ALUSub:  {kSubI, kSubR},
-		ebpf.ALUAnd:  {kAndI, kAndR},
-		ebpf.ALUOr:   {kOrI, kOrR},
-		ebpf.ALUXor:  {kXorI, kXorR},
-		ebpf.ALULsh:  {kLshI, kLshR},
-		ebpf.ALURsh:  {kRshI, kRshR},
-		ebpf.ALUMul:  {kMulI, kMulR},
-		ebpf.ALUArsh: {kArshI, kArshR},
-		ebpf.ALUMov:  {kMovI, kMovR},
-		ebpf.ALUNeg:  {kNeg, kNeg},
+// aluForm is an ALU operation at one width; aluKinds names the inline
+// micro-ops of one: immediate and register form.
+type (
+	aluForm struct {
+		op   ebpf.ALUOp
+		is32 bool
 	}
-	alu32Kinds = map[ebpf.ALUOp]aluKinds{
-		ebpf.ALUAdd: {kAdd32I, kAdd32R},
-		ebpf.ALUSub: {kSub32I, kSub32R},
-		ebpf.ALUAnd: {kAnd32I, kAnd32R},
-		ebpf.ALUOr:  {kOr32I, kOr32R},
-		ebpf.ALUXor: {kXor32I, kXor32R},
-		ebpf.ALULsh: {kLsh32I, kLsh32R},
-		ebpf.ALURsh: {kRsh32I, kRsh32R},
-		// mov32 imm zero-extends a pre-masked immediate: plain kMovI.
-		ebpf.ALUMov: {kMovI, kMov32R},
-		ebpf.ALUNeg: {kNeg32, kNeg32},
-	}
+	aluKinds struct{ imm, reg uint8 }
 )
 
+// inlineALU lists the ALU operations with inline micro-ops: the ones some
+// corpus program executes (TestSpecialisedKindsOccurInCorpus). Every other
+// operation is the table through the generic kAluI/kAluR.
+var inlineALU = map[aluForm]aluKinds{
+	{ebpf.ALUAdd, false}: {kAddI, kAddR},
+	{ebpf.ALUSub, false}: {kSubI, kSubR},
+	{ebpf.ALUAnd, false}: {kAndI, kAndR},
+	{ebpf.ALUOr, false}:  {kOrI, kOrR},
+	{ebpf.ALUXor, false}: {kXorI, kXorR},
+	{ebpf.ALULsh, false}: {kLshI, kLshR},
+	{ebpf.ALURsh, false}: {kRshI, kRshR},
+	{ebpf.ALUMov, false}: {kMovI, kMovR},
+	// mov32 imm zero-extends a pre-masked immediate: plain kMovI.
+	{ebpf.ALUMov, true}: {kMovI, kMov32R},
+}
+
 // compileALU maps an ALU instruction to an inline micro-op where one exists
-// and to the generic kAluI/kAluR (via a binALU function) otherwise.
+// and to the generic kAluI/kAluR otherwise.
 func compileALU(ins ebpf.Instruction, is32 bool, pc int, aluCost uint64) (uop, coldOp) {
 	op := ins.ALUOpField()
-	u := uop{dst: uint8(ins.Dst), src: uint8(ins.Src)}
-	isReg := ins.SourceField() == ebpf.SourceX
-	u.imm = uint64(int64(ins.Imm))
+	u := uop{dst: uint8(ins.Dst), src: uint8(ins.Src), imm: uint64(int64(ins.Imm))}
+	isReg := ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd // end reads its width from imm
 
-	if op == ebpf.ALUEnd {
-		// Byte swap works on the full register regardless of class width;
-		// the swap width rides in the immediate.
-		bits := ins.Imm
-		u.exec = kAluI
-		return u, coldOp{alu: func(a, _ uint64) uint64 { return bswapBits(a, bits) }}
-	}
-
-	tbl := alu64Kinds
-	if is32 {
-		tbl = alu32Kinds
-	}
-	if p, ok := tbl[op]; ok {
+	if p, ok := inlineALU[aluForm{op, is32}]; ok {
+		u.exec = p.imm
 		if isReg {
 			u.exec = p.reg
-		} else {
-			u.exec = p.imm
-			switch op {
-			case ebpf.ALULsh, ebpf.ALURsh, ebpf.ALUArsh:
-				// Shift amounts are masked at decode, not per execution.
-				if is32 {
-					u.imm &= 31
-				} else {
-					u.imm &= 63
-				}
-			case ebpf.ALUMov:
-				if is32 {
-					u.imm &= 0xffffffff
-				}
-			}
+		}
+		// Immediates are masked at decode, not per execution.
+		switch {
+		case op == ebpf.ALULsh || op == ebpf.ALURsh:
+			u.imm &= 63
+		case is32:
+			u.imm &= 0xffffffff
 		}
 		return u, coldOp{}
 	}
-
-	// Cold ops (div, mod, 32-bit mul/arsh) via the generic path; unknown ops
-	// fault after charging the ALU cycle, exactly like the reference.
-	f := binALU(op, is32)
-	if f == nil {
+	if _, ok := ebpf.EvalALU(op, is32, 0, 0); !ok {
+		// Undefined op: fault after charging the ALU cycle, exactly like the
+		// reference.
 		e := faultf(FaultBadInstruction, pc, "unsupported alu op %#x", ins.Opcode)
 		return closureOp(faultDop(uint64(ins.Slots()), aluCost, e))
 	}
+	u.exec = kAluI
 	if isReg {
 		u.exec = kAluR
-	} else {
-		u.exec = kAluI
 	}
-	return u, coldOp{alu: f}
-}
-
-// binALU returns the arithmetic for an ALU op with the reference
-// interpreter's exact masking (operands masked before div/mod/shift in
-// 32-bit mode, results truncated after), or nil for unknown ops.
-func binALU(op ebpf.ALUOp, is32 bool) func(a, b uint64) uint64 {
-	const m32 = 0xffffffff
-	if is32 {
-		switch op {
-		case ebpf.ALUMul:
-			return func(a, b uint64) uint64 { return (a * b) & m32 }
-		case ebpf.ALUDiv:
-			return func(a, b uint64) uint64 {
-				a, b = a&m32, b&m32
-				if b == 0 {
-					return 0
-				}
-				return a / b
-			}
-		case ebpf.ALUMod:
-			return func(a, b uint64) uint64 {
-				a, b = a&m32, b&m32
-				if b == 0 {
-					return a
-				}
-				return a % b
-			}
-		case ebpf.ALUArsh:
-			return func(a, b uint64) uint64 { return uint64(uint32(int32(uint32(a)) >> (b & 31))) }
-		}
-		return nil
-	}
-	switch op {
-	case ebpf.ALUDiv:
-		return func(a, b uint64) uint64 {
-			if b == 0 {
-				return 0
-			}
-			return a / b
-		}
-	case ebpf.ALUMod:
-		return func(a, b uint64) uint64 {
-			if b == 0 {
-				return a
-			}
-			return a % b
-		}
-	}
-	return nil
+	return u, coldOp{op: uint8(op), is32: is32}
 }
 
 func compileAtomic(c *CostModel, ins ebpf.Instruction, pc int) dop {
@@ -1284,23 +973,7 @@ func compileAtomic(c *CostModel, ins ebpf.Instruction, pc int) dop {
 	dst, src := ins.Dst, ins.Src
 	off := uint64(int64(ins.Offset))
 	size := ins.SizeField().Bytes()
-
-	f := atomicFunc(ebpf.AtomicOp(ins.Imm))
-	if f == nil {
-		// Unknown atomic op: the reference interpreter resolves (and
-		// charges) the memory access before rejecting the op.
-		e := faultf(FaultBadInstruction, pc, "unknown atomic op %#x", ins.Imm)
-		return func(m *Machine, fr *frame) int {
-			fr.stp.Instructions += slots
-			fr.stp.Cycles += cost
-			if _, _, err := m.memAccess(fr, fr.regs[dst]+off, size); err != nil {
-				fr.err = m.memFault(err, pc)
-				return opFault
-			}
-			fr.err = e
-			return opFault
-		}
-	}
+	op := ebpf.AtomicOp(ins.Imm)
 	next := pc + 1
 	return func(m *Machine, fr *frame) int {
 		fr.stp.Instructions += slots
@@ -1310,24 +983,16 @@ func compileAtomic(c *CostModel, ins ebpf.Instruction, pc int) dop {
 			fr.err = m.memFault(err, pc)
 			return opFault
 		}
-		old := loadBytes(buf[o:], size)
-		storeBytes(buf[o:], size, f(old, fr.regs[src]))
+		nv, ok := ebpf.EvalAtomic(op, loadBytes(buf[o:], size), fr.regs[src])
+		if !ok {
+			// Like the reference interpreter, an unknown atomic op is
+			// rejected only after its memory access resolved and was charged.
+			fr.err = faultf(FaultBadInstruction, pc, "unknown atomic op %#x", int32(op))
+			return opFault
+		}
+		storeBytes(buf[o:], size, nv)
 		return next
 	}
-}
-
-func atomicFunc(op ebpf.AtomicOp) func(old, src uint64) uint64 {
-	switch op {
-	case ebpf.AtomicAdd:
-		return func(old, src uint64) uint64 { return old + src }
-	case ebpf.AtomicOr:
-		return func(old, src uint64) uint64 { return old | src }
-	case ebpf.AtomicAnd:
-		return func(old, src uint64) uint64 { return old & src }
-	case ebpf.AtomicXor:
-		return func(old, src uint64) uint64 { return old ^ src }
-	}
-	return nil
 }
 
 func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, coldOp) {
@@ -1360,8 +1025,9 @@ func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, 
 		tgt: -1,
 	}
 	co := coldOp{
-		cmp:  cmpFunc(ins.JumpOpField(), ins.Class() == ebpf.ClassJMP32),
 		slot: int32(slot),
+		op:   uint8(ins.JumpOpField()),
+		is32: ins.Class() == ebpf.ClassJMP32,
 	}
 	if tgt, ok := m.elemAt[slot+ins.Slots()+int(ins.Offset)]; ok {
 		u.tgt = int32(tgt)
@@ -1382,49 +1048,6 @@ func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, 
 		u.exec = kJccI
 	}
 	return u, co
-}
-
-// cmpFunc returns the comparison for a conditional jump, with JMP32's
-// 32-bit truncation folded in. Unknown ops compare as never-taken, matching
-// evalJump's default.
-func cmpFunc(op ebpf.JumpOp, is32 bool) func(a, b uint64) bool {
-	u := func(f func(a, b uint64) bool) func(a, b uint64) bool {
-		if !is32 {
-			return f
-		}
-		return func(a, b uint64) bool { return f(a&0xffffffff, b&0xffffffff) }
-	}
-	s := func(f func(a, b int64) bool) func(a, b uint64) bool {
-		if is32 {
-			return func(a, b uint64) bool { return f(int64(int32(uint32(a))), int64(int32(uint32(b)))) }
-		}
-		return func(a, b uint64) bool { return f(int64(a), int64(b)) }
-	}
-	switch op {
-	case ebpf.JumpEq:
-		return u(func(a, b uint64) bool { return a == b })
-	case ebpf.JumpNE:
-		return u(func(a, b uint64) bool { return a != b })
-	case ebpf.JumpGT:
-		return u(func(a, b uint64) bool { return a > b })
-	case ebpf.JumpGE:
-		return u(func(a, b uint64) bool { return a >= b })
-	case ebpf.JumpLT:
-		return u(func(a, b uint64) bool { return a < b })
-	case ebpf.JumpLE:
-		return u(func(a, b uint64) bool { return a <= b })
-	case ebpf.JumpSet:
-		return u(func(a, b uint64) bool { return a&b != 0 })
-	case ebpf.JumpSGT:
-		return s(func(a, b int64) bool { return a > b })
-	case ebpf.JumpSGE:
-		return s(func(a, b int64) bool { return a >= b })
-	case ebpf.JumpSLT:
-		return s(func(a, b int64) bool { return a < b })
-	case ebpf.JumpSLE:
-		return s(func(a, b int64) bool { return a <= b })
-	}
-	return func(a, b uint64) bool { return false }
 }
 
 // compileCall pre-binds the helper thunk: spec lookup, cycle cost and body

@@ -67,10 +67,15 @@ func (m *Machine) run(ctx, pkt []byte) (int64, Stats, error) {
 	return m.runRef(ctx, pkt)
 }
 
-// runRef is the original switch interpreter — the VM's reference semantics
-// and the oracle for internal/difftest's cross-engine equivalence rig. Any
-// behavior change here must be mirrored in decode.go (the rig will catch a
-// divergence, but keep them in lockstep deliberately, not by test failure).
+// runRef is the original switch interpreter — the oracle for
+// internal/difftest's cross-engine equivalence rig in everything an engine
+// decides for itself: dispatch, memory, cost accounting and its order relative
+// to faults, fault kind/pc/detail. A behavior change there must be mirrored in
+// decode.go deliberately, not by test failure. What a scalar ALU operation,
+// compare or atomic computes is not decided here: both engines call
+// ebpf.EvalALU/EvalJump/EvalAtomic (the fast engine directly for its generic
+// micro-ops; its inline and fused cases are held to the table by difftest's
+// bytecode sweep), and the table is pinned by its own literal golden.
 func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 	var regs [regSlots]uint64
 	regs[1] = ctxBase
@@ -119,16 +124,18 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 		st.Instructions += uint64(ins.Slots())
 
 		switch ins.Class() {
-		case ebpf.ClassALU64:
+		case ebpf.ClassALU64, ebpf.ClassALU:
 			st.Cycles += c.ALU
-			if err := execALU(&regs, ins, false, m); err != nil {
-				return 0, st, wrapFault(err, FaultBadInstruction, pc, "")
+			op := ins.ALUOpField()
+			src := uint64(int64(ins.Imm))
+			if ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd {
+				src = regs[ins.Src]
 			}
-		case ebpf.ClassALU:
-			st.Cycles += c.ALU
-			if err := execALU(&regs, ins, true, m); err != nil {
-				return 0, st, wrapFault(err, FaultBadInstruction, pc, "")
+			r, ok := ebpf.EvalALU(op, ins.Class() == ebpf.ClassALU, regs[ins.Dst], src)
+			if !ok {
+				return 0, st, faultf(FaultBadInstruction, pc, "unsupported alu op %#x", ins.Opcode)
 			}
+			regs[ins.Dst] = r
 		case ebpf.ClassLD:
 			if !ins.IsWide() {
 				return 0, st, faultf(FaultBadInstruction, pc, "unsupported legacy ld")
@@ -157,17 +164,8 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 					return 0, st, wrapFault(err, FaultBadMemory, pc, ebpf.Mnemonic(ins))
 				}
 				old := loadBytes(buf[off:], size)
-				var nv uint64
-				switch ebpf.AtomicOp(ins.Imm) {
-				case ebpf.AtomicAdd:
-					nv = old + regs[ins.Src]
-				case ebpf.AtomicOr:
-					nv = old | regs[ins.Src]
-				case ebpf.AtomicAnd:
-					nv = old & regs[ins.Src]
-				case ebpf.AtomicXor:
-					nv = old ^ regs[ins.Src]
-				default:
+				nv, ok := ebpf.EvalAtomic(ebpf.AtomicOp(ins.Imm), old, regs[ins.Src])
+				if !ok {
 					return 0, st, faultf(FaultBadInstruction, pc, "unknown atomic op %#x", ins.Imm)
 				}
 				storeBytes(buf[off:], size, nv)
@@ -205,7 +203,12 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 				pc = tgt
 				continue
 			default:
-				taken := evalJump(ins, regs)
+				b := uint64(int64(ins.Imm))
+				if ins.SourceField() == ebpf.SourceX {
+					b = regs[ins.Src]
+				}
+				// An undefined compare op is never taken.
+				taken, _ := ebpf.EvalJump(op, ins.Class() == ebpf.ClassJMP32, regs[ins.Dst], b)
 				branch(pc, taken)
 				if taken {
 					tgt, ok := elemAt[slotOf[pc]+ins.Slots()+int(ins.Offset)]
@@ -247,138 +250,6 @@ func storeBytes(b []byte, size int, v uint64) {
 	default:
 		binary.LittleEndian.PutUint64(b, v)
 	}
-}
-
-func execALU(regs *[regSlots]uint64, ins ebpf.Instruction, is32 bool, m *Machine) error {
-	dst := ins.Dst
-	var src uint64
-	if ins.SourceField() == ebpf.SourceX {
-		src = regs[ins.Src]
-	} else {
-		src = uint64(int64(ins.Imm))
-	}
-	a := regs[dst]
-	if ins.ALUOpField() == ebpf.ALUEnd {
-		// Byte swap of the low imm bits, zero-extended (bswap16/32/64).
-		regs[dst] = bswapBits(a, ins.Imm)
-		return nil
-	}
-	if is32 {
-		a &= 0xffffffff
-		src &= 0xffffffff
-	}
-	bits := uint64(64)
-	if is32 {
-		bits = 32
-	}
-	var r uint64
-	switch ins.ALUOpField() {
-	case ebpf.ALUAdd:
-		r = a + src
-	case ebpf.ALUSub:
-		r = a - src
-	case ebpf.ALUMul:
-		r = a * src
-	case ebpf.ALUDiv:
-		if src == 0 {
-			r = 0
-		} else {
-			r = a / src
-		}
-	case ebpf.ALUMod:
-		if src == 0 {
-			r = a
-		} else {
-			r = a % src
-		}
-	case ebpf.ALUOr:
-		r = a | src
-	case ebpf.ALUAnd:
-		r = a & src
-	case ebpf.ALUXor:
-		r = a ^ src
-	case ebpf.ALULsh:
-		r = a << (src & (bits - 1))
-	case ebpf.ALURsh:
-		r = a >> (src & (bits - 1))
-	case ebpf.ALUArsh:
-		if is32 {
-			r = uint64(uint32(int32(uint32(a)) >> (src & 31)))
-		} else {
-			r = uint64(int64(a) >> (src & 63))
-		}
-	case ebpf.ALUNeg:
-		r = -a
-	case ebpf.ALUMov:
-		r = src
-	default:
-		return faultf(FaultBadInstruction, -1, "unsupported alu op %#x", ins.Opcode)
-	}
-	if is32 {
-		r &= 0xffffffff
-	}
-	regs[dst] = r
-	return nil
-}
-
-// bswapBits reverses the byte order of the low `bits` bits of v.
-func bswapBits(v uint64, bits int32) uint64 {
-	switch bits {
-	case 16:
-		return uint64(uint16(v)>>8 | uint16(v)<<8)
-	case 32:
-		x := uint32(v)
-		return uint64(x>>24 | x>>8&0xff00 | x<<8&0xff0000 | x<<24)
-	default:
-		r := uint64(0)
-		for i := 0; i < 8; i++ {
-			r = r<<8 | (v >> (8 * i) & 0xff)
-		}
-		return r
-	}
-}
-
-func evalJump(ins ebpf.Instruction, regs [regSlots]uint64) bool {
-	a := regs[ins.Dst]
-	var b uint64
-	if ins.SourceField() == ebpf.SourceX {
-		b = regs[ins.Src]
-	} else {
-		b = uint64(int64(ins.Imm))
-	}
-	var sa, sb int64
-	if ins.Class() == ebpf.ClassJMP32 {
-		a &= 0xffffffff
-		b &= 0xffffffff
-		sa, sb = int64(int32(uint32(a))), int64(int32(uint32(b)))
-	} else {
-		sa, sb = int64(a), int64(b)
-	}
-	switch ins.JumpOpField() {
-	case ebpf.JumpEq:
-		return a == b
-	case ebpf.JumpNE:
-		return a != b
-	case ebpf.JumpGT:
-		return a > b
-	case ebpf.JumpGE:
-		return a >= b
-	case ebpf.JumpLT:
-		return a < b
-	case ebpf.JumpLE:
-		return a <= b
-	case ebpf.JumpSet:
-		return a&b != 0
-	case ebpf.JumpSGT:
-		return sa > sb
-	case ebpf.JumpSGE:
-		return sa >= sb
-	case ebpf.JumpSLT:
-		return sa < sb
-	case ebpf.JumpSLE:
-		return sa <= sb
-	}
-	return false
 }
 
 // call dispatches a helper invocation. Bodies live in helpers_exec.go and

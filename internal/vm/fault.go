@@ -57,7 +57,7 @@ func faultf(kind FaultKind, pc int, format string, args ...any) *RuntimeError {
 	return &RuntimeError{Kind: kind, PC: pc, Detail: fmt.Sprintf(format, args...)}
 }
 
-// wrapFault attributes an error bubbling out of a memory, helper or ALU path
+// wrapFault attributes an error bubbling out of a memory or helper path
 // to the executing instruction: an existing RuntimeError keeps its kind and
 // gains the pc (and context prefix); anything else is adapted into one with
 // the given default kind.
