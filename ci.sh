@@ -577,3 +577,7 @@ rm -rf "$PLACE_STATE" "$PCTL2_FIFO" /tmp/merlind-fleet \
 # diverging candidate is ever promoted fleet-wide, or if a slot stays lost or
 # under-replicated after the chaos heals.
 go test -race -run 'TestFleetSoak|TestReplicaLoss' ./internal/soak/
+# RunFleet places each slot on two of its three workers, so a kill plus a
+# partition can take out both replicas: three more passes over the seed sweep
+# walk that total-outage audit path under different interleavings.
+go test -race -count=3 -run 'TestFleetSoakSeeds' ./internal/soak/

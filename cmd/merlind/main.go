@@ -31,8 +31,15 @@
 //	maps <slot>                                   dump the live program's maps
 //	metrics                                       dump the metrics registry
 //	                                              (Prometheus text format)
-//	tick                                          let quarantined slots retry
+//	tick                                          let quarantined slots retry,
+//	                                              probe a degraded journal
 //	quit                                          exit
+//
+// traffic answers one line, the verdict histogram then the slot's status line
+// (the same text `status` prints for it), which is what a fleet controller's
+// canary gate judges:
+//
+//	ok traffic <slot> n=<n> verdicts[<name>=<count> ...] slot=<slot> stage=<stage> live=gen<N> ...
 //
 // The verbs and the serve loop are fleet.Worker and fleet.Serve in
 // internal/fleet; this binary is flags, storage open/recover/re-attach and

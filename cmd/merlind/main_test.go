@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,9 +88,9 @@ func lifecycleSeries(d *daemon) map[string]int64 {
 
 // The traffic command serves through ServeBatch; it must answer exactly what
 // n per-packet Serve calls over the same guard.Inputs stream answer — verdict
-// histogram, served and mirrored counts, stage, event watermark and the
-// manager's counters — in steady state, with an equivalent candidate mirrored
-// through shadow and canary, and with a diverging one rejected mid-chunk.
+// histogram, the slot status the reply ends with and the manager's counters
+// — in steady state, with an equivalent candidate mirrored through shadow and
+// canary, and with a diverging one rejected mid-chunk.
 func TestTrafficMatchesPerPacketServe(t *testing.T) {
 	for _, prog := range []string{"xdp2", "xdp_router_ipv4", "xdp_fwd", "xdp-balancer"} {
 		for _, mode := range []struct{ name, cand string }{ // cand: the second deploy, "" for none
@@ -125,9 +126,17 @@ func TestTrafficMatchesPerPacketServe(t *testing.T) {
 					if bs.String() != ss.String() {
 						t.Fatalf("traffic s %d: status\n  %s\nper-packet Serve gives\n  %s", n, bs, ss)
 					}
-					wantTail := fmt.Sprintf(" n=%d stage=%s served=%d mirrored=%d eseq=%d ", n, ss.Stage, ss.Served, ss.Mirrored, ss.EventSeq)
-					if !strings.Contains(reply, wantTail) {
-						t.Fatalf("reply %q does not carry %q", reply, wantTail)
+					// The reply is one line, "ok traffic s n=<n> verdicts[...]
+					// <status>", and its status is the slot's, field for field.
+					head := fmt.Sprintf("ok traffic s n=%d verdicts[", n)
+					_, tail, ok := strings.Cut(reply, "] ")
+					if !strings.HasPrefix(reply, head) || !ok || strings.Contains(reply, "\n") {
+						t.Fatalf("reply %q is not %q...] <status>", reply, head)
+					}
+					got, err := lifecycle.ParseSlotStatus(tail)
+					ss.Events = nil
+					if err != nil || !reflect.DeepEqual(got, ss) {
+						t.Fatalf("reply status %q parses to %+v (%v), per-packet Serve gives %+v", tail, got, err, ss)
 					}
 				}
 				got, want := lifecycleSeries(batched), lifecycleSeries(single)

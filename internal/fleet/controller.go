@@ -40,8 +40,8 @@ type Config struct {
 	RPCTimeout time.Duration
 	// ReadRetries is how many times an idempotent (read) RPC is retried
 	// after a transport failure (default 3). Mutating RPCs never retry
-	// blindly — the rollout state machine resolves their ambiguity from a
-	// status read instead.
+	// blindly — the gate resolves their ambiguity from the slot status the
+	// next canary feed reports instead.
 	ReadRetries int
 	// RetryBase / RetryMax shape the jittered exponential backoff between
 	// read retries (defaults 50ms / 2s).
@@ -69,9 +69,8 @@ type Config struct {
 	// MaxEvents caps the fleet event ring (default 128).
 	MaxEvents int
 	// Replication is the number of distinct workers each slot is placed on
-	// (R). 0 keeps the legacy mirror mode: every slot on every worker, no
-	// placement map. With R > 0 traffic routes only to a slot's replicas and
-	// the rebalancer repairs under-replication.
+	// (R, default 2): traffic routes only to a slot's replicas and the
+	// rebalancer repairs under-replication.
 	Replication int
 	// RepairConcurrency bounds how many repair tasks run at once (default 2)
 	// so a mass failure cannot stampede the survivors.
@@ -88,10 +87,6 @@ type Config struct {
 	// 250ms / 10s).
 	RepairBackoff    time.Duration
 	RepairBackoffMax time.Duration
-	// StatusFallbackEvery bounds event-watermark trust during canary feeds:
-	// after this many consecutive skipped status polls the controller polls
-	// anyway (default 4). See stepCanary.
-	StatusFallbackEvery int
 	// AuthToken, when non-empty, is prefixed to every worker RPC as
 	// "auth <token> <cmd>"; workers sharing the token verify it in constant
 	// time and refuse everything else.
@@ -144,6 +139,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 128
 	}
+	if c.Replication <= 0 {
+		c.Replication = 2
+	}
 	if c.RepairConcurrency <= 0 {
 		c.RepairConcurrency = 2
 	}
@@ -158,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RepairBackoffMax <= 0 {
 		c.RepairBackoffMax = 10 * time.Second
-	}
-	if c.StatusFallbackEvery <= 0 {
-		c.StatusFallbackEvery = 4
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -220,14 +215,13 @@ type Controller struct {
 	workers    map[string]*worker
 	catalog    map[string]*CatalogSlot
 	installed  map[string]map[string]installedRec // worker → slot → rec
-	placements map[string]*Placement              // slot → replicas (R > 0 only)
+	placements map[string]*Placement              // slot → replicas
 	rollout    *Rollout
 	events     []Event
 	eventSeq   int
 	rng        uint64
 	trafficSeq int
 	rings      map[string]*ring       // traffic rings by pool membership, see trafficRingLocked
-	eseqs      map[string]int         // worker+"/"+slot → event watermark
 	repairQ    []*repairTask          // pending repairs, FIFO
 	repairs    map[string]*repairTask // active repairs, one per slot
 	repairBk   map[string]*repairBreaker
@@ -257,7 +251,6 @@ func New(cfg Config, tr Transport) *Controller {
 		installed:  map[string]map[string]installedRec{},
 		placements: map[string]*Placement{},
 		rings:      map[string]*ring{},
-		eseqs:      map[string]int{},
 		repairs:    map[string]*repairTask{},
 		repairBk:   map[string]*repairBreaker{},
 		rng:        cfg.Seed | 1,
@@ -367,7 +360,6 @@ func (c *Controller) rpcWith(name, line string, read, ignoreBreaker bool) ([]str
 		} else {
 			c.rpcSucceededLocked(w)
 		}
-		c.gaugesLocked()
 	}
 	c.mu.Unlock()
 	return lines, err
@@ -419,6 +411,7 @@ func (c *Controller) setHealthLocked(w *worker, h Health, why string) {
 	c.eventLocked(Event{Kind: EventHealthChange, Worker: w.name,
 		Detail: fmt.Sprintf("%s → %s: %s", w.health, h, why)})
 	w.health = h
+	c.gaugesLocked()
 }
 
 func (c *Controller) openBreakerLocked(w *worker, cooldown time.Duration, why string) {
@@ -548,13 +541,12 @@ func (c *Controller) reconcile(name string) error {
 	var acts []action
 	var drains []string
 	deferred := false
-	rolloutSlot := ""
-	rolloutGen := 0
-	rolloutCand := map[string]int{}
-	if c.rollout != nil && !c.rollout.terminal() {
-		rolloutSlot = c.rollout.Slot
-		rolloutGen = c.rollout.Gen
-		rolloutCand = c.rollout.CandGen
+	rolloutSlot, rolloutGen, rolloutCand := "", 0, 0
+	if r := c.rollout; !r.terminal() {
+		rolloutSlot, rolloutGen = r.Slot, r.Gen
+		if r.Idx < len(r.Order) && r.Order[r.Idx] == name {
+			rolloutCand = r.Cand // a candidate staged here, not yet promoted
+		}
 	}
 	for slotName, cat := range c.catalog {
 		if !c.placedLocked(slotName, name) {
@@ -595,7 +587,7 @@ func (c *Controller) reconcile(name string) error {
 				acts = append(acts, action{slotName, cat.Src, cat.Gen, "slot missing mid-rollout"})
 			case (ok && st.LiveGeneration == inst.LocalGen &&
 				(inst.FleetGen == cat.Gen || inst.FleetGen == rolloutGen)) ||
-				(rolloutCand[name] != 0 && st.LiveGeneration == rolloutCand[name]):
+				(rolloutCand != 0 && st.LiveGeneration == rolloutCand):
 				// vouched: nothing to do
 			default:
 				deferred = true
@@ -650,15 +642,14 @@ func (c *Controller) reconcile(name string) error {
 	defer c.mu.Unlock()
 	if w := c.workers[name]; w != nil && w.health == Recovering && !deferred {
 		c.setHealthLocked(w, Healthy, "reconciled against catalog")
-		c.gaugesLocked()
 	}
 	return nil
 }
 
 // pushSlot deploys src on a worker and force-promotes it, returning the
-// resulting live generation. Used by reconcile, where the version being
-// pushed already earned fleet blessing — the per-worker canary gate was paid
-// during the rollout that blessed it.
+// resulting live generation. It is the one ungated install, used only by
+// reconcile, where the version being pushed already earned fleet blessing —
+// the per-worker canary gate was paid during the rollout that blessed it.
 func (c *Controller) pushSlot(name, slot, src string) (int, error) {
 	lines, err := c.rpc(name, "deploy "+slot+" "+src, false)
 	if err != nil {
@@ -745,8 +736,8 @@ func (c *Controller) Tick() {
 		_ = c.reconcile(n) // failures re-open the breaker via the rpc path
 	}
 
-	// With placement enabled, one rebalance pass: detect under-replicated
-	// slots, advance each active repair by one step.
+	// One rebalance pass: detect under-replicated slots, advance each active
+	// repair by one step.
 	c.rebalance()
 
 	c.mu.Lock()
@@ -764,30 +755,23 @@ type TrafficReport struct {
 }
 
 // Traffic fans n synthetic packets for slot across the slot's routable
-// replicas in TrafficBatch chunks (across all routable workers in legacy
-// mirror mode). Each chunk hashes to an owner on the consistent ring; a
-// transport or application failure fails the chunk over down the ring's
-// successor order — with placement that failover is the replica set, so a
-// dead replica's traffic lands on its surviving peers. Only when no worker
-// anywhere accepts the chunk is it counted dropped — graceful degradation,
-// not an error.
+// replicas in TrafficBatch chunks. Each chunk hashes to an owner on the
+// consistent ring over those replicas; a transport or application failure
+// fails the chunk over down the ring's successor order, so a dead replica's
+// traffic lands on its surviving peers. Only when no worker anywhere accepts
+// the chunk is it counted dropped — graceful degradation, not an error.
 func (c *Controller) Traffic(slot string, n int) TrafficReport {
 	var rep TrafficReport
 	if n <= 0 {
 		return rep
 	}
 	c.mu.Lock()
-	replicas := c.replicasLocked(slot) // nil → legacy: any eligible worker
-	placed := replicas != nil
-	var pool []string
-	if placed {
-		for _, rn := range replicas {
-			if w := c.workers[rn]; w != nil && w.health.eligible() {
-				pool = append(pool, rn)
-			}
+	replicas := c.replicasLocked(slot)
+	pool := make([]string, 0, len(replicas))
+	for _, rn := range replicas {
+		if w := c.workers[rn]; w != nil && w.health.eligible() {
+			pool = append(pool, rn)
 		}
-	} else {
-		pool = c.workerNamesLocked(func(w *worker) bool { return w.health.eligible() })
 	}
 	r := c.trafficRingLocked(pool)
 	batch := c.cfg.TrafficBatch
@@ -813,9 +797,7 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 						rep.Rerouted++
 						if c.met != nil {
 							c.met.reroutes.Inc()
-							if placed {
-								c.met.failovers.Inc()
-							}
+							c.met.failovers.Inc()
 						}
 					}
 					rep.Sent += size
@@ -837,13 +819,8 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 			// probe.
 			c.mu.Lock()
 			var rest []string
-			for _, rn := range replicas {
-				if !containsStr(owners, rn) && c.workers[rn] != nil {
-					rest = append(rest, rn)
-				}
-			}
-			for _, name := range c.workerNamesLocked(func(*worker) bool { return true }) {
-				if !containsStr(owners, name) && !containsStr(rest, name) {
+			for _, name := range append(replicas, c.workerNamesLocked(func(*worker) bool { return true })...) {
+				if !containsStr(owners, name) && !containsStr(rest, name) && c.workers[name] != nil {
 					rest = append(rest, name)
 				}
 			}
@@ -859,9 +836,7 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 					if c.met != nil {
 						c.met.reroutes.Inc()
 						c.met.lastResort.Inc()
-						if placed {
-							c.met.failovers.Inc()
-						}
+						c.met.failovers.Inc()
 						c.met.trafficSent.Add(uint64(size))
 					}
 					sent = true
@@ -926,8 +901,8 @@ type PlacementView struct {
 type Status struct {
 	Workers    []WorkerInfo
 	Catalog    []CatalogSlot
-	Placements []PlacementView // empty in legacy mirror mode
-	Rollout    *Rollout        // copy; nil when none was ever started
+	Placements []PlacementView
+	Rollout    *Rollout // copy; nil when none was ever started
 	Degraded   bool
 }
 
@@ -1040,8 +1015,6 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 // ---- reply parsing -------------------------------------------------------
 
 type deployReply struct {
-	slot    string
-	stage   string
 	liveGen int
 	candGen int
 }
@@ -1053,13 +1026,10 @@ func parseDeployReply(lines []string) (deployReply, bool) {
 	if !ok || !strings.HasPrefix(last, "ok deploy ") {
 		return deployReply{}, false
 	}
-	f := strings.Fields(last)
-	rep := deployReply{slot: f[2]}
-	for _, kv := range f[3:] {
+	var rep deployReply
+	for _, kv := range strings.Fields(last)[2:] {
 		k, v, _ := strings.Cut(kv, "=")
 		switch k {
-		case "stage":
-			rep.stage = v
 		case "live":
 			rep.liveGen = genOf(v)
 		case "candidate":
@@ -1067,26 +1037,6 @@ func parseDeployReply(lines []string) (deployReply, bool) {
 		}
 	}
 	return rep, true
-}
-
-// parseEseq extracts the event-sequence watermark (eseq=N) a worker
-// piggybacks on traffic and status replies. Absent on pre-watermark workers —
-// the caller falls back to a full status poll.
-func parseEseq(lines []string) (int, bool) {
-	last, ok := ReplyOK(lines)
-	if !ok {
-		return 0, false
-	}
-	for _, kv := range strings.Fields(last) {
-		if v, found := strings.CutPrefix(kv, "eseq="); found {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return 0, false
-			}
-			return n, true
-		}
-	}
-	return 0, false
 }
 
 // parseLiveGen extracts live=genN from an ok line (promote / rollback).

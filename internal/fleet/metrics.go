@@ -28,7 +28,7 @@ type fleetMetrics struct {
 	reconciles      *metrics.Counter
 	journalFailures *metrics.Counter
 
-	// Placement / repair telemetry (R > 0 only, but always registered).
+	// Placement / repair telemetry.
 	reg                *metrics.Registry // for lazy per-slot replica gauges
 	replicaGauges      map[string]*metrics.Gauge
 	underReplicated    *metrics.Gauge
@@ -41,9 +41,6 @@ type fleetMetrics struct {
 	repairBreakerOpens *metrics.Counter
 	repairSteps        *metrics.Histogram
 	repairMillis       *metrics.Histogram
-
-	statusPolls *metrics.Counter
-	statusSkips *metrics.Counter
 
 	// Superopt cache federation.
 	cacheSyncs     *metrics.Counter
@@ -114,10 +111,6 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 		"steps per completed repair")
 	fm.repairMillis = r.Histogram("merlin_fleet_repair_wall_ms",
 		"wall-clock milliseconds per completed repair")
-	fm.statusPolls = r.Counter("merlin_fleet_status_polls_total",
-		"full status polls issued while judging canary candidates")
-	fm.statusSkips = r.Counter("merlin_fleet_status_skips_total",
-		"status polls skipped because the event watermark was unchanged")
 	fm.cacheSyncs = r.Counter("merlin_fleet_cache_syncs_total",
 		"superopt cache federation rounds run")
 	fm.cachePulled = r.Counter("merlin_fleet_cache_entries_pulled_total",
@@ -142,7 +135,11 @@ func (fm *fleetMetrics) repairCompleted(mode string) {
 	}
 }
 
-// gaugesLocked republishes the per-state worker gauges and the degraded flag.
+// gaugesLocked republishes the per-state worker gauges, the degraded flag and
+// the placement gauges. Its inputs are worker health, membership and
+// placements, so it runs wherever one of them changes (setHealthLocked,
+// setPlacementLocked, dropPlacementLocked, Join, Leave, Recover) and on every
+// Tick — never per RPC.
 func (c *Controller) gaugesLocked() {
 	if c.met == nil {
 		return
@@ -161,7 +158,7 @@ func (c *Controller) gaugesLocked() {
 	c.met.degraded.Set(degraded)
 
 	// Placement gauges: live replicas per slot and the under-replicated
-	// count. Cheap (slots × R) and always fresh — this runs after every RPC.
+	// count.
 	under := int64(0)
 	want := c.repairWantLocked()
 	for _, slot := range c.placementSlotsLocked() {

@@ -294,11 +294,14 @@ func (c *Controller) applyRecordLocked(rec record) {
 			return
 		}
 		cp := rec.Rollout.clone()
-		if cp.CandGen == nil {
-			cp.CandGen = map[string]int{}
-		}
-		if cp.PrevLive == nil {
-			cp.PrevLive = map[string]int{}
+		if cp.CandGen != nil {
+			// Written before the gate carried Cand: only the current worker's
+			// candidate is live, and without it a rejected candidate would
+			// read as a promote whose reply was lost.
+			if cp.Idx < len(cp.Order) {
+				cp.Cand = cp.CandGen[cp.Order[cp.Idx]]
+			}
+			cp.CandGen = nil
 		}
 		c.rollout = &cp
 	}

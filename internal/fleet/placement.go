@@ -21,19 +21,18 @@ type Placement struct {
 	Gone bool `json:"gone,omitempty"`
 }
 
-// replicasLocked returns a copy of the slot's replica set, or nil when the
-// slot is unplaced (legacy mirror mode, or a slot from before placement was
-// enabled) — nil means "every worker".
+// replicasLocked returns a copy of the slot's replica set. A slot no rollout
+// ever placed (or one recovered from a journal older than placement, until
+// the rebalancer assigns it) lives on every worker.
 func (c *Controller) replicasLocked(slot string) []string {
-	pl := c.placements[slot]
-	if pl == nil {
-		return nil
+	if pl := c.placements[slot]; pl != nil {
+		return append([]string(nil), pl.Replicas...)
 	}
-	return append([]string(nil), pl.Replicas...)
+	return c.workerNamesLocked(func(*worker) bool { return true })
 }
 
 // placedLocked reports whether the worker should hold the slot. Unplaced
-// slots live everywhere.
+// slots live everywhere (see replicasLocked).
 func (c *Controller) placedLocked(slot, worker string) bool {
 	pl := c.placements[slot]
 	if pl == nil {
@@ -90,6 +89,7 @@ func (c *Controller) setPlacementLocked(slot string, replicas []string, why stri
 	c.journalLocked(record{Kind: recPlacement, Placement: &cp}, true)
 	c.eventLocked(Event{Kind: EventPlacement, Slot: slot,
 		Detail: fmt.Sprintf("ver %d → [%s]: %s", ver, strings.Join(replicas, ","), why)})
+	c.gaugesLocked()
 }
 
 // dropPlacementLocked withdraws a slot's placement entirely, journaling a
@@ -102,6 +102,7 @@ func (c *Controller) dropPlacementLocked(slot, why string) {
 	c.journalLocked(record{Kind: recPlacement,
 		Placement: &Placement{Slot: slot, Gone: true}}, true)
 	c.eventLocked(Event{Kind: EventPlacement, Slot: slot, Detail: "placement withdrawn: " + why})
+	c.gaugesLocked()
 }
 
 // placementSlotsLocked returns the placed slot names, sorted.
@@ -143,7 +144,7 @@ func (c *Controller) availReplicasLocked(pl *Placement) int {
 	return avail
 }
 
-// Placements returns slot → replica set (copies). Empty in mirror mode.
+// Placements returns slot → replica set (copies).
 func (c *Controller) Placements() map[string][]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

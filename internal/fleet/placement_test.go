@@ -365,65 +365,3 @@ func TestAuthLineCheckAuthMatrix(t *testing.T) {
 		}
 	}
 }
-
-func TestCanaryWatermarkSkipsStatusPolls(t *testing.T) {
-	// Long canary, tiny traffic batches: many judge steps where nothing
-	// changes. The piggybacked event watermark lets the controller skip the
-	// tick+status round-trips on those steps, falling back to a full poll
-	// every StatusFallbackEvery skips.
-	lt := NewLocalTransport()
-	for _, n := range []string{"w1", "w2"} {
-		lt.AddWorker(n, lifecycle.Config{ShadowRuns: 2, CanaryRuns: 40, CycleSlack: 1000})
-	}
-	c := New(Config{Seed: 42, TrafficBatch: 2, StatusFallbackEvery: 4,
-		MaxCanarySteps: 200, Metrics: metrics.New()}, lt)
-	for _, n := range []string{"w1", "w2"} {
-		if err := c.Join(n, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r := runRollout(t, c, "s", "pass:0"); r.Phase != PhaseDone {
-		t.Fatalf("bootstrap = %+v", r)
-	}
-	if r := runRollout(t, c, "s", "pass:8"); r.Phase != PhaseDone {
-		t.Fatalf("upgrade = %+v", r)
-	}
-	skips, polls := c.met.statusSkips.Value(), c.met.statusPolls.Value()
-	if skips == 0 {
-		t.Fatalf("no status polls skipped (polls=%d)", polls)
-	}
-	// The fallback bound: at most StatusFallbackEvery skips per poll.
-	if skips > polls*4 {
-		t.Fatalf("skips=%d exceed the fallback bound (polls=%d)", skips, polls)
-	}
-	// And the optimization is real: with 42 gate runs per worker at batch 2,
-	// a poll-every-step controller would issue ~21 polls per worker.
-	if polls >= skips+polls/2 && skips < polls {
-		t.Fatalf("watermark barely used: skips=%d polls=%d", skips, polls)
-	}
-	// Correctness did not regress: both workers converged on the new version.
-	if got, want := liveInsns(t, lt, "w2", "s"), liveInsns(t, lt, "w1", "s"); got != want {
-		t.Fatalf("fleet not uniform: %d vs %d", got, want)
-	}
-}
-
-func TestLegacyModeUntouchedByPlacementMachinery(t *testing.T) {
-	// Replication 0: no placements are created, traffic fans over everyone,
-	// rebalance is a no-op. The placement subsystem must be invisible.
-	c, lt := testFleet(t, 3, Config{Metrics: metrics.New()})
-	if r := runRollout(t, c, "s", "pass:0"); r.Phase != PhaseDone {
-		t.Fatalf("rollout = %+v", r)
-	}
-	c.Tick()
-	if got := c.Placements(); len(got) != 0 {
-		t.Fatalf("legacy mode created placements: %v", got)
-	}
-	for _, w := range []string{"w1", "w2", "w3"} {
-		if _, err := lt.Manager(w).StatusOf("s"); err != nil {
-			t.Fatalf("legacy worker %s lost the slot: %v", w, err)
-		}
-	}
-	if n := c.met.repairsStarted.Value(); n != 0 {
-		t.Fatalf("legacy mode started %d repairs", n)
-	}
-}

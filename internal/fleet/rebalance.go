@@ -3,17 +3,14 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
-
-	"merlin/internal/lifecycle"
 )
 
 // The rebalancer repairs under-replicated slots: when a replica goes down
 // (or leaves), it re-deploys the blessed catalog version onto a new worker
 // chosen by the same ring walk that made the original placement, then swaps
-// the placement over. Repairs run through the normal lifecycle pipeline —
-// a target already holding an incumbent pays the full shadow→canary gate and
+// the placement over. A repair steps the same gate a rollout does (gate.go)
+// — a target already holding an incumbent pays the full shadow→canary gate and
 // a plain (never force) promote; only a target with no incumbent at all
 // bootstraps live directly, exactly like reconcile pushing a blessed version
 // at an empty worker. One step per task per Tick, at most RepairConcurrency
@@ -21,23 +18,15 @@ import (
 // breaker so a flapping worker or a gate-refusing target cannot wedge the
 // fleet in a repair loop.
 
-const (
-	repairDeploy  = "deploy"
-	repairCanary  = "canary"
-	repairPromote = "promote"
-)
-
 // repairTask is one in-flight repair: re-replicating slot onto worker.
 type repairTask struct {
 	slot, worker, src string
 	fleetGen          int
-	phase             string
-	candGen, prevLive int
-	canary            int // canary-feed steps spent
-	fails             int // transport-level retries consumed
-	steps             int
-	notBefore         time.Time // retry backoff gate
-	started           time.Time
+	gate
+	fails     int // transport-level retries consumed
+	steps     int
+	notBefore time.Time // retry backoff gate
+	started   time.Time
 }
 
 // repairBreaker is the per-slot circuit breaker over abandoned repairs.
@@ -50,9 +39,6 @@ type repairBreaker struct {
 // rebalance runs one repair pass. Caller holds stepMu (it mutates the same
 // worker/slot state the rollout machine does); never called with mu held.
 func (c *Controller) rebalance() {
-	if c.cfg.Replication <= 0 {
-		return
-	}
 	c.mu.Lock()
 	c.scanRepairsLocked()
 	for len(c.repairs) < c.cfg.RepairConcurrency && len(c.repairQ) > 0 {
@@ -88,8 +74,9 @@ func (c *Controller) scanRepairsLocked() {
 		}
 		pl := c.placements[slot]
 		if pl == nil {
-			// A slot blessed before placement was enabled: assign now so it
-			// gains owners and sheds its everywhere-copies via reconcile.
+			// A slot recovered from a journal written before every slot had a
+			// placement: assign one now, and reconcile drains the copies off
+			// the workers it did not pick.
 			pl = c.assignPlacementLocked(slot)
 		}
 		if queued[slot] || c.repairs[slot] != nil {
@@ -107,7 +94,7 @@ func (c *Controller) scanRepairsLocked() {
 		}
 		cat := c.catalog[slot]
 		t := &repairTask{slot: slot, worker: target, src: cat.Src,
-			fleetGen: cat.Gen, phase: repairDeploy, started: now}
+			fleetGen: cat.Gen, gate: gate{Phase: PhaseDeploy}, started: now}
 		c.repairQ = append(c.repairQ, t)
 		if c.met != nil {
 			c.met.repairsStarted.Inc()
@@ -179,8 +166,8 @@ func (c *Controller) repairStep(t *repairTask) {
 		c.failRepairLocked(t, "target went down")
 	}
 	dropped := c.repairs[t.slot] != t
-	abortStaged := dropped && t.candGen != 0 && w != nil && w.health != Down
-	phase := t.phase
+	abortStaged := dropped && t.Cand != 0 && w != nil && w.health != Down
+	g := t.gate
 	if !dropped {
 		t.steps++
 	}
@@ -193,112 +180,25 @@ func (c *Controller) repairStep(t *repairTask) {
 		return
 	}
 
-	switch phase {
-	case repairDeploy:
-		c.repairDeployStep(t)
-	case repairCanary:
-		c.repairCanaryStep(t)
-	case repairPromote:
-		c.repairPromoteStep(t)
-	}
-}
-
-func (c *Controller) repairDeployStep(t *repairTask) {
-	lines, err := c.rpc(t.worker, "deploy "+t.slot+" "+t.src, false)
+	out, liveGen, why := c.gateStep(t.worker, t.slot, t.src, &g)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil {
-		c.retryRepairLocked(t, "deploy: "+err.Error())
-		return
+	t.gate = g
+	switch out {
+	case gateBootstrapped:
+		// No incumbent on the target: the blessed version went straight to
+		// live, the same trust reconcile extends when pushing the catalog at
+		// an empty worker.
+		c.completeRepairLocked(t, liveGen, "bootstrap")
+	case gatePromoted:
+		c.completeRepairLocked(t, liveGen, "gated")
+	case gateRefused:
+		// A gate refusing the blessed version (its incumbent genuinely
+		// disagrees) is never forced: abandon, and let the breaker count it.
+		c.failRepairLocked(t, why)
+	case gateUnreachable:
+		c.retryRepairLocked(t, why)
 	}
-	rep, ok := parseDeployReply(lines)
-	if !ok {
-		c.failRepairLocked(t, "deploy refused: "+lastLine(lines))
-		return
-	}
-	if rep.candGen == 0 {
-		// No incumbent on the target: the blessed version bootstrapped
-		// straight to live, the same trust reconcile extends when pushing
-		// the catalog at an empty worker.
-		c.completeRepairLocked(t, rep.liveGen, false)
-		return
-	}
-	t.candGen, t.prevLive = rep.candGen, rep.liveGen
-	t.canary = 0
-	t.phase = repairCanary
-}
-
-func (c *Controller) repairCanaryStep(t *repairTask) {
-	c.mu.Lock()
-	batch := c.cfg.TrafficBatch
-	c.mu.Unlock()
-	if _, err := c.rpc(t.worker, "traffic "+t.slot+" "+strconv.Itoa(batch), false); err != nil {
-		c.mu.Lock()
-		c.retryRepairLocked(t, "canary feed: "+err.Error())
-		c.mu.Unlock()
-		return
-	}
-	_, _ = c.rpc(t.worker, "tick", false)
-	lines, err := c.rpc(t.worker, "status", true)
-	if err != nil {
-		c.mu.Lock()
-		c.retryRepairLocked(t, "status: "+err.Error())
-		c.mu.Unlock()
-		return
-	}
-	var st lifecycle.SlotStatus
-	found := false
-	for _, l := range lines {
-		if s, perr := lifecycle.ParseSlotStatus(l); perr == nil && s.Slot == t.slot {
-			st, found = s, true
-			break
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case !found:
-		c.failRepairLocked(t, "slot vanished from target during canary")
-	case st.Stage == lifecycle.StageQuarantined:
-		c.failRepairLocked(t, "target quarantined the blessed version")
-	case st.CandidateGeneration == 0 && st.LiveGeneration >= t.candGen:
-		// A lost promote reply from a previous step: it landed.
-		c.completeRepairLocked(t, st.LiveGeneration, true)
-	case st.CandidateGeneration == 0:
-		// The divergence gate rejected the blessed version on this target —
-		// its incumbent genuinely disagrees. Never force; abandon.
-		c.failRepairLocked(t, "canary gate rejected the blessed version")
-	case st.CandidateGeneration != t.candGen:
-		t.candGen = st.CandidateGeneration
-	case st.Cleared:
-		t.phase = repairPromote
-	default:
-		t.canary++
-		if t.canary > c.cfg.MaxCanarySteps {
-			c.failRepairLocked(t, "canary stalled")
-		}
-	}
-}
-
-func (c *Controller) repairPromoteStep(t *repairTask) {
-	lines, err := c.rpc(t.worker, "promote "+t.slot, false)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		// Ambiguous: the promote may or may not have landed. The canary
-		// judge resolves it from status next step.
-		t.phase = repairCanary
-		t.fails++
-		if t.fails > c.cfg.RepairMaxFails {
-			c.failRepairLocked(t, "promote: "+err.Error())
-		}
-		return
-	}
-	if last, ok := ReplyOK(lines); ok {
-		c.completeRepairLocked(t, parseLiveGen(last), true)
-		return
-	}
-	t.phase = repairCanary
 }
 
 // completeRepairLocked lands a finished repair: record the install, swap the
@@ -306,7 +206,7 @@ func (c *Controller) repairPromoteStep(t *repairTask) {
 // every original replica recovered while the repair ran, the new copy is
 // surplus — the placement stays put and the target is demoted to Recovering
 // so the next reconcile drains the extra copy.
-func (c *Controller) completeRepairLocked(t *repairTask, liveGen int, gated bool) {
+func (c *Controller) completeRepairLocked(t *repairTask, liveGen int, mode string) {
 	delete(c.repairs, t.slot)
 	delete(c.repairBk, t.slot)
 	c.setInstalledLocked(t.worker, t.slot, t.fleetGen, liveGen, true)
@@ -322,10 +222,6 @@ func (c *Controller) completeRepairLocked(t *repairTask, liveGen int, gated bool
 			continue
 		}
 		reps = append(reps, rn)
-	}
-	mode := "bootstrap"
-	if gated {
-		mode = "gated"
 	}
 	if removed == "" && len(pl.Replicas) < c.repairWantLocked() {
 		// Nobody to swap out — the placement is short (a departed worker was

@@ -1,9 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -105,49 +102,7 @@ func TestRebalanceJournalTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := journal.SegmentFiles(recDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("scenario produced %d segments, want a rotation to sweep across", len(segs))
-	}
-	snap, _ := os.ReadFile(filepath.Join(recDir, "snapshot.db"))
-	if snap == nil {
-		t.Fatal("scenario produced no snapshot")
-	}
-
-	const samples = 5
-	caseNum := 0
-	for k, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(recDir, seg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < samples; s++ {
-			cut := int64(len(data)) * int64(s) / int64(samples-1)
-			caseNum++
-			t.Run(fmt.Sprintf("case-%02d-%s-cut%d", caseNum, seg, cut), func(t *testing.T) {
-				caseDir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(caseDir, "snapshot.db"), snap, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				for _, prev := range segs[:k] {
-					b, err := os.ReadFile(filepath.Join(recDir, prev))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(filepath.Join(caseDir, prev), b, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := os.WriteFile(filepath.Join(caseDir, seg), data[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				verifyRebalanceRecovery(t, caseDir)
-			})
-		}
-	}
+	sweepJournalPrefixes(t, recDir, verifyRebalanceRecovery)
 }
 
 // verifyRebalanceRecovery reconstructs the crash-point world, recovers a

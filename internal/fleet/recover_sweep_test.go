@@ -12,10 +12,11 @@ import (
 
 // sweepConfig is the deterministic controller configuration shared by the
 // recording run and every replayed world: same seed, same batch sizes, so
-// the workers end up byte-identical at the crash point every time.
+// the workers end up byte-identical at the crash point every time. The slot
+// is placed on all three workers.
 func sweepConfig() Config {
 	return Config{
-		Seed: 7, TrafficBatch: 4, VNodes: 16,
+		Seed: 7, TrafficBatch: 4, VNodes: 16, Replication: 3,
 		RPCTimeout: time.Second, RetryBase: time.Millisecond,
 		BreakerBase: 5 * time.Millisecond, CompactEvery: 10_000,
 	}
@@ -87,6 +88,16 @@ func TestControllerJournalTruncationSweep(t *testing.T) {
 		t.Fatalf("scenario versions indistinguishable: %d insns", oldInsns)
 	}
 
+	sweepJournalPrefixes(t, recDir, verifyFleetRecovery)
+}
+
+// sweepJournalPrefixes is the crash-sweep loop both controller sweeps share:
+// for five evenly spaced cuts of each segment of the journal recorded in
+// recDir (the snapshot and every earlier segment kept whole, later ones
+// gone), it builds that prefix in a fresh directory and hands it to verify as
+// one subtest. The recording must span a snapshot and a segment rotation.
+func sweepJournalPrefixes(t *testing.T, recDir string, verify func(t *testing.T, dir string)) {
+	t.Helper()
 	segs, err := journal.SegmentFiles(recDir)
 	if err != nil {
 		t.Fatal(err)
@@ -111,22 +122,20 @@ func TestControllerJournalTruncationSweep(t *testing.T) {
 			caseNum++
 			t.Run(fmt.Sprintf("case-%02d-%s-cut%d", caseNum, seg, cut), func(t *testing.T) {
 				caseDir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(caseDir, "snapshot.db"), snap, 0o644); err != nil {
-					t.Fatal(err)
-				}
+				files := map[string][]byte{"snapshot.db": snap, seg: data[:cut]}
 				for _, prev := range segs[:k] {
 					b, err := os.ReadFile(filepath.Join(recDir, prev))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.WriteFile(filepath.Join(caseDir, prev), b, 0o644); err != nil {
+					files[prev] = b
+				}
+				for name, b := range files {
+					if err := os.WriteFile(filepath.Join(caseDir, name), b, 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := os.WriteFile(filepath.Join(caseDir, seg), data[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				verifyFleetRecovery(t, caseDir)
+				verify(t, caseDir)
 			})
 		}
 	}

@@ -3,13 +3,13 @@ package fleet
 import (
 	"errors"
 	"fmt"
-
-	"merlin/internal/lifecycle"
+	"sort"
 )
 
-// Rollout phases. Forward progress is deploy → canary → promote per worker;
-// any gate failure pivots the whole rollout into rollback, which unwinds the
-// already-promoted workers in reverse order. done / failed are terminal.
+// Rollout phases. Forward progress on each worker is its gate's deploy →
+// canary → promote (see gate); any gate failure pivots the whole rollout into
+// rollback, which unwinds the already-promoted workers in reverse order.
+// done / failed are terminal.
 const (
 	PhaseDeploy   = "deploy"
 	PhaseCanary   = "canary"
@@ -25,7 +25,8 @@ const (
 // state, so a controller killed at any point resumes exactly one action deep.
 // The phases are idempotent against replayed or half-delivered RPCs: a
 // re-deploy replaces the candidate, and promote ambiguity (reply lost to a
-// partition) is resolved by reading the worker's status instead of guessing.
+// partition) is resolved by the next canary feed's status instead of
+// guessing.
 type Rollout struct {
 	Slot string `json:"slot"`
 	Src  string `json:"src"`
@@ -34,20 +35,15 @@ type Rollout struct {
 	Gen   int      `json:"gen"`
 	Order []string `json:"order"` // workers in deploy order
 	Idx   int      `json:"idx"`   // current worker index
-	Phase string   `json:"phase"`
+	// gate is the current worker's install; its Phase doubles as the
+	// rollout's, which also takes the values rollback, done and failed.
+	gate
 	// Promoted lists workers already running Gen, in promotion order.
 	Promoted []string `json:"promoted,omitempty"`
-	// CandGen / PrevLive track, per worker, the candidate generation the
-	// deploy staged and the live generation before it — the two anchors
-	// that disambiguate "promoted during a partition" from "rejected by
-	// the divergence gate" when reading status.
-	CandGen  map[string]int `json:"candGen,omitempty"`
-	PrevLive map[string]int `json:"prevLive,omitempty"`
-	// Canary counts canary-feed steps spent on the current worker; Skips
-	// counts consecutive status polls skipped because the worker's event
-	// watermark was unchanged (see stepCanary).
-	Canary int `json:"canary"`
-	Skips  int `json:"skips,omitempty"`
+	// CandGen is read, never written: journals from before the gate kept a
+	// candidate generation per worker here, and recovery moves the current
+	// worker's entry into Cand.
+	CandGen map[string]int `json:"candGen,omitempty"`
 	// Rollback bookkeeping: Aborted records that the in-flight candidate on
 	// the current worker was torn down; RbIdx indexes Promoted from the
 	// back; Skipped lists workers that were unreachable during rollback and
@@ -67,22 +63,13 @@ func (r *Rollout) clone() Rollout {
 	cp.Order = append([]string(nil), r.Order...)
 	cp.Promoted = append([]string(nil), r.Promoted...)
 	cp.Skipped = append([]string(nil), r.Skipped...)
-	cp.CandGen = map[string]int{}
-	cp.PrevLive = map[string]int{}
-	for k, v := range r.CandGen {
-		cp.CandGen[k] = v
-	}
-	for k, v := range r.PrevLive {
-		cp.PrevLive[k] = v
-	}
 	return cp
 }
 
-// Deploy starts a fleet-wide rolling deploy of src into slot across every
-// currently-routable worker — or, with placement enabled, across the slot's
-// routable replicas (assigning the placement first for a new slot). It fails
-// if a rollout is already in flight or no worker is routable; the actual
-// work happens one action per Step.
+// Deploy starts a fleet-wide rolling deploy of src into slot across the
+// slot's routable replicas, in name order (assigning the placement first for
+// a new slot). It fails if a rollout is already in flight or no worker is
+// routable; the actual work happens one action per Step.
 func (c *Controller) Deploy(slot, src string) error {
 	if slot == "" || src == "" {
 		return errors.New("fleet: deploy needs a slot and a source")
@@ -97,31 +84,28 @@ func (c *Controller) Deploy(slot, src string) error {
 	if len(order) == 0 {
 		return errors.New("fleet: no routable workers to deploy to")
 	}
-	if c.cfg.Replication > 0 {
-		pl := c.placements[slot]
-		if pl == nil {
-			pl = c.assignPlacementLocked(slot)
-		}
-		order = order[:0]
-		for _, rn := range pl.Replicas {
-			if w := c.workers[rn]; w != nil && w.health.eligible() {
-				order = append(order, rn)
-			}
-		}
-		if len(order) == 0 {
-			return fmt.Errorf("fleet: no routable replica of %s to deploy to", slot)
-		}
-		// The rollout owns the slot now; any repair racing it is stale.
-		c.cancelRepairsForSlotLocked(slot, "new rollout owns the slot")
+	pl := c.placements[slot]
+	if pl == nil {
+		pl = c.assignPlacementLocked(slot)
 	}
+	order = order[:0]
+	for _, rn := range pl.Replicas {
+		if w := c.workers[rn]; w != nil && w.health.eligible() {
+			order = append(order, rn)
+		}
+	}
+	if len(order) == 0 {
+		return fmt.Errorf("fleet: no routable replica of %s to deploy to", slot)
+	}
+	sort.Strings(order)
+	// The rollout owns the slot now; any repair racing it is stale.
+	c.cancelRepairsForSlotLocked(slot, "new rollout owns the slot")
 	gen := 1
 	if cat := c.catalog[slot]; cat != nil {
 		gen = cat.Gen + 1
 	}
-	c.rollout = &Rollout{
-		Slot: slot, Src: src, Gen: gen, Order: order, Phase: PhaseDeploy,
-		CandGen: map[string]int{}, PrevLive: map[string]int{},
-	}
+	c.rollout = &Rollout{Slot: slot, Src: src, Gen: gen, Order: order,
+		gate: gate{Phase: PhaseDeploy}}
 	c.journalRolloutLocked(true)
 	if c.met != nil {
 		c.met.rolloutsStarted.Inc()
@@ -141,224 +125,65 @@ func (c *Controller) Step() (bool, error) {
 	defer c.stepMu.Unlock()
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	r := c.rollout
 	if r.terminal() {
-		c.mu.Unlock()
 		return true, nil
 	}
-	phase := r.Phase
-	c.mu.Unlock()
-
-	switch phase {
-	case PhaseDeploy:
-		c.stepDeploy(r)
-	case PhaseCanary:
-		c.stepCanary(r)
-	case PhasePromote:
-		c.stepPromote(r)
-	case PhaseRollback:
+	switch {
+	case r.Phase == PhaseRollback:
+		c.mu.Unlock()
 		c.stepRollback(r)
+		c.mu.Lock()
+	case r.Idx >= len(r.Order):
+		c.finishLocked(r)
+	default:
+		name := r.Order[r.Idx]
+		if w := c.workers[name]; w == nil || w.health == Down {
+			c.haltLocked(r, fmt.Sprintf("worker %s is down", name))
+			break
+		}
+		g := r.gate
+		c.mu.Unlock()
+		out, liveGen, why := c.gateStep(name, r.Slot, r.Src, &g)
+		c.mu.Lock()
+		r.gate = g
+		c.judgeLocked(r, name, out, liveGen, why)
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.journalRolloutLocked(true)
 	return c.rollout.terminal(), nil
 }
 
-// currentWorker returns the rollout's current worker and whether it is
-// still routable, halting into rollback when it is not.
-func (c *Controller) currentWorker(r *Rollout) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.Idx >= len(r.Order) {
-		c.finishLocked(r)
-		return "", false
-	}
-	name := r.Order[r.Idx]
-	w := c.workers[name]
-	if w == nil || w.health == Down {
-		c.haltLocked(r, fmt.Sprintf("worker %s is down", name))
-		return "", false
-	}
-	return name, true
-}
-
-func (c *Controller) stepDeploy(r *Rollout) {
-	name, ok := c.currentWorker(r)
-	if !ok {
-		return
-	}
-	lines, err := c.rpc(name, "deploy "+r.Slot+" "+r.Src, false)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		return // health machine recorded it; retry or halt next Step
-	}
-	rep, ok := parseDeployReply(lines)
-	if !ok {
-		c.haltLocked(r, fmt.Sprintf("deploy on %s: %s", name, lastLine(lines)))
-		return
-	}
-	if rep.candGen == 0 {
-		if c.catalog[r.Slot] != nil {
-			// The fleet has a blessed incumbent for this slot, but the deploy
-			// went live with no candidate staged: the worker lost its state
-			// (restarted empty mid-rollout) and the new version switched in
-			// without paying the canary gate. An ungated switch never counts
-			// as a promotion — halt the rollout, and park the worker in
-			// Recovering so reconcile pushes the blessed version back over
-			// the ungated one once the rollback settles.
-			if w := c.workers[name]; w != nil && w.health != Down {
-				c.setHealthLocked(w, Recovering, "ungated live switch during rollout")
-			}
-			c.haltLocked(r, fmt.Sprintf("ungated live switch on %s (incumbent lost)", name))
+// judgeLocked maps the current worker's gate outcome onto the rollout:
+// promoted advances it, refused halts it, pending and unreachable leave it
+// for the next Step (the health machine halts it once the worker is down).
+func (c *Controller) judgeLocked(r *Rollout, name string, out outcome, liveGen int, why string) {
+	switch out {
+	case gateBootstrapped:
+		if c.catalog[r.Slot] == nil {
+			// Fresh slot fleet-wide: the bootstrap deploy goes live at once
+			// (no incumbent anywhere to mirror against), which is a promotion
+			// in fleet terms.
+			c.markPromotedLocked(r, name, liveGen)
 			return
 		}
-		// Fresh slot fleet-wide: the bootstrap deploy goes live immediately
-		// (no incumbent anywhere to mirror against), which is a promotion in
-		// fleet terms.
-		c.markPromotedLocked(r, name, rep.liveGen)
-		return
-	}
-	r.CandGen[name] = rep.candGen
-	r.PrevLive[name] = rep.liveGen
-	r.Phase = PhaseCanary
-	r.Canary = 0
-	r.Skips = 0
-	// Force the first canary judge to poll: the deploy changed slot state.
-	delete(c.eseqs, eseqKey(name, r.Slot))
-}
-
-// eseqKey indexes the per-(worker, slot) event watermark map.
-func eseqKey(worker, slot string) string {
-	return worker + "/" + slot
-}
-
-// stepCanary feeds the current worker's canary one batch of traffic, ticks
-// its watchdog, and reads the verdict from status. The worker's own canary
-// state machine is the gate — the controller only interprets it.
-//
-// The status poll is skipped when the traffic reply's piggybacked event
-// watermark (eseq) matches the last one seen: every transition the judge
-// cares about — stage advance, clearance, rejection, quarantine — emits a
-// slot event, so an unchanged watermark means an unchanged verdict. The
-// watermark is trusted at most StatusFallbackEvery times in a row; then a
-// full poll runs anyway (and pre-watermark workers, whose replies carry no
-// eseq, are always polled).
-func (c *Controller) stepCanary(r *Rollout) {
-	name, ok := c.currentWorker(r)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	batch := c.cfg.TrafficBatch
-	c.mu.Unlock()
-	lines, err := c.rpc(name, fmt.Sprintf("traffic %s %d", r.Slot, batch), false)
-	if err != nil {
-		return
-	}
-	if seq, ok := parseEseq(lines); ok {
-		c.mu.Lock()
-		last, seen := c.eseqs[eseqKey(name, r.Slot)]
-		if seen && seq == last && r.Skips < c.cfg.StatusFallbackEvery {
-			r.Skips++
-			if c.met != nil {
-				c.met.statusSkips.Inc()
-			}
-			// The stall guard still advances: a candidate that never clears
-			// emits no events, and must still time out.
-			if r.Canary++; r.Canary > c.cfg.MaxCanarySteps {
-				c.haltLocked(r, fmt.Sprintf("canary stalled on %s after %d steps",
-					name, c.cfg.MaxCanarySteps))
-			}
-			c.mu.Unlock()
-			return
+		// The fleet has a blessed incumbent for this slot, but the deploy went
+		// live with no candidate staged: the worker lost its state (restarted
+		// empty mid-rollout) and the new version switched in without paying
+		// the canary gate. An ungated switch never counts as a promotion —
+		// halt the rollout, and park the worker in Recovering so reconcile
+		// pushes the blessed version back over the ungated one once the
+		// rollback settles.
+		if w := c.workers[name]; w != nil && w.health != Down {
+			c.setHealthLocked(w, Recovering, "ungated live switch during rollout")
 		}
-		c.eseqs[eseqKey(name, r.Slot)] = seq
-		c.mu.Unlock()
+		c.haltLocked(r, fmt.Sprintf("ungated live switch on %s (incumbent lost)", name))
+	case gatePromoted:
+		c.markPromotedLocked(r, name, liveGen)
+	case gateRefused:
+		// One node's verdict halts the whole fleet.
+		c.haltLocked(r, why+" on "+name)
 	}
-	_, _ = c.rpc(name, "tick", false)
-	c.judgeCandidate(r, name, true)
-}
-
-// judgeCandidate reads the worker's status and advances the rollout based on
-// what actually happened to the candidate. Shared by the canary and promote
-// phases — after a lost promote reply this is what discovers the truth.
-func (c *Controller) judgeCandidate(r *Rollout, name string, inCanary bool) {
-	if c.met != nil {
-		c.met.statusPolls.Inc()
-	}
-	lines, err := c.rpc(name, "status", true)
-	if err != nil {
-		return
-	}
-	var st lifecycle.SlotStatus
-	found := false
-	for _, l := range lines {
-		if s, perr := lifecycle.ParseSlotStatus(l); perr == nil && s.Slot == r.Slot {
-			st, found = s, true
-			break
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if found {
-		// A full poll refreshes the watermark (the tick between traffic and
-		// status may itself have emitted events) and re-arms the skip budget.
-		c.eseqs[eseqKey(name, r.Slot)] = st.EventSeq
-		r.Skips = 0
-	}
-	switch {
-	case !found:
-		c.haltLocked(r, fmt.Sprintf("slot %s vanished on %s", r.Slot, name))
-	case st.Stage == lifecycle.StageQuarantined:
-		c.haltLocked(r, fmt.Sprintf("candidate quarantined on %s", name))
-	case st.CandidateGeneration == 0 && st.LiveGeneration >= r.CandGen[name]:
-		// Candidate gone and the live generation reached (or passed) it:
-		// an earlier promote landed but its reply was lost to a partition.
-		c.markPromotedLocked(r, name, st.LiveGeneration)
-	case st.CandidateGeneration == 0:
-		// Candidate gone, live unchanged: the worker's divergence gate
-		// rejected it. One node's verdict halts the whole fleet.
-		c.haltLocked(r, fmt.Sprintf("candidate rejected by %s's gate", name))
-	case st.CandidateGeneration != r.CandGen[name]:
-		// A duplicated deploy staged a newer candidate; adopt it.
-		r.CandGen[name] = st.CandidateGeneration
-	case st.Cleared:
-		r.Phase = PhasePromote
-	default:
-		if inCanary {
-			if r.Canary++; r.Canary > c.cfg.MaxCanarySteps {
-				c.haltLocked(r, fmt.Sprintf("canary stalled on %s after %d steps",
-					name, c.cfg.MaxCanarySteps))
-			}
-		}
-	}
-}
-
-func (c *Controller) stepPromote(r *Rollout) {
-	name, ok := c.currentWorker(r)
-	if !ok {
-		return
-	}
-	lines, err := c.rpc(name, "promote "+r.Slot, false)
-	if err != nil {
-		// The promote may or may not have landed; the next Step re-enters
-		// this phase and judgeCandidate resolves it from status.
-		c.judgeCandidate(r, name, false)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if last, ok := ReplyOK(lines); ok {
-		c.markPromotedLocked(r, name, parseLiveGen(last))
-		return
-	}
-	// "err ... has not cleared canary": the candidate regressed between our
-	// status read and the promote (a mirrored run diverged or a quarantine
-	// hit). Fall back to the canary loop to re-judge it.
-	r.Phase = PhaseCanary
 }
 
 // markPromotedLocked records worker name as running r.Gen and moves the
@@ -370,11 +195,9 @@ func (c *Controller) markPromotedLocked(r *Rollout, name string, liveGen int) {
 		Detail: fmt.Sprintf("fleet gen%d live=gen%d (%d/%d)",
 			r.Gen, liveGen, len(r.Promoted), len(r.Order))})
 	r.Idx++
-	r.Canary = 0
+	r.gate = gate{Phase: PhaseDeploy}
 	if r.Idx >= len(r.Order) {
 		c.finishLocked(r)
-	} else {
-		r.Phase = PhaseDeploy
 	}
 }
 
@@ -412,15 +235,11 @@ func (c *Controller) stepRollback(r *Rollout) {
 	// state later. Best-effort — a dead worker's candidate dies with it.
 	if !r.Aborted {
 		c.mu.Lock()
-		var name string
-		if r.Idx < len(r.Order) {
-			name = r.Order[r.Idx]
-		}
-		staged := name != "" && r.CandGen[name] != 0
+		staged := r.Cand != 0 && r.Idx < len(r.Order)
 		r.Aborted = true
 		c.mu.Unlock()
 		if staged {
-			_, _ = c.rpc(name, "abort "+r.Slot, false)
+			_, _ = c.rpc(r.Order[r.Idx], "abort "+r.Slot, false)
 			return
 		}
 	}

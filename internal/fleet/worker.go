@@ -53,6 +53,7 @@ type Worker struct {
 	mu      sync.Mutex
 	traffic int64            // packets generated so far, advances the input stream
 	driver  lifecycle.Driver // reused ServeBatch buffers of the traffic command
+	reply   []byte           // reused traffic reply line
 }
 
 // WriteMetrics encodes the worker's registry in Prometheus text format.
@@ -214,20 +215,40 @@ func (wk *Worker) drive(w io.Writer, slot string, n int) error {
 	if err := wk.Mgr.Flush(); err != nil {
 		fmt.Fprintln(os.Stderr, "merlind: flush after traffic:", err)
 	}
+	// One line, one Write: "ok traffic <slot> n=<n> verdicts[...] <status>".
+	// The slot status the controller's canary gate judges rides at the end,
+	// so a canary step costs this one RPC.
 	st, _ := wk.Mgr.StatusOf(slot)
-	var vparts []string
+	b := append(wk.reply[:0], "ok traffic "...)
+	b = append(b, slot...)
+	b = append(b, " n="...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, " verdicts["...)
+	open := len(b)
 	for v, name := range verdictNames {
 		if c := verdicts[int64(v)]; c > 0 {
-			vparts = append(vparts, fmt.Sprintf("%s=%d", name, c))
+			b = appendVerdict(b, open, name, c)
 			delete(verdicts, int64(v))
 		}
 	}
 	for v, c := range verdicts {
-		vparts = append(vparts, fmt.Sprintf("%d=%d", v, c))
+		b = appendVerdict(b, open, strconv.FormatInt(v, 10), c)
 	}
-	fmt.Fprintf(w, "ok traffic %s n=%d stage=%s served=%d mirrored=%d eseq=%d verdicts[%s]\n",
-		slot, n, st.Stage, st.Served, st.Mirrored, st.EventSeq, strings.Join(vparts, " "))
-	return nil
+	b = append(b, "] "...)
+	b = append(st.AppendText(b), '\n')
+	wk.reply = b
+	_, err := w.Write(b)
+	return err
+}
+
+// appendVerdict appends "name=c" to the histogram opened at b[:open].
+func appendVerdict(b []byte, open int, name string, c int) []byte {
+	if len(b) > open {
+		b = append(b, ' ')
+	}
+	b = append(b, name...)
+	b = append(b, '=')
+	return strconv.AppendInt(b, int64(c), 10)
 }
 
 var verdictNames = [...]string{

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"strconv"
 
 	"merlin/internal/vm"
 )
@@ -151,24 +152,46 @@ type SlotStatus struct {
 	Events []Event
 }
 
-func (s SlotStatus) String() string {
-	out := fmt.Sprintf("slot=%s stage=%s live=gen%d ni=%d served=%d mirrored=%d",
-		s.Slot, s.Stage, s.LiveGeneration, s.LiveNI, s.Served, s.Mirrored)
+func (s SlotStatus) String() string { return string(s.AppendText(nil)) }
+
+// AppendText appends the status line String returns to b, allocating only to
+// grow b — the worker's traffic reply ends with it on every RPC.
+func (s SlotStatus) AppendText(b []byte) []byte {
+	b = append(b, "slot="...)
+	b = append(b, s.Slot...)
+	b = append(b, " stage="...)
+	b = append(b, s.Stage...)
+	b = append(b, " live=gen"...)
+	b = strconv.AppendInt(b, int64(s.LiveGeneration), 10)
+	b = append(b, " ni="...)
+	b = strconv.AppendInt(b, int64(s.LiveNI), 10)
+	b = append(b, " served="...)
+	b = strconv.AppendUint(b, s.Served, 10)
+	b = append(b, " mirrored="...)
+	b = strconv.AppendUint(b, s.Mirrored, 10)
 	if s.CandidateGeneration > 0 {
-		out += fmt.Sprintf(" candidate=gen%d/%s runs=%d cleared=%v",
-			s.CandidateGeneration, s.CandidateStage, s.CandidateRuns, s.Cleared)
+		b = append(b, " candidate=gen"...)
+		b = strconv.AppendInt(b, int64(s.CandidateGeneration), 10)
+		b = append(b, '/')
+		b = append(b, s.CandidateStage...)
+		b = append(b, " runs="...)
+		b = strconv.AppendInt(b, int64(s.CandidateRuns), 10)
+		b = append(b, " cleared="...)
+		b = strconv.AppendBool(b, s.Cleared)
 	}
 	if s.CanaryRouted > 0 {
-		out += fmt.Sprintf(" canary_routed=%d", s.CanaryRouted)
+		b = append(b, " canary_routed="...)
+		b = strconv.AppendUint(b, s.CanaryRouted, 10)
 	}
 	if s.Retries > 0 || s.Dead {
-		out += fmt.Sprintf(" retries=%d dead=%v", s.Retries, s.Dead)
+		b = append(b, " retries="...)
+		b = strconv.AppendInt(b, int64(s.Retries), 10)
+		b = append(b, " dead="...)
+		b = strconv.AppendBool(b, s.Dead)
 	}
 	if s.EventSeq > 0 {
-		// The event watermark rides on every status (and traffic) reply so a
-		// fleet controller can tell "nothing happened since I last looked"
-		// without a full status poll.
-		out += fmt.Sprintf(" eseq=%d", s.EventSeq)
+		b = append(b, " eseq="...)
+		b = strconv.AppendInt(b, int64(s.EventSeq), 10)
 	}
-	return out
+	return b
 }

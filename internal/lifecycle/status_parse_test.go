@@ -29,6 +29,37 @@ func TestParseSlotStatusRoundTrip(t *testing.T) {
 	}
 }
 
+// The status line is a wire format (status replies, the tail of every traffic
+// reply), so its text is pinned literally, and appending it to a buffer with
+// room allocates nothing.
+func TestSlotStatusAppendTextWireFormat(t *testing.T) {
+	for _, tc := range []struct {
+		st   SlotStatus
+		want string
+	}{
+		{SlotStatus{Slot: "a", Stage: StageLive, LiveGeneration: 3, LiveNI: 17, Served: 120, Mirrored: 40},
+			"slot=a stage=live live=gen3 ni=17 served=120 mirrored=40"},
+		{SlotStatus{Slot: "b", Stage: StageCanary, LiveGeneration: 1, LiveNI: 9, Served: 5, Mirrored: 5,
+			CandidateGeneration: 2, CandidateStage: StageCanary, CandidateRuns: 7, Cleared: true, EventSeq: 12},
+			"slot=b stage=canary live=gen1 ni=9 served=5 mirrored=5 candidate=gen2/canary runs=7 cleared=true eseq=12"},
+		{SlotStatus{Slot: "c", Stage: StageQuarantined, LiveGeneration: 2, LiveNI: 4, Retries: 2, Dead: true, CanaryRouted: 11},
+			"slot=c stage=quarantined live=gen2 ni=4 served=0 mirrored=0 canary_routed=11 retries=2 dead=true"},
+		{SlotStatus{Slot: "fresh", Stage: StageLive, LiveNI: -1},
+			"slot=fresh stage=live live=gen0 ni=-1 served=0 mirrored=0"},
+	} {
+		if got := tc.st.String(); got != tc.want {
+			t.Fatalf("String() = %q, want %q", got, tc.want)
+		}
+		if got := string(tc.st.AppendText([]byte("ok x "))); got != "ok x "+tc.want {
+			t.Fatalf("AppendText after a prefix = %q", got)
+		}
+		buf := make([]byte, 0, 256)
+		if n := testing.AllocsPerRun(10, func() { buf = tc.st.AppendText(buf[:0]) }); n != 0 {
+			t.Fatalf("AppendText into a buffer with room allocated %v times", n)
+		}
+	}
+}
+
 func TestParseSlotStatusRejectsGarbage(t *testing.T) {
 	for _, line := range []string{
 		"", "ok status", "journal=degraded", "slot=x stage=live live=banana",

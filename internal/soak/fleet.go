@@ -40,9 +40,10 @@ type FleetConfig struct {
 	Seed int64
 	// Rounds is the churn-loop length (default 60).
 	Rounds int
-	// Workers is the fleet size (default 3, minimum 3 — the no-route-lost
-	// audit needs a worker to usually remain behind one kill plus one
-	// partition).
+	// Workers is the fleet size (default 3, minimum 3). Each slot is placed
+	// on the controller's default two replicas, so one kill plus one
+	// partition can take out both: the no-route-lost audit then judges a
+	// total outage.
 	Workers int
 	// TrafficPerRound is the per-slot fan-out the driver sends each round
 	// (default 24); a background pump adds more concurrently.
@@ -275,12 +276,23 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 
 	// trafficAudit sends one fan-out and judges any drop against ground
 	// truth: a drop is a violation only if some worker that was reachable for
-	// the whole fan-out holds the slot's program — the controller had a route
-	// and failed to use it. Drops during a total outage (every holder killed
-	// or partitioned at once) are legitimately lost packets, merely counted;
-	// fan-outs racing a kill/heal transition are ambiguous and not judged.
+	// the whole fan-out held the slot's program before and after it — the
+	// controller had a route and failed to use it. Drops during a total
+	// outage (every holder killed or partitioned at once) are legitimately
+	// lost packets, merely counted; fan-outs racing a kill/heal transition,
+	// or a repair landing the slot on a new holder, are ambiguous and not
+	// judged.
+	holding := func(slot string) map[string]bool {
+		held := map[string]bool{}
+		for _, name := range names {
+			_, err := lt.Manager(name).StatusOf(slot)
+			held[name] = err == nil
+		}
+		return held
+	}
 	trafficAudit := func(c *fleet.Controller, slot string, n int) (fleet.TrafficReport, error) {
 		v0, _, _ := gt.snapshot()
+		before := holding(slot)
 		tr := c.Traffic(slot, n)
 		if tr.Dropped == 0 {
 			return tr, nil
@@ -289,12 +301,10 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		if v0 != v1 {
 			return tr, nil
 		}
+		after := holding(slot)
 		for _, name := range names {
-			if name == k || name == p {
-				continue
-			}
-			if _, err := lt.Manager(name).StatusOf(slot); err != nil {
-				continue // reachable but does not hold the program (e.g. rejoined empty)
+			if name == k || name == p || !before[name] || !after[name] {
+				continue // unreachable, or did not hold the program throughout
 			}
 			evs := c.Events()
 			if len(evs) > 12 {
@@ -487,16 +497,20 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			return rep, fmt.Errorf("fleet soak: round %d: %w", round, err)
 		}
 
-		// Audit: no routable worker serves a divergent verdict once the
-		// rollout has settled and reconcile has run. Workers the controller
+		// Audit: no routable replica serves a divergent verdict once the
+		// rollout has settled and reconcile has run. Replicas the controller
 		// does not route to are pending repair and exempt until quiesce.
 		if rolloutSettled(st.Rollout) {
+			healthy := map[string]bool{}
 			for _, w := range st.Workers {
-				if w.Health != fleet.Healthy {
-					continue
-				}
-				for _, cs := range st.Catalog {
-					if _, err := serveVerdict(lt, w.Name, cs.Name); err != nil {
+				healthy[w.Name] = w.Health == fleet.Healthy
+			}
+			for _, pv := range st.Placements {
+				for _, name := range pv.Replicas {
+					if !healthy[name] {
+						continue
+					}
+					if _, err := serveVerdict(lt, name, pv.Slot); err != nil {
 						return rep, fmt.Errorf("fleet soak: round %d: %w", round, err)
 					}
 				}
@@ -524,7 +538,17 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	for {
 		c.Tick()
 		st := c.FleetStatus()
-		if !st.Degraded && rolloutSettled(st.Rollout) {
+		settled := rolloutSettled(st.Rollout)
+		for _, w := range st.Workers {
+			if w.Health != fleet.Healthy {
+				// Re-announce, as merlind's announce loop does: a suspect
+				// worker that holds no replica is sent no traffic, so no RPC
+				// would ever clear it.
+				settled = false
+				_ = c.Join(w.Name, w.Name)
+			}
+		}
+		if settled {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -541,12 +565,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		}
 	}
 	for _, cs := range st.Catalog {
-		// In mirror mode every worker holds every slot; under placement only
-		// the slot's replicas are expected to serve it.
-		holders := names
-		if reps := c.Placements()[cs.Name]; len(reps) > 0 {
-			holders = reps
-		}
+		holders := c.Placements()[cs.Name]
 		var want uint64
 		for i, name := range holders {
 			insns, err := serveVerdict(lt, name, cs.Name)

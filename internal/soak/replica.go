@@ -1,5 +1,5 @@
-// The replica-loss soak: where RunFleet churns a mirror-mode fleet, this one
-// exercises the placement layer specifically. A token-armed controller places
+// The replica-loss soak: where RunFleet churns a whole fleet through
+// rollouts, this one exercises the placement layer specifically. A token-armed controller places
 // every slot on R workers, then the harness takes a replica away twice — once
 // by SIGKILL, once by one-way partition — while traffic hammers every slot
 // from the driver and a background pump. The invariants audited are the
