@@ -140,10 +140,12 @@ go test -run FuzzVMEquivalence -fuzz FuzzVMEquivalence -fuzztime 20s ./internal/
 go test -run FuzzScalarSemantics -fuzz FuzzScalarSemantics -fuzztime 10s ./internal/difftest/
 
 # Benchmark correctness smokes, no timing threshold: a real merlind worker
-# driven through the shared dispatcher, and the in-process batch path; each
+# driven through the shared dispatcher, the controller fanning 8-packet
+# traffic RPCs over two workers, and the in-process batch path; each
 # recomputes its verdict histograms on vm.NewRef and exits non-zero on any
-# mismatch, drop or failed operation.
+# mismatch, dropped or short Traffic, or failed operation.
 bash bench/run.sh -workload serve-daemon-bulk -seconds 1
+bash bench/run.sh -workload serve-fleet -seconds 1
 bash bench/run.sh -workload serve-batch -seconds 1
 
 # Storage-chaos soak: seeded faults (ENOSPC/EIO/torn writes) at ~1% on every

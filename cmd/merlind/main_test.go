@@ -151,23 +151,24 @@ func TestTrafficMatchesPerPacketServe(t *testing.T) {
 	}
 }
 
-// In steady state the traffic command allocates for its inputs and a fixed
-// handful per command, nothing per packet.
+// In steady state the whole traffic command, inputs included, allocates a
+// small fixed count: the same at 256 and at 4096 packets, nothing per packet.
 func TestDriveAllocsPerPacket(t *testing.T) {
 	d := newTestDaemon()
 	mustDispatch(t, d, "deploy s corpus:xdp2")
-	const n = 4096
-	traffic := fmt.Sprintf("traffic s %d", n)
-	mustDispatch(t, d, traffic) // sizes the reused buffers
-	inputs := testing.AllocsPerRun(5, func() { guard.Inputs(ebpf.HookXDP, n, testSeed) })
-	drive := testing.AllocsPerRun(5, func() {
-		if err := d.Dispatch(io.Discard, traffic); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perPkt := (drive - inputs) / n; perPkt > 0.02 {
-		t.Fatalf("drive allocates %.3f per packet beyond its inputs (%v per command, inputs %v)",
-			perPkt, drive, inputs)
+	perCommand := map[int]float64{}
+	for _, n := range []int{256, 4096} {
+		traffic := fmt.Sprintf("traffic s %d", n)
+		mustDispatch(t, d, traffic) // sizes the reused buffers
+		perCommand[n] = testing.AllocsPerRun(5, func() {
+			if err := d.Dispatch(io.Discard, traffic); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perCommand[256] != perCommand[4096] || perCommand[4096] > 4 {
+		t.Fatalf("traffic command allocates %v times at 256 packets, %v at 4096; want the same small count",
+			perCommand[256], perCommand[4096])
 	}
 }
 

@@ -49,6 +49,7 @@ func TestMalformedCommandsAnswerAlikeLocalAndTCP(t *testing.T) {
 		{"traffic s 0", "err traffic: traffic count must be a positive integer"},
 		{"traffic s -3", "err traffic: traffic count must be a positive integer"},
 		{"traffic s 4 5", "err traffic: usage"},
+		{"traffic s 1048577", "err traffic: traffic count 1048577 exceeds the per-command maximum 1048576"},
 		{"traffic nope 4", "err traffic: "},
 		{"promote", "err promote: usage"},
 		{"promote nope", "err promote: "},

@@ -50,11 +50,18 @@ type Worker struct {
 
 	// mu serializes dispatch: every face shares one Worker, and a command's
 	// reply lines must not interleave with another's manager mutations.
-	mu      sync.Mutex
-	traffic int64            // packets generated so far, advances the input stream
-	driver  lifecycle.Driver // reused ServeBatch buffers of the traffic command
-	reply   []byte           // reused traffic reply line
+	mu       sync.Mutex
+	traffic  int64              // packets generated so far, advances the input stream
+	stream   guard.Stream       // the traffic command's input generator, re-seeded per command
+	driver   lifecycle.Driver   // reused input and ServeBatch buffers of the traffic command
+	verdicts lifecycle.Verdicts // reused verdict histogram of the traffic command
+	reply    []byte             // reused traffic reply line
 }
+
+// maxTraffic is the most packets one traffic command serves: the command
+// holds the dispatch lock for its whole run, so one control line must not
+// hold it for minutes.
+const maxTraffic = 1 << 20
 
 // WriteMetrics encodes the worker's registry in Prometheus text format.
 // Safe against the command loop, so a scrape never blocks traffic.
@@ -82,6 +89,9 @@ func (wk *Worker) Dispatch(w io.Writer, line string) error {
 		n, err := strconv.Atoi(args[1])
 		if err != nil || n <= 0 {
 			return fmt.Errorf("traffic count must be a positive integer")
+		}
+		if n > maxTraffic {
+			return fmt.Errorf("traffic count %d exceeds the per-command maximum %d", n, maxTraffic)
 		}
 		return wk.drive(w, args[0], n)
 	case "promote":
@@ -200,14 +210,15 @@ func (wk *Worker) deploy(w io.Writer, slot, desc string) error {
 	return nil
 }
 
-// drive serves n synthetic XDP packets through the slot in ServeBatch chunks,
-// mirroring them into any in-flight candidate, and reports the verdict
-// histogram.
+// drive serves n synthetic XDP packets — guard.Inputs(HookXDP, n,
+// Seed+offset), offset the packets earlier commands generated — through the
+// slot in ServeBatch chunks, mirroring them into any in-flight candidate, and
+// reports the verdict histogram.
 func (wk *Worker) drive(w io.Writer, slot string, n int) error {
-	inputs := guard.Inputs(ebpf.HookXDP, n, wk.Seed+wk.traffic)
+	wk.stream.Reset(ebpf.HookXDP, wk.Seed+wk.traffic)
 	wk.traffic += int64(n)
-	verdicts := map[int64]int{}
-	if err := wk.driver.Drive(wk.Mgr, slot, inputs, verdicts); err != nil {
+	wk.verdicts.Reset()
+	if err := wk.driver.Drive(wk.Mgr, slot, &wk.stream, n, &wk.verdicts); err != nil {
 		return err
 	}
 	// Traffic mutates map state without lifecycle transitions; flush so the
@@ -226,12 +237,11 @@ func (wk *Worker) drive(w io.Writer, slot string, n int) error {
 	b = append(b, " verdicts["...)
 	open := len(b)
 	for v, name := range verdictNames {
-		if c := verdicts[int64(v)]; c > 0 {
+		if c := wk.verdicts.XDP[v]; c > 0 {
 			b = appendVerdict(b, open, name, c)
-			delete(verdicts, int64(v))
 		}
 	}
-	for v, c := range verdicts {
+	for v, c := range wk.verdicts.Other {
 		b = appendVerdict(b, open, strconv.FormatInt(v, 10), c)
 	}
 	b = append(b, "] "...)

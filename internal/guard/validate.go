@@ -3,7 +3,6 @@ package guard
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"merlin/internal/analysis"
@@ -44,52 +43,6 @@ func ValidateProgram(prog *ebpf.Program) error {
 		return fmt.Errorf("guard: cfg: %w", err)
 	}
 	return nil
-}
-
-// Input is one sampled VM input for differential validation.
-type Input struct {
-	Ctx []byte
-	Pkt []byte
-}
-
-// Inputs generates n deterministic sampled inputs appropriate for the hook:
-// packet mixes for XDP/socket-filter programs (varying length, ethertype and
-// payload), scalar argument blocks for tracepoint/kprobe programs. The same
-// (hook, n, seed) always yields the same inputs.
-func Inputs(hook ebpf.HookType, n int, seed int64) []Input {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Input, 0, n)
-	switch hook {
-	case ebpf.HookXDP, ebpf.HookSocketFilter:
-		lens := []int{14, 34, 60, 64, 96, 128, 256, 640}
-		for i := 0; i < n; i++ {
-			pkt := make([]byte, lens[i%len(lens)])
-			fill := byte(rng.Intn(256))
-			for j := range pkt {
-				pkt[j] = byte(j) ^ fill
-			}
-			if len(pkt) >= 14 {
-				// Bias toward IPv4 so parse paths get exercised.
-				if rng.Intn(2) == 0 {
-					pkt[12], pkt[13] = 0x08, 0x00
-				}
-				if len(pkt) >= 34 {
-					pkt[14] = 0x45
-					pkt[14+9] = []byte{6, 17, 1}[rng.Intn(3)]
-				}
-			}
-			out = append(out, Input{Ctx: vm.BuildXDPContext(len(pkt)), Pkt: pkt})
-		}
-	default:
-		for i := 0; i < n; i++ {
-			args := make([]uint64, 8)
-			for j := range args {
-				args[j] = rng.Uint64() >> uint(rng.Intn(33))
-			}
-			out = append(out, Input{Ctx: vm.TracepointContext(args...)})
-		}
-	}
-	return out
 }
 
 // Observation is one program's recorded behaviour on a set of sampled inputs:

@@ -15,38 +15,63 @@ func TestDriverChunksCountsAndFails(t *testing.T) {
 	if err := m.Deploy("s", progSource(goodProg(), nil)); err != nil {
 		t.Fatal(err)
 	}
-	inputs := guard.Inputs(ebpf.HookXDP, 2*driveChunk+5, 1)
+	const n = 2*driveChunk + 5
+	var src guard.Stream
 	var d Driver
-	hist := map[int64]int{}
-	if err := d.Drive(m, "s", inputs, hist); err != nil {
+	var hist Verdicts
+	src.Reset(ebpf.HookXDP, 1)
+	if err := d.Drive(m, "s", &src, n, &hist); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, c := range hist {
+	for _, c := range hist.XDP {
 		total += c
 	}
-	if st, _ := m.StatusOf("s"); total != len(inputs) || st.Served != uint64(len(inputs)) {
-		t.Fatalf("histogram counts %d packets, served=%d, want %d", total, st.Served, len(inputs))
+	for _, c := range hist.Other {
+		total += c
 	}
-	if len(d.ctxs) > driveChunk {
-		t.Fatalf("driver buffered %d packets, chunk is %d", len(d.ctxs), driveChunk)
+	if st, _ := m.StatusOf("s"); total != n || st.Served != n {
+		t.Fatalf("histogram counts %d packets, served=%d, want %d", total, st.Served, n)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
-		if err := d.Drive(m, "s", inputs, hist); err != nil {
+		src.Reset(ebpf.HookXDP, 1)
+		if err := d.Drive(m, "s", &src, n, &hist); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("warm Drive allocates %.1f times per %d packets", avg, len(inputs))
+		t.Fatalf("warm Drive allocates %.1f times per %d packets", avg, n)
 	}
 
-	if err := d.Drive(m, "nope", inputs, nil); err == nil {
+	src.Reset(ebpf.HookXDP, 1)
+	if err := d.Drive(m, "nope", &src, n, nil); err == nil {
 		t.Fatal("drive through an unknown slot succeeded")
 	}
 	if err := m.Deploy("f", progSource(faultingProg(), nil)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, want := m.Serve("f", inputs[0].Ctx, inputs[0].Pkt)
-	if err := d.Drive(m, "f", inputs[:4], nil); err == nil || want == nil || err.Error() != want.Error() {
+	first := guard.Inputs(ebpf.HookXDP, 1, 1)[0]
+	_, _, want := m.Serve("f", first.Ctx, first.Pkt)
+	src.Reset(ebpf.HookXDP, 1)
+	if err := d.Drive(m, "f", &src, 4, nil); err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("drive over a faulting program returned %v, Serve returns %v", err, want)
+	}
+}
+
+// However many packets one drive serves, the driver holds one chunk of
+// inputs.
+func TestDriverHoldsOneChunk(t *testing.T) {
+	m := NewManager(Config{})
+	if err := m.Deploy("s", progSource(goodProg(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	var src guard.Stream
+	var d Driver
+	src.Reset(ebpf.HookXDP, 3)
+	if err := d.Drive(m, "s", &src, 100000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cap(d.ins) > driveChunk || cap(d.ctxs) > driveChunk || cap(d.pkts) > driveChunk {
+		t.Fatalf("driver holds %d inputs, %d contexts and %d packets after 100000; chunk is %d",
+			cap(d.ins), cap(d.ctxs), cap(d.pkts), driveChunk)
 	}
 }

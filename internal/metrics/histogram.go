@@ -50,6 +50,20 @@ func (h *Histogram) Observe(v uint64) {
 	atomic.AddUint64(&h.count, 1)
 }
 
+// Add merges a locally tallied snapshot into the histogram: afterwards it
+// holds what observing each of the tally's values would have left. A hot
+// loop observes into a HistogramSnapshot and adds it once, paying a few
+// atomic adds per batch instead of three per value.
+func (h *Histogram) Add(s *HistogramSnapshot) {
+	for i, n := range s.Buckets {
+		if n != 0 {
+			atomic.AddUint64(&h.buckets[i], n)
+		}
+	}
+	atomic.AddUint64(&h.sum, s.Sum)
+	atomic.AddUint64(&h.count, s.Count)
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return atomic.LoadUint64(&h.count) }
 
@@ -63,6 +77,15 @@ type HistogramSnapshot struct {
 	Buckets [NumBuckets + 1]uint64
 	Count   uint64
 	Sum     uint64
+}
+
+// Observe records one value in the snapshot, as Histogram.Observe would in
+// the histogram. Not safe for concurrent use: it is the local tally
+// Histogram.Add publishes.
+func (s *HistogramSnapshot) Observe(v uint64) {
+	s.Buckets[bucketIndex(v)]++
+	s.Sum += v
+	s.Count++
 }
 
 // Snapshot copies the histogram state. Individual fields are each read

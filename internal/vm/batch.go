@@ -38,7 +38,9 @@ func (b *Batch) Reset(n int) {
 //
 // The fast engine executes each packet with zero heap allocations; the
 // batch amortizes everything else a serving loop pays per packet (metrics
-// fan-in, lifecycle locking, context rebuild) across n packets.
+// fan-in, lifecycle locking, context rebuild) across n packets. With
+// Config.Metrics set, the registry ends up as after len(ctxs) Run calls, but
+// the batch's runs are published together once the batch has run.
 func (m *Machine) RunBatch(ctxs, pkts [][]byte, out *Batch) int {
 	out.Reset(len(ctxs))
 	faults := 0
@@ -56,14 +58,12 @@ func (m *Machine) RunBatch(ctxs, pkts [][]byte, out *Batch) int {
 		} else {
 			rv, out.Stats[i], err = m.runRef(ctxs[i], pkt)
 		}
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.record(out.Stats[i], err)
-		}
 		out.RV[i] = rv
 		out.Errs[i] = err
 		if err != nil {
 			faults++
 		}
 	}
+	m.cfg.Metrics.recordBatch(out)
 	return faults
 }

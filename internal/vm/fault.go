@@ -45,6 +45,11 @@ func (e *RuntimeError) Error() string {
 
 // AsRuntimeError unwraps err to the machine's typed runtime error, if any.
 func AsRuntimeError(err error) (*RuntimeError, bool) {
+	// An unwrapped error, the packet path's case, needs no errors.As (whose
+	// target escapes to the heap).
+	if re, ok := err.(*RuntimeError); ok {
+		return re, true
+	}
 	var re *RuntimeError
 	if errors.As(err, &re) {
 		return re, true

@@ -73,15 +73,49 @@ func (m *Metrics) record(st Stats, err error) {
 	m.runCycles.Observe(st.Cycles)
 	m.runInsns.Observe(st.Instructions)
 	if err != nil {
-		c, g, pc := m.faultMisc, m.lastFaultMisc, -1
-		if re, ok := AsRuntimeError(err); ok {
-			pc = re.PC
-			if fc := m.faults[re.Kind]; fc != nil {
-				c = fc
-				g = m.lastFaultPC[re.Kind]
-			}
-		}
-		c.Add(1)
-		g.Set(int64(pc))
+		m.recordFault(err)
 	}
+}
+
+// recordBatch accounts a finished batch: the registry ends up exactly as
+// after one record call per packet in order, but the run counters and
+// histograms are tallied locally and published once per batch.
+func (m *Metrics) recordBatch(b *Batch) {
+	if m == nil || len(b.Stats) == 0 {
+		return
+	}
+	var insns, cycles, helpers uint64
+	var runCycles, runInsns metrics.HistogramSnapshot
+	for i := range b.Stats {
+		st := &b.Stats[i]
+		insns += st.Instructions
+		cycles += st.Cycles
+		helpers += st.HelperCalls
+		runCycles.Observe(st.Cycles)
+		runInsns.Observe(st.Instructions)
+		if b.Errs[i] != nil {
+			m.recordFault(b.Errs[i])
+		}
+	}
+	m.runs.Add(uint64(len(b.Stats)))
+	m.insns.Add(insns)
+	m.cycles.Add(cycles)
+	m.helpers.Add(helpers)
+	m.runCycles.Add(&runCycles)
+	m.runInsns.Add(&runInsns)
+}
+
+// recordFault counts a faulted run under its kind and points the kind's
+// last-fault gauge at its instruction.
+func (m *Metrics) recordFault(err error) {
+	c, g, pc := m.faultMisc, m.lastFaultMisc, -1
+	if re, ok := AsRuntimeError(err); ok {
+		pc = re.PC
+		if fc := m.faults[re.Kind]; fc != nil {
+			c = fc
+			g = m.lastFaultPC[re.Kind]
+		}
+	}
+	c.Add(1)
+	g.Set(int64(pc))
 }
