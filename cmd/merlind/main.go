@@ -209,7 +209,8 @@ func (d *daemon) shutdown() {
 
 // reattachLoop retries opening an unavailable state dir with exponential
 // backoff. On success it hands the journal to the lifecycle manager, which
-// writes a recovery marker and re-journals every slot's current state.
+// writes a recovery marker and compacts every slot's current state into the
+// snapshot.
 func (d *daemon) reattachLoop(dir string, o journal.Options) {
 	backoff := 250 * time.Millisecond
 	for {

@@ -78,7 +78,7 @@ func TestMerlindDegradedStartup(t *testing.T) {
 
 	d := startDaemon(t, bin, "-state-dir", state, "-listen", "127.0.0.1:0",
 		"-shadow", "2", "-canary", "2")
-	d.waitFor("merlind: -state-dir unavailable")
+	d.waitFor("merlind: -state-dir unavailable, serving in-memory (degraded): ")
 	addr := strings.TrimPrefix(d.waitFor("ok listen "), "ok listen ")
 
 	// Full lifecycle works while storage is broken.

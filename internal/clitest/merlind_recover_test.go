@@ -12,7 +12,9 @@ import (
 	"testing"
 )
 
-var counterLine = regexp.MustCompile(`map cntrs_array bytes=\d+ u64\[0\]=(\d+)`)
+// counterLine matches xdp_pktcntr's counter map dump; the map is 256 bytes,
+// and a recovered map must come back whole.
+var counterLine = regexp.MustCompile(`map cntrs_array bytes=256 u64\[0\]=(\d+)`)
 
 // counters extracts every cntrs_array value printed by `maps` commands, in
 // order.

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,8 +64,8 @@ type Config struct {
 	// MaxCanarySteps bounds how many canary-feed steps the rollout spends
 	// on one worker before declaring it stalled (default 32).
 	MaxCanarySteps int
-	// CompactEvery compacts the controller journal after this many appends
-	// (default 128).
+	// CompactEvery compacts the controller journal once it holds this many
+	// records, counting those found at open (default 128).
 	CompactEvery int
 	// MaxEvents caps the fleet event ring (default 128).
 	MaxEvents int
@@ -226,8 +227,7 @@ type Controller struct {
 	repairs    map[string]*repairTask // active repairs, one per slot
 	repairBk   map[string]*repairBreaker
 
-	jl       *journal.Log
-	jAppends int
+	jl *journal.Ledger // persist.go
 
 	stepMu sync.Mutex
 
@@ -255,6 +255,7 @@ func New(cfg Config, tr Transport) *Controller {
 		repairBk:   map[string]*repairBreaker{},
 		rng:        cfg.Seed | 1,
 	}
+	c.jl = c.newLedger()
 	return c
 }
 
@@ -449,7 +450,9 @@ func (c *Controller) Join(name, addr string) error {
 		// successful probe.
 		c.setHealthLocked(w, Recovering, "worker announced")
 	}
-	c.journalLocked(record{Kind: recWorker, Worker: &workerRec{Name: name, Addr: addr}}, true)
+	c.jl.Append(func() any {
+		return record{Kind: recWorker, Worker: &workerRec{Name: name, Addr: addr}}
+	}, true)
 	c.gaugesLocked()
 	c.mu.Unlock()
 	// stepMu serializes this reconcile against rollout steps, so a rejoining
@@ -487,12 +490,14 @@ func (c *Controller) Leave(name string) error {
 	c.dropRepairsForWorkerLocked(name)
 	for _, slot := range c.placementSlotsLocked() {
 		pl := c.placements[slot]
-		if !containsStr(pl.Replicas, name) {
+		if !slices.Contains(pl.Replicas, name) {
 			continue
 		}
 		c.setPlacementLocked(slot, withoutStr(pl.Replicas, name), "worker "+name+" left")
 	}
-	c.journalLocked(record{Kind: recWorker, Worker: &workerRec{Name: name, Gone: true}}, true)
+	c.jl.Append(func() any {
+		return record{Kind: recWorker, Worker: &workerRec{Name: name, Gone: true}}
+	}, true)
 	c.eventLocked(Event{Kind: EventLeave, Worker: name, Detail: "removed from fleet"})
 	c.gaugesLocked()
 	return nil
@@ -685,7 +690,7 @@ func (c *Controller) installedLocked(worker string) map[string]installedRec {
 func (c *Controller) setInstalledLocked(worker, slot string, fleetGen, localGen int, sync bool) {
 	rec := installedRec{Worker: worker, Slot: slot, FleetGen: fleetGen, LocalGen: localGen}
 	c.installedLocked(worker)[slot] = rec
-	c.journalLocked(record{Kind: recInstalled, Installed: &rec}, sync)
+	c.jl.Append(func() any { return record{Kind: recInstalled, Installed: &rec} }, sync)
 }
 
 // deleteInstalledLocked erases the confirmation record for a drained slot and
@@ -696,7 +701,7 @@ func (c *Controller) deleteInstalledLocked(worker, slot string) {
 	}
 	delete(c.installed[worker], slot)
 	rec := installedRec{Worker: worker, Slot: slot, Gone: true}
-	c.journalLocked(record{Kind: recInstalled, Installed: &rec}, true)
+	c.jl.Append(func() any { return record{Kind: recInstalled, Installed: &rec} }, true)
 }
 
 // ---- tick ----------------------------------------------------------------
@@ -741,6 +746,8 @@ func (c *Controller) Tick() {
 	c.rebalance()
 
 	c.mu.Lock()
+	c.jl.Tick() // a degraded journal's re-attachment probe
+	c.jl.Collect()
 	c.gaugesLocked()
 	c.mu.Unlock()
 }
@@ -820,7 +827,7 @@ func (c *Controller) Traffic(slot string, n int) TrafficReport {
 			c.mu.Lock()
 			var rest []string
 			for _, name := range append(replicas, c.workerNamesLocked(func(*worker) bool { return true })...) {
-				if !containsStr(owners, name) && !containsStr(rest, name) && c.workers[name] != nil {
+				if !slices.Contains(owners, name) && !slices.Contains(rest, name) && c.workers[name] != nil {
 					rest = append(rest, name)
 				}
 			}
@@ -904,6 +911,7 @@ type Status struct {
 	Placements []PlacementView
 	Rollout    *Rollout // copy; nil when none was ever started
 	Degraded   bool
+	Journal    journal.Health
 }
 
 // FleetStatus captures the controller's current view.
@@ -945,6 +953,7 @@ func (c *Controller) FleetStatus() Status {
 		cp := c.rollout.clone()
 		st.Rollout = &cp
 	}
+	st.Journal = c.jl.Health()
 	return st
 }
 
@@ -976,6 +985,9 @@ func (s Status) Lines() []string {
 			l += fmt.Sprintf(" reason=%q", r.Reason)
 		}
 		out = append(out, l)
+	}
+	if s.Journal.Configured {
+		out = append(out, s.Journal.String())
 	}
 	out = append(out, fmt.Sprintf("degraded=%v", s.Degraded))
 	return out

@@ -22,6 +22,7 @@ const (
 	EventPlacement      EventKind = "placement"
 	EventRepair         EventKind = "repair"
 	EventDrained        EventKind = "drained"
+	EventJournal        EventKind = "journal" // the journal detached or re-attached
 )
 
 // Event is one entry in the controller's bounded event ring.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -144,7 +145,7 @@ func TestLostPromoteReplyResolvedByNextCanaryFeed(t *testing.T) {
 		if n := ct.Stats().Injected(); n != 1 {
 			t.Fatalf("%d faults injected, want the one lost promote reply", n)
 		}
-		if reps := c.Placements()["s"]; !containsStr(reps, target) || containsStr(reps, victim) {
+		if reps := c.Placements()["s"]; !slices.Contains(reps, target) || slices.Contains(reps, victim) {
 			t.Fatalf("placement after repair = %v (victim %s target %s)", reps, victim, target)
 		}
 		st, err := lt.Manager(target).StatusOf("s")
@@ -261,11 +262,11 @@ func TestGaugesNeverStale(t *testing.T) {
 		c.Traffic("s", 32)
 		fresh("traffic")
 	}
-	for i := 0; i < 10 && containsStr(c.Placements()["s"], victim); i++ {
+	for i := 0; i < 10 && slices.Contains(c.Placements()["s"], victim); i++ {
 		c.Tick()
 		fresh("tick")
 	}
-	if containsStr(c.Placements()["s"], victim) {
+	if slices.Contains(c.Placements()["s"], victim) {
 		t.Fatalf("placement never repaired: %v", c.Placements()["s"])
 	}
 	lt.Restart(victim, false)

@@ -25,8 +25,7 @@ type fleetMetrics struct {
 	rolloutsCompleted *metrics.Counter
 	rolloutsFailed    *metrics.Counter
 
-	reconciles      *metrics.Counter
-	journalFailures *metrics.Counter
+	reconciles *metrics.Counter
 
 	// Placement / repair telemetry.
 	reg                *metrics.Registry // for lazy per-slot replica gauges
@@ -87,8 +86,6 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 		"fleet rollouts halted and rolled back")
 	fm.reconciles = r.Counter("merlin_fleet_reconciles_total",
 		"worker reconcile passes against the fleet catalog")
-	fm.journalFailures = r.Counter("merlin_fleet_journal_failures_total",
-		"controller journal append/compact failures")
 	fm.reg = r
 	fm.replicaGauges = map[string]*metrics.Gauge{}
 	fm.underReplicated = r.Gauge("merlin_fleet_under_replicated",

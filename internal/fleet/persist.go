@@ -1,16 +1,20 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"time"
 
 	"merlin/internal/journal"
 )
 
-// The controller's durable state is five record kinds appended to a journal
-// (latest-wins per key on replay; worker and installed records double as
-// tombstones via Gone) plus a snapshot for compaction — the same shape as
-// the per-worker lifecycle journal one level down. What is NOT persisted is
+// The controller's durable state is five record kinds appended to its
+// journal.Ledger (latest-wins per key on replay; worker and installed
+// records double as tombstones via Gone) plus the snapshot the ledger folds
+// them into — the same ledger, with the same storage-failure policy, as the
+// per-worker lifecycle journal one level down. What is NOT persisted is
 // health: a recovered controller assumes nothing about the world and
 // re-earns its view by probing every journaled worker. Repair tasks are also
 // not persisted: a recovered controller recomputes under-replication from
@@ -21,6 +25,8 @@ const (
 	recInstalled = "installed"
 	recRollout   = "rollout"
 	recPlacement = "placement"
+	// recReattach is the ledger's re-attachment probe: no state.
+	recReattach = "reattach"
 )
 
 type workerRec struct {
@@ -49,43 +55,39 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
+// newLedger wires the controller's codec into its journal.Ledger, with the
+// library's storage-failure policy and the controller's clock; detaching and
+// re-attaching the journal are fleet events.
+func (c *Controller) newLedger() *journal.Ledger {
+	return journal.NewLedger(nil, journal.LedgerOptions{
+		Fold:     func() any { return c.snapshotLocked() },
+		Marker:   func(time.Time) any { return record{Kind: recReattach} },
+		Degraded: func(why string) { c.eventLocked(Event{Kind: EventJournal, Detail: why}) },
+		Reattached: func(n int) {
+			c.eventLocked(Event{Kind: EventJournal, Detail: fmt.Sprintf("journal re-attached (reattach #%d)", n)})
+		},
+		Now:          c.cfg.Now,
+		Metrics:      c.cfg.Metrics,
+		Prefix:       "merlin_fleet_journal_",
+		CompactEvery: c.cfg.CompactEvery,
+	})
+}
+
 // AttachJournal makes the controller durable. Call before Recover and
 // before any Join/Deploy traffic.
 func (c *Controller) AttachJournal(j *journal.Log) {
 	c.mu.Lock()
-	c.jl = j
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	_ = c.jl.Attach(j) // a healthy ledger only records the log
 }
 
-// journalLocked appends one record. Journal failures are counted, never
-// fatal: the control plane keeps running in memory, exactly like a worker
-// in journal-degraded mode.
-func (c *Controller) journalLocked(rec record, sync bool) {
-	if c.jl == nil {
-		return
-	}
-	payload, err := json.Marshal(rec)
-	if err == nil {
-		err = c.jl.Append(payload, sync)
-	}
-	if err != nil {
-		if c.met != nil {
-			c.met.journalFailures.Inc()
-		}
-		return
-	}
-	if c.jAppends++; c.jAppends >= c.cfg.CompactEvery {
-		c.jAppends = 0
-		c.compactLocked()
-	}
-}
-
-func (c *Controller) journalRolloutLocked(sync bool) {
-	if c.rollout == nil {
-		return
-	}
-	cp := c.rollout.clone()
-	c.journalLocked(record{Kind: recRollout, Rollout: &cp}, sync)
+// journalRolloutLocked journals the in-flight rollout, fsynced: each of its
+// records is a phase transition.
+func (c *Controller) journalRolloutLocked() {
+	c.jl.Append(func() any {
+		cp := c.rollout.clone()
+		return record{Kind: recRollout, Rollout: &cp}
+	}, true)
 }
 
 func (c *Controller) snapshotLocked() snapshot {
@@ -115,23 +117,11 @@ func (c *Controller) snapshotLocked() snapshot {
 	return snap
 }
 
-func (c *Controller) compactLocked() {
-	payload, err := json.Marshal(c.snapshotLocked())
-	if err == nil {
-		err = c.jl.Compact(payload)
-	}
-	if err != nil && c.met != nil {
-		c.met.journalFailures.Inc()
-	}
-}
-
 // Flush forces a snapshot compaction (tests and shutdown paths).
 func (c *Controller) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.jl != nil {
-		c.compactLocked()
-	}
+	c.jl.Compact()
 }
 
 // RecoverStats summarizes a journal recovery.
@@ -155,27 +145,43 @@ func (c *Controller) Recover() (RecoverStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var rs RecoverStats
-	if c.jl == nil {
+	if !c.jl.Attached() {
 		return rs, nil
 	}
-	if payload, ok := c.jl.Snapshot(); ok {
+	r, err := c.jl.Recover(func(payload []byte, r *journal.Recovery) error {
 		var snap snapshot
 		if err := json.Unmarshal(payload, &snap); err != nil {
-			return rs, fmt.Errorf("fleet: corrupt controller snapshot: %w", err)
+			return fmt.Errorf("fleet: corrupt controller snapshot: %w", err)
 		}
-		c.applySnapshotLocked(snap)
-	}
-	err := c.jl.Replay(func(payload []byte) error {
+		r.SnapshotBytes = len(payload)
+		for i := range snap.Workers {
+			c.applyRecordLocked(record{Kind: recWorker, Worker: &snap.Workers[i]})
+		}
+		for i := range snap.Catalog {
+			c.applyRecordLocked(record{Kind: recCatalog, Catalog: &snap.Catalog[i]})
+		}
+		for i := range snap.Installed {
+			c.applyRecordLocked(record{Kind: recInstalled, Installed: &snap.Installed[i]})
+		}
+		for i := range snap.Placements {
+			c.applyRecordLocked(record{Kind: recPlacement, Placement: &snap.Placements[i]})
+		}
+		if snap.Rollout != nil {
+			c.applyRecordLocked(record{Kind: recRollout, Rollout: snap.Rollout})
+		}
+		return nil
+	}, func(payload []byte, r *journal.Recovery) error {
 		var rec record
-		if uerr := json.Unmarshal(payload, &rec); uerr != nil {
-			// A torn or foreign record: skip it, the journal layer already
-			// dropped truncated tails.
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			// A foreign record: skip it (the log already dropped torn tails).
+			r.Corrupt++
 			return nil
 		}
-		rs.Records++
+		r.Replayed++
 		c.applyRecordLocked(rec)
 		return nil
 	})
+	rs.Records = r.Replayed
 	if err != nil {
 		return rs, err
 	}
@@ -206,34 +212,9 @@ func (c *Controller) Recover() (RecoverStats, error) {
 	}
 	c.eventLocked(Event{Kind: EventRecovered, Detail: fmt.Sprintf(
 		"%d workers, %d catalog slots, %d records, rollout=%s",
-		rs.Workers, rs.Slots, rs.Records, orNone(rs.RolloutPhase))})
+		rs.Workers, rs.Slots, rs.Records, cmp.Or(rs.RolloutPhase, "none"))})
 	c.gaugesLocked()
 	return rs, nil
-}
-
-func orNone(s string) string {
-	if s == "" {
-		return "none"
-	}
-	return s
-}
-
-func (c *Controller) applySnapshotLocked(snap snapshot) {
-	for i := range snap.Workers {
-		c.applyRecordLocked(record{Kind: recWorker, Worker: &snap.Workers[i]})
-	}
-	for i := range snap.Catalog {
-		c.applyRecordLocked(record{Kind: recCatalog, Catalog: &snap.Catalog[i]})
-	}
-	for i := range snap.Installed {
-		c.applyRecordLocked(record{Kind: recInstalled, Installed: &snap.Installed[i]})
-	}
-	for i := range snap.Placements {
-		c.applyRecordLocked(record{Kind: recPlacement, Placement: &snap.Placements[i]})
-	}
-	if snap.Rollout != nil {
-		c.applyRecordLocked(record{Kind: recRollout, Rollout: snap.Rollout})
-	}
 }
 
 func (c *Controller) applyRecordLocked(rec record) {
@@ -247,7 +228,7 @@ func (c *Controller) applyRecordLocked(rec record) {
 			delete(c.installed, rec.Worker.Name)
 			for _, slot := range c.placementSlotsLocked() {
 				pl := c.placements[slot]
-				if containsStr(pl.Replicas, rec.Worker.Name) {
+				if slices.Contains(pl.Replicas, rec.Worker.Name) {
 					pl.Replicas = withoutStr(pl.Replicas, rec.Worker.Name)
 				}
 			}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -38,7 +39,7 @@ func (c *Controller) placedLocked(slot, worker string) bool {
 	if pl == nil {
 		return true
 	}
-	return containsStr(pl.Replicas, worker)
+	return slices.Contains(pl.Replicas, worker)
 }
 
 // assignPlacementLocked picks the slot's initial replicas: walk the ring of
@@ -67,7 +68,7 @@ func (c *Controller) assignPlacementLocked(slot string) *Placement {
 		if len(replicas) == want {
 			break
 		}
-		if !containsStr(replicas, n) {
+		if !slices.Contains(replicas, n) {
 			replicas = append(replicas, n)
 		}
 	}
@@ -84,9 +85,7 @@ func (c *Controller) setPlacementLocked(slot string, replicas []string, why stri
 	}
 	np := &Placement{Slot: slot, Replicas: append([]string(nil), replicas...), Ver: ver}
 	c.placements[slot] = np
-	cp := *np
-	cp.Replicas = append([]string(nil), np.Replicas...)
-	c.journalLocked(record{Kind: recPlacement, Placement: &cp}, true)
+	c.jl.Append(func() any { return record{Kind: recPlacement, Placement: np} }, true)
 	c.eventLocked(Event{Kind: EventPlacement, Slot: slot,
 		Detail: fmt.Sprintf("ver %d → [%s]: %s", ver, strings.Join(replicas, ","), why)})
 	c.gaugesLocked()
@@ -99,8 +98,9 @@ func (c *Controller) dropPlacementLocked(slot, why string) {
 		return
 	}
 	delete(c.placements, slot)
-	c.journalLocked(record{Kind: recPlacement,
-		Placement: &Placement{Slot: slot, Gone: true}}, true)
+	c.jl.Append(func() any {
+		return record{Kind: recPlacement, Placement: &Placement{Slot: slot, Gone: true}}
+	}, true)
 	c.eventLocked(Event{Kind: EventPlacement, Slot: slot, Detail: "placement withdrawn: " + why})
 	c.gaugesLocked()
 }
@@ -153,15 +153,6 @@ func (c *Controller) Placements() map[string][]string {
 		out[n] = append([]string(nil), pl.Replicas...)
 	}
 	return out
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 func withoutStr(xs []string, s string) []string {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestPlacementScopesDeployToReplicas(t *testing.T) {
 	}
 	for _, w := range []string{"w1", "w2", "w3", "w4"} {
 		_, err := lt.Manager(w).StatusOf("s")
-		if containsStr(reps, w) {
+		if slices.Contains(reps, w) {
 			if err != nil {
 				t.Fatalf("replica %s does not hold the slot: %v", w, err)
 			}
@@ -144,11 +145,11 @@ func TestRepairBootstrapsOntoFreshWorkerAndDrainsRejoiner(t *testing.T) {
 
 	// The fresh target has no incumbent, so the blessed version bootstraps
 	// live in a single repair step.
-	for i := 0; i < 10 && containsStr(c.Placements()["s"], victim); i++ {
+	for i := 0; i < 10 && slices.Contains(c.Placements()["s"], victim); i++ {
 		c.Tick()
 	}
 	after := c.Placements()["s"]
-	if containsStr(after, victim) || len(after) != 2 {
+	if slices.Contains(after, victim) || len(after) != 2 {
 		t.Fatalf("placement not repaired: %v (victim %s)", after, victim)
 	}
 	if c.met.repairsBootstrap.Value() != 1 {
@@ -175,7 +176,7 @@ func TestRepairBootstrapsOntoFreshWorkerAndDrainsRejoiner(t *testing.T) {
 	if c.met.drains.Value() == 0 {
 		t.Fatal("drain not counted")
 	}
-	if got := c.Placements()["s"]; len(got) != 2 || containsStr(got, victim) {
+	if got := c.Placements()["s"]; len(got) != 2 || slices.Contains(got, victim) {
 		t.Fatalf("placement churned on rejoin: %v", got)
 	}
 }
@@ -193,11 +194,11 @@ func TestRepairPaysCanaryGateOnIncumbentTarget(t *testing.T) {
 	victim := c.Placements()["s"][0]
 	lt.Kill(victim)
 	demoteToDown(t, c, "s", victim)
-	for i := 0; i < 20 && containsStr(c.Placements()["s"], victim); i++ {
+	for i := 0; i < 20 && slices.Contains(c.Placements()["s"], victim); i++ {
 		c.Tick()
 	}
 	after := c.Placements()["s"]
-	if containsStr(after, victim) || !containsStr(after, target) {
+	if slices.Contains(after, victim) || !slices.Contains(after, target) {
 		t.Fatalf("placement after gated repair = %v (victim %s target %s)", after, victim, target)
 	}
 	if c.met.repairsGated.Value() != 1 || c.met.repairsBootstrap.Value() != 0 {
@@ -275,17 +276,17 @@ func TestLeaveReassignsPlacement(t *testing.T) {
 	if err := c.Leave(departing); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	if containsStr(c.Workers(), departing) {
+	if slices.Contains(c.Workers(), departing) {
 		t.Fatalf("%s still a member after Leave", departing)
 	}
-	if got := c.Placements()["s"]; len(got) != 1 || containsStr(got, departing) {
+	if got := c.Placements()["s"]; len(got) != 1 || slices.Contains(got, departing) {
 		t.Fatalf("placement after leave = %v", got)
 	}
 	for i := 0; i < 10 && len(c.Placements()["s"]) < 2; i++ {
 		c.Tick()
 	}
 	after := c.Placements()["s"]
-	if len(after) != 2 || containsStr(after, departing) {
+	if len(after) != 2 || slices.Contains(after, departing) {
 		t.Fatalf("placement not re-replicated after leave: %v", after)
 	}
 	for _, w := range after {

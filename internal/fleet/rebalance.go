@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -122,7 +123,7 @@ func (c *Controller) repairTargetLocked(slot string, pl *Placement) string {
 	members := c.workerNamesLocked(func(*worker) bool { return true })
 	r := buildRing(members, c.cfg.VNodes)
 	for _, n := range r.lookup(slot, len(members)) {
-		if containsStr(pl.Replicas, n) {
+		if slices.Contains(pl.Replicas, n) {
 			continue
 		}
 		if c.workers[n].health.eligible() {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func buildReplicaScenario(t *testing.T, jl *journal.Log) (*LocalTransport, *Cont
 	demoteToDown(t, c, "b", victimB)
 	c.Tick()
 	c.Tick()
-	if reps := c.Placements()["b"]; containsStr(reps, victimB) {
+	if reps := c.Placements()["b"]; slices.Contains(reps, victimB) {
 		t.Fatalf("scenario: slot b not repaired before crash (placement %v)", reps)
 	}
 
@@ -205,7 +206,7 @@ func replicationConverged(c *Controller, dead ...string) bool {
 			return false
 		}
 		for _, rn := range pl.Replicas {
-			if containsStr(dead, rn) {
+			if slices.Contains(dead, rn) {
 				return false
 			}
 			if c.workers[rn].health != Healthy {
@@ -267,7 +268,7 @@ func TestRebalanceRecoverResumesRepair(t *testing.T) {
 	// target of slot a is at gen >= 2 (staged over its seeded incumbent),
 	// and a's placement no longer names the dead replica.
 	repsA := c.Placements()["a"]
-	if containsStr(repsA, victimA) {
+	if slices.Contains(repsA, victimA) {
 		t.Fatalf("slot a still placed on dead %s: %v", victimA, repsA)
 	}
 	for _, w := range repsA {

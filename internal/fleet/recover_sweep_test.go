@@ -91,11 +91,11 @@ func TestControllerJournalTruncationSweep(t *testing.T) {
 	sweepJournalPrefixes(t, recDir, verifyFleetRecovery)
 }
 
-// sweepJournalPrefixes is the crash-sweep loop both controller sweeps share:
-// for five evenly spaced cuts of each segment of the journal recorded in
-// recDir (the snapshot and every earlier segment kept whole, later ones
-// gone), it builds that prefix in a fresh directory and hands it to verify as
-// one subtest. The recording must span a snapshot and a segment rotation.
+// sweepJournalPrefixes runs journal.SweepPrefixes over the journal recorded
+// in recDir for both controller sweeps: five evenly spaced cuts of each
+// segment (case-NN-<seg>-cut<N>) plus every record boundary and the byte
+// either side of it (boundary-<seg>-cut<N>), each prefix one subtest. The
+// recording must span a snapshot and a segment rotation.
 func sweepJournalPrefixes(t *testing.T, recDir string, verify func(t *testing.T, dir string)) {
 	t.Helper()
 	segs, err := journal.SegmentFiles(recDir)
@@ -105,39 +105,22 @@ func sweepJournalPrefixes(t *testing.T, recDir string, verify func(t *testing.T,
 	if len(segs) < 2 {
 		t.Fatalf("scenario produced %d segments, want a rotation to sweep across", len(segs))
 	}
-	snap, _ := os.ReadFile(filepath.Join(recDir, "snapshot.db"))
-	if snap == nil {
+	if _, err := os.Stat(filepath.Join(recDir, "snapshot.db")); err != nil {
 		t.Fatal("scenario produced no snapshot")
 	}
-
 	const samples = 5
 	caseNum := 0
-	for k, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(recDir, seg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < samples; s++ {
-			cut := int64(len(data)) * int64(s) / int64(samples-1)
+	err = journal.SweepPrefixes(recDir, samples, func(dir string, p journal.Prefix) error {
+		name := fmt.Sprintf("boundary-%s-cut%d", p.Seg, p.Cut)
+		if p.Sample >= 0 {
 			caseNum++
-			t.Run(fmt.Sprintf("case-%02d-%s-cut%d", caseNum, seg, cut), func(t *testing.T) {
-				caseDir := t.TempDir()
-				files := map[string][]byte{"snapshot.db": snap, seg: data[:cut]}
-				for _, prev := range segs[:k] {
-					b, err := os.ReadFile(filepath.Join(recDir, prev))
-					if err != nil {
-						t.Fatal(err)
-					}
-					files[prev] = b
-				}
-				for name, b := range files {
-					if err := os.WriteFile(filepath.Join(caseDir, name), b, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				verify(t, caseDir)
-			})
+			name = fmt.Sprintf("case-%02d-%s-cut%d", caseNum, p.Seg, p.Cut)
 		}
+		t.Run(name, func(t *testing.T) { verify(t, dir) })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

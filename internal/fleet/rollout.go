@@ -106,7 +106,7 @@ func (c *Controller) Deploy(slot, src string) error {
 	}
 	c.rollout = &Rollout{Slot: slot, Src: src, Gen: gen, Order: order,
 		gate: gate{Phase: PhaseDeploy}}
-	c.journalRolloutLocked(true)
+	c.journalRolloutLocked()
 	if c.met != nil {
 		c.met.rolloutsStarted.Inc()
 	}
@@ -150,7 +150,7 @@ func (c *Controller) Step() (bool, error) {
 		r.gate = g
 		c.judgeLocked(r, name, out, liveGen, why)
 	}
-	c.journalRolloutLocked(true)
+	c.journalRolloutLocked()
 	return c.rollout.terminal(), nil
 }
 
@@ -207,7 +207,7 @@ func (c *Controller) finishLocked(r *Rollout) {
 	r.Phase = PhaseDone
 	cat := &CatalogSlot{Name: r.Slot, Src: r.Src, Gen: r.Gen}
 	c.catalog[r.Slot] = cat
-	c.journalLocked(record{Kind: recCatalog, Catalog: cat}, true)
+	c.jl.Append(func() any { return record{Kind: recCatalog, Catalog: cat} }, true)
 	if c.met != nil {
 		c.met.rolloutsCompleted.Inc()
 	}

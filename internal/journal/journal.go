@@ -849,9 +849,6 @@ func (l *Log) Segments() []string {
 	return append([]string(nil), l.segs...)
 }
 
-// Policy returns the durability policy the log runs under.
-func (l *Log) Policy() Policy { return l.policy }
-
 // Stats returns the accounting accumulated so far.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

@@ -15,7 +15,6 @@ import (
 	"merlin/internal/chaos"
 	"merlin/internal/ebpf"
 	"merlin/internal/journal"
-	"merlin/internal/soak"
 	"merlin/internal/superopt"
 )
 
@@ -373,7 +372,7 @@ func TestStoreBatchTornAtEveryByte(t *testing.T) {
 		}
 
 		last := -1
-		err = soak.SweepPrefixes(dir, int(info.Size())+1, func(caseDir string) error {
+		err = journal.SweepPrefixes(dir, int(info.Size())+1, func(caseDir string, _ journal.Prefix) error {
 			rc, err := h.open(caseDir, journal.Options{}, producer, 1000)
 			if err != nil {
 				return fmt.Errorf("reopen: %w", err)

@@ -68,20 +68,16 @@ type Config struct {
 	// Manager.Recover replays snapshot+journal on startup. Nil keeps the
 	// manager fully in-memory (the previous behavior).
 	Journal *journal.Log
-	// CompactEvery bounds journal growth: after this many appended records
-	// the full state is compacted into the snapshot and the journal is
-	// truncated (default 256).
-	CompactEvery int
-	// JournalDegradeAfter is the count of consecutive journal append/compact
-	// failures that detaches the journal — the manager keeps serving fully
-	// in-memory ("degraded") and probes for re-attachment with exponential
-	// backoff instead of hammering a dead disk on every transition
-	// (default 3).
+	// CompactEvery, JournalDegradeAfter, JournalRetryBase and
+	// JournalRetryMax tune the journal.Ledger: compact after this many
+	// records (default 256); after this many consecutive write failures
+	// detach the journal and serve in memory (default 3); probe for
+	// re-attachment after JournalRetryBase, doubling up to JournalRetryMax
+	// (defaults 1s / 1m).
+	CompactEvery        int
 	JournalDegradeAfter int
-	// JournalRetryBase is the first re-attachment probe delay; it doubles
-	// per failed probe up to JournalRetryMax (defaults 1s / 60s).
-	JournalRetryBase time.Duration
-	JournalRetryMax  time.Duration
+	JournalRetryBase    time.Duration
+	JournalRetryMax     time.Duration
 	// ResolveSource, when set, reattaches build Sources to recovered slots
 	// from the opaque DeployOptions.SourceDesc journaled with each slot.
 	// Without it (or on a resolve error) a recovered slot still serves its
@@ -110,18 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 64
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 256
-	}
-	if c.JournalDegradeAfter <= 0 {
-		c.JournalDegradeAfter = 3
-	}
-	if c.JournalRetryBase <= 0 {
-		c.JournalRetryBase = time.Second
-	}
-	if c.JournalRetryMax <= 0 {
-		c.JournalRetryMax = time.Minute
 	}
 	return c
 }
@@ -219,29 +203,15 @@ type Manager struct {
 	slots map[string]*slot
 	order []string
 
-	// jmet holds the persistence telemetry handles (nil when metrics or the
-	// journal are off).
-	jmet *journalMetrics
-
-	// Journal degradation ledger (see degrade.go): when consecutive
-	// append/compact failures cross JournalDegradeAfter the journal is
-	// detached and probed for re-attachment with exponential backoff.
-	jDegraded   bool
-	jFails      int
-	jBackoff    time.Duration
-	jNextRetry  time.Time
-	jReattaches int
-	// lastJStats is the journal.Stats watermark behind CollectMetrics' delta
-	// publication of fsync/rotation/soft-error counters.
-	lastJStats journal.Stats
+	// jl is the durable ledger (persist.go); without Config.Journal it
+	// keeps the manager in memory until AttachJournal.
+	jl *journal.Ledger
 }
 
 // NewManager returns a Manager with cfg's zero fields defaulted.
 func NewManager(cfg Config) *Manager {
 	m := &Manager{cfg: cfg.withDefaults(), slots: map[string]*slot{}}
-	if m.cfg.Metrics != nil && m.cfg.Journal != nil {
-		m.jmet = newJournalMetrics(m.cfg.Metrics)
-	}
+	m.jl = m.newLedger()
 	return m
 }
 
@@ -785,7 +755,8 @@ func (m *Manager) Remove(name string) bool {
 			break
 		}
 	}
-	m.journalRemoveLocked(name)
+	// The tombstone fsyncs: removal is a stage transition for placement.
+	m.jl.Append(func() any { return persistedRecord{Kind: "remove", Name: name} }, true)
 	return true
 }
 
@@ -811,9 +782,7 @@ func (m *Manager) Tick() {
 			m.journalSlotLocked(s, true)
 		}
 	}
-	if m.jDegraded {
-		m.maybeReattachLocked()
-	}
+	m.jl.Tick()
 }
 
 // Slots lists the slot names in creation order.

@@ -112,110 +112,6 @@ func (sm *slotMetrics) observeCanaryCycles(cycles uint64) {
 	}
 }
 
-// journalMetrics holds the manager-level persistence telemetry (no slot
-// label — the journal is shared).
-type journalMetrics struct {
-	appends      *metrics.Counter
-	appendErrs   *metrics.Counter
-	compactions  *metrics.Counter
-	corrupt      *metrics.Counter
-	replayed     *metrics.Counter
-	snapBytes    *metrics.Gauge
-	journBytes   *metrics.Gauge
-	recovered    *metrics.Gauge
-	recoveredDs  *metrics.Gauge
-	degraded     *metrics.Gauge
-	degradations *metrics.Counter
-	reattaches   *metrics.Counter
-	compactSoft  *metrics.Counter
-	fsyncs       *metrics.Counter
-	rotations    *metrics.Counter
-	segments     *metrics.Gauge
-}
-
-func newJournalMetrics(reg *metrics.Registry) *journalMetrics {
-	return &journalMetrics{
-		appends: reg.Counter("merlin_journal_appends_total",
-			"Slot-state records appended to the journal."),
-		appendErrs: reg.Counter("merlin_journal_append_errors_total",
-			"Journal appends or compactions that failed (state may lag disk)."),
-		compactions: reg.Counter("merlin_journal_compactions_total",
-			"Snapshot compactions (journal truncations)."),
-		corrupt: reg.Counter("merlin_journal_corrupt_records_total",
-			"Corrupt or torn journal/snapshot records discarded during open, replay, or decode."),
-		replayed: reg.Counter("merlin_journal_replayed_records_total",
-			"Journal records replayed by Recover."),
-		snapBytes: reg.Gauge("merlin_journal_snapshot_bytes",
-			"Payload size of the last written or recovered snapshot."),
-		journBytes: reg.Gauge("merlin_journal_bytes",
-			"Current journal file size."),
-		recovered: reg.Gauge("merlin_lifecycle_recovered_slots",
-			"Slots reconstructed from the journal by the last Recover."),
-		recoveredDs: reg.Gauge("merlin_lifecycle_recovered_deployments",
-			"Deployments (live/last-known-good/baseline) reconstructed by the last Recover."),
-		degraded: reg.Gauge("merlin_journal_degraded",
-			"1 while the journal is detached after persistent storage failures (serving continues in-memory)."),
-		degradations: reg.Counter("merlin_journal_degradations_total",
-			"Times persistent storage failures detached the journal."),
-		reattaches: reg.Counter("merlin_journal_reattaches_total",
-			"Successful journal re-attachments after degradation."),
-		compactSoft: reg.Counter("merlin_journal_compact_soft_errors_total",
-			"Best-effort durability steps (snapshot fsync, dir fsync, segment removal) that failed during compaction."),
-		fsyncs: reg.Counter("merlin_journal_fsyncs_total",
-			"Journal fsyncs (forced stage transitions plus the durability policy's flushes)."),
-		rotations: reg.Counter("merlin_journal_rotations_total",
-			"Journal segment rollovers."),
-		segments: reg.Gauge("merlin_journal_segments",
-			"Current journal segment file count."),
-	}
-}
-
-func (jm *journalMetrics) appendInc() {
-	if jm != nil {
-		jm.appends.Inc()
-	}
-}
-
-func (jm *journalMetrics) appendErrInc() {
-	if jm != nil {
-		jm.appendErrs.Inc()
-	}
-}
-
-func (jm *journalMetrics) compactionInc() {
-	if jm != nil {
-		jm.compactions.Inc()
-	}
-}
-
-func (jm *journalMetrics) corruptAdd(n int) {
-	if jm != nil && n > 0 {
-		jm.corrupt.Add(uint64(n))
-	}
-}
-
-func (jm *journalMetrics) degradedSet(on bool) {
-	if jm != nil {
-		v := int64(0)
-		if on {
-			v = 1
-		}
-		jm.degraded.Set(v)
-	}
-}
-
-func (jm *journalMetrics) degradationInc() {
-	if jm != nil {
-		jm.degradations.Inc()
-	}
-}
-
-func (jm *journalMetrics) reattachInc() {
-	if jm != nil {
-		jm.reattaches.Inc()
-	}
-}
-
 // eventCounter lazily resolves the per-kind counter (manager lock held).
 func (sm *slotMetrics) eventCounter(kind EventKind) *metrics.Counter {
 	c := sm.events[kind]
@@ -298,22 +194,5 @@ func (m *Manager) CollectMetrics() {
 		m.drainEventsLocked(s, s.events)
 		m.refreshGaugesLocked(s)
 	}
-	if m.jmet != nil && m.cfg.Journal != nil {
-		m.jmet.journBytes.Set(m.cfg.Journal.Size())
-		// Publish the journal's own accounting as counter deltas against the
-		// last collection's watermark (the registry counters are monotonic;
-		// journal.Stats is monotonic per handle, reset by AttachJournal).
-		st := m.cfg.Journal.Stats()
-		if d := st.Fsyncs - m.lastJStats.Fsyncs; d > 0 {
-			m.jmet.fsyncs.Add(uint64(d))
-		}
-		if d := st.Rotations - m.lastJStats.Rotations; d > 0 {
-			m.jmet.rotations.Add(uint64(d))
-		}
-		if d := st.CompactSoftErrors - m.lastJStats.CompactSoftErrors; d > 0 {
-			m.jmet.compactSoft.Add(uint64(d))
-		}
-		m.jmet.segments.Set(int64(st.Segments))
-		m.lastJStats = st
-	}
+	m.jl.Collect()
 }

@@ -3,17 +3,20 @@ package lifecycle
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"merlin/internal/ebpf"
+	"merlin/internal/journal"
 )
 
-// The persistence half of the manager. Slot state is journaled as JSON
-// payloads inside the journal's checksummed records: every mutating
+// The persistence half of the manager: its codec over journal.Ledger, which
+// owns appending, compaction, replay and the storage-failure policy (degrade,
+// probe, re-attach). Slot state is journaled as JSON payloads: every mutating
 // transition appends the affected slot's complete persisted state (an
 // idempotent upsert — replay order is the only thing that matters), and the
-// full ledger is periodically compacted into the snapshot. Recovery is
-// snapshot + journal replay, with every corruption counted and tolerated:
+// snapshot is the fold of every slot. Recovery is snapshot + journal replay,
+// with every corruption counted and tolerated:
 // a record that fails to decode is skipped, a deployment whose program
 // cannot be reloaded falls back to last-known-good, and a slot with nothing
 // restorable is dropped — Recover never returns an error for bad state, only
@@ -32,6 +35,10 @@ import (
 
 // persistVersion guards the snapshot/record schema.
 const persistVersion = 1
+
+// recoveryMarkerKind is the record kind of a re-attachment probe. Recover
+// counts it as replayed, not corrupt.
+const recoveryMarkerKind = "reattach"
 
 // persistedDeployment is one serialized deployment: bytecode, map contents,
 // and the helper-nondeterminism state, enough to rebuild a warm machine.
@@ -127,121 +134,63 @@ func (m *Manager) encodeSlotLocked(s *slot) *persistedSlot {
 	return ps
 }
 
-// journalSlotLocked appends the slot's current state to the journal (no-op
-// without one). sync forces an fsync — used on stage transitions so they
-// survive machine crashes, not just process crashes. Persistence failures
-// are counted, never propagated: serving always wins over durability. While
-// degraded the write is skipped entirely (the state lands when re-attachment
-// succeeds — re-attaching re-journals every slot), with each transition
-// doubling as a chance to run a due re-attachment probe.
-func (m *Manager) journalSlotLocked(s *slot, sync bool) {
-	j := m.cfg.Journal
-	if j == nil {
-		return
-	}
-	if m.jDegraded {
-		m.maybeReattachLocked()
-		return
-	}
-	payload, err := json.Marshal(persistedRecord{Kind: "slot", Slot: m.encodeSlotLocked(s)})
-	if err != nil {
-		m.jmet.appendErrInc()
-		return
-	}
-	if err := j.Append(payload, sync); err != nil {
-		m.journalFailLocked(s, "append", err)
-		return
-	}
-	m.journalOKLocked()
-	m.jmet.appendInc()
-	if j.Records() >= m.cfg.CompactEvery {
-		m.compactLocked()
-	}
+// newLedger wires the manager's codec into its journal.Ledger: the snapshot
+// is the fold of every slot, the re-attachment marker a "reattach" record,
+// and the journal detaching or re-attaching is an event on every slot (a
+// re-attachment's lands before the compaction that re-persists the slots).
+func (m *Manager) newLedger() *journal.Ledger {
+	return journal.NewLedger(m.cfg.Journal, journal.LedgerOptions{
+		Fold: func() any {
+			snap := persistedSnapshot{Version: persistVersion}
+			for _, name := range m.order {
+				snap.Slots = append(snap.Slots, m.encodeSlotLocked(m.slots[name]))
+			}
+			return snap
+		},
+		Marker: func(at time.Time) any {
+			return persistedRecord{Kind: recoveryMarkerKind, At: at.UnixNano()}
+		},
+		Degraded: func(why string) { m.allSlotsEventLocked(EventJournalDegraded, why) },
+		Reattached: func(n int) {
+			m.allSlotsEventLocked(EventJournalReattached,
+				fmt.Sprintf("journal re-attached (reattach #%d); state re-persisted", n))
+		},
+		Now:          m.cfg.Now,
+		Metrics:      m.cfg.Metrics,
+		Prefix:       "merlin_journal_",
+		CompactEvery: m.cfg.CompactEvery,
+		DegradeAfter: m.cfg.JournalDegradeAfter,
+		RetryBase:    m.cfg.JournalRetryBase,
+		RetryMax:     m.cfg.JournalRetryMax,
+	})
 }
 
-// journalRemoveLocked appends a removal tombstone so a crash after Remove
-// does not resurrect the slot on Recover. Same failure policy as
-// journalSlotLocked: count, never propagate. The tombstone fsyncs — removal
-// is a stage transition for placement purposes.
-func (m *Manager) journalRemoveLocked(name string) {
-	j := m.cfg.Journal
-	if j == nil {
-		return
-	}
-	if m.jDegraded {
-		m.maybeReattachLocked()
-		return
-	}
-	payload, err := json.Marshal(persistedRecord{Kind: "remove", Name: name})
-	if err != nil {
-		m.jmet.appendErrInc()
-		return
-	}
-	if err := j.Append(payload, true); err != nil {
-		m.journalFailLocked(nil, "append", err)
-		return
-	}
-	m.journalOKLocked()
-	m.jmet.appendInc()
-	if j.Records() >= m.cfg.CompactEvery {
-		m.compactLocked()
-	}
-}
-
-// compactLocked writes the full ledger as the snapshot and truncates the
-// journal.
-func (m *Manager) compactLocked() {
-	j := m.cfg.Journal
-	if j == nil || m.jDegraded {
-		return
-	}
-	snap := persistedSnapshot{Version: persistVersion}
+func (m *Manager) allSlotsEventLocked(kind EventKind, detail string) {
 	for _, name := range m.order {
-		snap.Slots = append(snap.Slots, m.encodeSlotLocked(m.slots[name]))
+		m.eventLocked(m.slots[name], Event{Kind: kind, Stage: StageLive, Detail: detail})
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		m.jmet.appendErrInc()
-		return
-	}
-	if err := j.Compact(payload); err != nil {
-		m.journalFailLocked(nil, "compact", err)
-		return
-	}
-	m.journalOKLocked()
-	m.jmet.compactionInc()
-	if m.jmet != nil {
-		m.jmet.snapBytes.Set(int64(len(payload)))
-	}
+}
+
+// journalSlotLocked appends the slot's current state. sync forces an fsync —
+// used on stage transitions so they survive machine crashes, not just
+// process crashes.
+func (m *Manager) journalSlotLocked(s *slot, sync bool) {
+	m.jl.Append(func() any { return persistedRecord{Kind: "slot", Slot: m.encodeSlotLocked(s)} }, sync)
 }
 
 // Flush journals the current state of every slot (map contents included) and
 // syncs the journal. merlind calls it after traffic (map mutations happen
-// without lifecycle transitions) and on SIGINT/SIGTERM.
+// without lifecycle transitions) and on SIGINT/SIGTERM. While the journal is
+// degraded it is only a probe: a successful one re-persists everything.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.cfg.Journal
-	if j == nil {
-		return nil
+	if !m.jl.Degraded() {
+		for _, name := range m.order {
+			m.journalSlotLocked(m.slots[name], false)
+		}
 	}
-	if m.jDegraded {
-		// Nothing to flush while detached; use the call as a probe tick. A
-		// successful probe already re-journaled and synced everything.
-		m.maybeReattachLocked()
-		return nil
-	}
-	for _, name := range m.order {
-		m.journalSlotLocked(m.slots[name], false)
-	}
-	if m.jDegraded {
-		return nil // the loop above degraded us; state is in-memory now
-	}
-	if err := j.Sync(); err != nil {
-		m.journalFailLocked(nil, "sync", err)
-		return nil
-	}
-	m.journalOKLocked()
+	m.jl.Sync()
 	return nil
 }
 
@@ -250,7 +199,38 @@ func (m *Manager) Flush() error {
 func (m *Manager) Compact() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.compactLocked()
+	m.jl.Compact()
+}
+
+// JournalHealth reports the manager's durability health.
+func (m *Manager) JournalHealth() journal.Health {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jl.Health()
+}
+
+// MarkJournalUnavailable puts a journal-less manager into the degraded
+// health state: merlind calls it when journal.Open fails at startup so the
+// outage is visible in /metrics and health output while the daemon serves
+// in-memory, retries the open, and hands the eventual handle to
+// AttachJournal.
+func (m *Manager) MarkJournalUnavailable(reason string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.jl.MarkUnavailable(reason)
+}
+
+// AttachJournal hands the manager a (re)opened journal. A degraded manager
+// probes it at once and, when the marker lands, re-persists every slot; on
+// marker failure the journal stays attached but degraded, and the ledger's
+// backoff probes take over.
+func (m *Manager) AttachJournal(j *journal.Log) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.jl.Attach(j); err != nil {
+		return fmt.Errorf("lifecycle: journal attach probe: %w", err)
+	}
+	return nil
 }
 
 // RecoverStats reports what Recover reconstructed and what it had to drop.
@@ -290,8 +270,7 @@ func (m *Manager) Recover() (RecoverStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var rs RecoverStats
-	j := m.cfg.Journal
-	if j == nil {
+	if !m.jl.Attached() {
 		return rs, fmt.Errorf("lifecycle: Recover needs Config.Journal")
 	}
 	if len(m.slots) > 0 {
@@ -299,16 +278,13 @@ func (m *Manager) Recover() (RecoverStats, error) {
 	}
 
 	// Latest-wins upsert of persisted slots: snapshot first, then journal
-	// records in append order.
+	// records in append order. Anything undecodable, of another version or
+	// of an unknown kind counts as corrupt.
 	latest := map[string]*persistedSlot{}
 	var order []string
-	upsert := func(ps *persistedSlot) {
-		if ps == nil || ps.Name == "" {
-			rs.CorruptRecords++
-			return
-		}
-		if ps.Version != persistVersion {
-			rs.CorruptRecords++
+	upsert := func(ps *persistedSlot, r *journal.Recovery) {
+		if ps == nil || ps.Name == "" || ps.Version != persistVersion {
+			r.Corrupt++
 			return
 		}
 		if _, ok := latest[ps.Name]; !ok {
@@ -316,50 +292,39 @@ func (m *Manager) Recover() (RecoverStats, error) {
 		}
 		latest[ps.Name] = ps
 	}
-
-	if payload, ok := j.Snapshot(); ok {
+	// A read fault mid-replay leaves an older state, never a wrong one.
+	r, _ := m.jl.Recover(func(payload []byte, r *journal.Recovery) error {
 		var snap persistedSnapshot
 		if err := json.Unmarshal(payload, &snap); err != nil || snap.Version != persistVersion {
-			rs.CorruptRecords++
-		} else {
-			rs.SnapshotBytes = len(payload)
-			for _, ps := range snap.Slots {
-				upsert(ps)
-			}
+			r.Corrupt++
+			return nil
 		}
-	}
-	_ = j.Replay(func(payload []byte) error {
+		r.SnapshotBytes = len(payload)
+		for _, ps := range snap.Slots {
+			upsert(ps, r)
+		}
+		return nil
+	}, func(payload []byte, r *journal.Recovery) error {
 		var rec persistedRecord
-		err := json.Unmarshal(payload, &rec)
-		switch {
+		switch err := json.Unmarshal(payload, &rec); {
 		case err != nil:
-			rs.CorruptRecords++
+			r.Corrupt++
 		case rec.Kind == "slot":
-			rs.ReplayedRecords++
-			upsert(rec.Slot)
+			r.Replayed++
+			upsert(rec.Slot, r)
 		case rec.Kind == "remove":
-			rs.ReplayedRecords++
-			if _, ok := latest[rec.Name]; ok {
-				delete(latest, rec.Name)
-				for i, n := range order {
-					if n == rec.Name {
-						order = append(order[:i], order[i+1:]...)
-						break
-					}
-				}
-			}
+			r.Replayed++
+			delete(latest, rec.Name)
+			order = slices.DeleteFunc(order, func(n string) bool { return n == rec.Name })
 		case rec.Kind == recoveryMarkerKind:
-			// A past outage's re-attachment marker: healthy, carries no slot
-			// state.
-			rs.ReplayedRecords++
+			// A past outage's re-attachment marker: carries no slot state.
+			r.Replayed++
 		default:
-			rs.CorruptRecords++
+			r.Corrupt++
 		}
 		return nil
 	})
-	// Framing-level damage found by the journal itself (torn tails, bad
-	// checksums) joins the decode-level count.
-	rs.CorruptRecords += j.Stats().CorruptRecords
+	rs.ReplayedRecords, rs.SnapshotBytes, rs.CorruptRecords = r.Replayed, r.SnapshotBytes, r.Corrupt
 
 	for _, name := range order {
 		ps := latest[name]
@@ -375,7 +340,12 @@ func (m *Manager) Recover() (RecoverStats, error) {
 		}
 	}
 
-	m.publishRecoverLocked(rs)
+	if reg := m.cfg.Metrics; reg != nil { // the ledger published its own counts
+		reg.Gauge("merlin_lifecycle_recovered_slots",
+			"Slots reconstructed from the journal by the last Recover.").Set(int64(rs.Slots))
+		reg.Gauge("merlin_lifecycle_recovered_deployments",
+			"Deployments (live/last-known-good/baseline) reconstructed by the last Recover.").Set(int64(rs.Deployments))
+	}
 	return rs, nil
 }
 
@@ -468,19 +438,4 @@ func (m *Manager) restoreSlotLocked(ps *persistedSlot) (*slot, int, error) {
 	m.eventLocked(s, Event{Kind: EventRecovered, Stage: StageLive,
 		Generation: s.live.gen, Detail: detail})
 	return s, nds, nil
-}
-
-// publishRecoverLocked pushes recovery stats into the registry.
-func (m *Manager) publishRecoverLocked(rs RecoverStats) {
-	jm := m.jmet
-	if jm == nil {
-		return
-	}
-	jm.recovered.Set(int64(rs.Slots))
-	jm.recoveredDs.Set(int64(rs.Deployments))
-	jm.snapBytes.Set(int64(rs.SnapshotBytes))
-	jm.corruptAdd(rs.CorruptRecords)
-	if rs.ReplayedRecords > 0 {
-		jm.replayed.Add(uint64(rs.ReplayedRecords))
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"merlin/internal/journal"
@@ -41,35 +39,11 @@ func buildMultiSegmentState(t *testing.T, dir string) []string {
 		t.Fatalf("only %d segments; the scenario must rotate to be meaningful", n)
 	}
 	jl.Close()
-	segs, err := segmentNames(dir)
+	segs, err := journal.SegmentFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return segs
-}
-
-// segmentNames lists the on-disk segment files in replay order.
-func segmentNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var base bool
-	var nums []string
-	for _, e := range ents {
-		switch {
-		case e.Name() == "journal.log":
-			base = true
-		case strings.HasPrefix(e.Name(), "journal.") && len(e.Name()) == len("journal.000000"):
-			nums = append(nums, e.Name())
-		}
-	}
-	sort.Strings(nums)
-	var out []string
-	if base {
-		out = append(out, "journal.log")
-	}
-	return append(out, nums...), nil
 }
 
 // copySegments clones the state dir's journal files (and snapshot, if any)
@@ -119,42 +93,29 @@ func recoverAndServe(t *testing.T, dir, what string) RecoverStats {
 }
 
 // TestRecoverMultiSegmentTruncationSweep extends the crash-injection sweep
-// across segment boundaries: every segment of a multi-segment ledger is
-// truncated at its record boundaries plus sampled mid-record offsets —
-// including length 0, i.e. a tear exactly at the rotation point — and every
-// layout must recover a serving manager. Records are idempotent full-state
-// upserts, so as long as any complete slot record survives in any segment,
-// the slot survives (possibly older, never corrupt).
+// across segment boundaries: every segment of a multi-segment ledger is cut
+// at nine evenly spaced offsets and at every record boundary and the byte
+// either side of it — including length 0, i.e. a tear exactly at the
+// rotation point. Each cut is recovered twice: as the crash prefix (later
+// segments gone), which must recover a serving manager, and as a torn
+// retired segment with every later segment back in place, which must keep
+// the slot — records are idempotent full-state upserts, so as long as any
+// complete slot record survives in any segment, the slot survives (possibly
+// older, never corrupt).
 func TestRecoverMultiSegmentTruncationSweep(t *testing.T) {
 	dir := t.TempDir()
 	segs := buildMultiSegmentState(t, dir)
-
-	for _, name := range segs {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
+	err := journal.SweepPrefixes(dir, 9, func(caseDir string, p journal.Prefix) error {
+		what := fmt.Sprintf("%s cut at %d/%d", p.Seg, p.Cut, p.Size)
+		recoverAndServe(t, caseDir, what+" (crash prefix)")
+		copySegments(t, dir, caseDir, segs, p.Seg, int(p.Cut))
+		if rs := recoverAndServe(t, caseDir, what); rs.Slots != 1 {
+			t.Errorf("%s: slot lost (%s); other segments still held its state", what, rs)
 		}
-		cuts := map[int]bool{0: true, len(raw): true}
-		for b := range recordBoundaries(raw) {
-			cuts[b] = true
-		}
-		for _, frac := range []int{3, 5, 7} {
-			if c := len(raw) * frac / 8; c < len(raw) {
-				cuts[c] = true
-			}
-		}
-		if len(raw) > 0 {
-			cuts[len(raw)-1] = true
-		}
-		for cut := range cuts {
-			scratch := t.TempDir()
-			copySegments(t, dir, scratch, segs, name, cut)
-			what := fmt.Sprintf("%s cut at %d/%d", name, cut, len(raw))
-			rs := recoverAndServe(t, scratch, what)
-			if rs.Slots != 1 {
-				t.Errorf("%s: slot lost (%s); other segments still held its state", what, rs)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -264,7 +225,7 @@ func FuzzRecoverMultiSegment(f *testing.F) {
 		_ = m.Flush()
 		jl.Close()
 	}
-	names, err := segmentNames(seedDir)
+	names, err := journal.SegmentFiles(seedDir)
 	if err != nil {
 		f.Fatal(err)
 	}

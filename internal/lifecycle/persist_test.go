@@ -352,26 +352,9 @@ func TestRecoverQuarantineBackoff(t *testing.T) {
 	}
 }
 
-// recordBoundaries walks the journal's length-prefixed framing and returns
-// the byte offset after each record (plus offset 0).
-func recordBoundaries(raw []byte) map[int]bool {
-	bounds := map[int]bool{0: true}
-	off := 0
-	for off+8 <= len(raw) {
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		end := off + 8 + n
-		if end > len(raw) {
-			break
-		}
-		bounds[end] = true
-		off = end
-	}
-	return bounds
-}
-
 // TestRecoverTornJournalSweep is the crash-injection sweep: the journal of a
-// deploy→promote session is truncated at every byte offset of its tail
-// records (and sampled offsets elsewhere), and every truncation must still
+// deploy→promote session is truncated at every byte offset, and every
+// truncation must still
 // recover a serving manager — a torn tail is data loss back to the previous
 // record, never a startup failure.
 func TestRecoverTornJournalSweep(t *testing.T) {
@@ -401,58 +384,30 @@ func TestRecoverTornJournalSweep(t *testing.T) {
 	if len(raw) < 64 {
 		t.Fatalf("journal only %d bytes; scenario did not journal", len(raw))
 	}
-	bounds := recordBoundaries(raw)
-	// Full-density sweep over the last two records (the promote + flush
-	// transition records); sampled cuts plus every record boundary elsewhere.
-	// lastTwo is the start offset of the second-to-last record.
-	prev, cur := 0, 0
-	for off := 0; off+8 <= len(raw); {
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		end := off + 8 + n
-		if end > len(raw) {
-			break
-		}
-		prev, cur = cur, off
-		off = end
-	}
-	lastTwo := prev
-	_ = cur
-
-	scratch := t.TempDir()
-	cuts := map[int]bool{len(raw): true}
-	for c := lastTwo; c < len(raw); c++ {
-		cuts[c] = true
-	}
-	for c := 0; c < lastTwo; c += 5 {
-		cuts[c] = true
-	}
-	for b := range bounds {
-		cuts[b] = true
-	}
-
-	for cut := range cuts {
-		if err := os.WriteFile(filepath.Join(scratch, "journal.log"), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jl2, err := journal.Open(scratch)
+	err = journal.SweepPrefixes(dir, len(raw)+1, func(caseDir string, p journal.Prefix) error {
+		jl2, err := journal.Open(caseDir)
 		if err != nil {
-			t.Fatalf("cut %d: Open: %v", cut, err)
+			return fmt.Errorf("Open: %w", err)
 		}
+		defer jl2.Close()
 		m2 := NewManager(Config{ShadowRuns: 1, CanaryRuns: 1, MaxEvents: 4, Journal: jl2})
 		rs, err := m2.Recover()
 		if err != nil {
-			t.Fatalf("cut %d: Recover: %v", cut, err)
+			return fmt.Errorf("Recover: %w", err)
 		}
-		if !bounds[cut] && rs.CorruptRecords == 0 {
-			t.Errorf("cut %d: mid-record truncation not counted corrupt (%s)", cut, rs)
+		if !p.Boundary && rs.CorruptRecords == 0 {
+			t.Errorf("cut %d: mid-record truncation not counted corrupt (%s)", p.Cut, rs)
 		}
-		if bounds[cut] && cut > 0 && rs.Slots != 1 {
-			t.Errorf("cut %d: clean boundary truncation lost the slot (%s)", cut, rs)
+		if p.Boundary && p.Cut > 0 && rs.Slots != 1 {
+			t.Errorf("cut %d: clean boundary truncation lost the slot (%s)", p.Cut, rs)
 		}
 		if rs.Slots > 0 {
 			serveClean(t, m2, "s", 1)
 		}
-		jl2.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

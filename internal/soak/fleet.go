@@ -386,17 +386,8 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		// survives. A fresh controller recovers from it against the same
 		// fleet and takes over only after its first Tick re-admits workers.
 		if cfg.ControllerKillEvery > 0 && round > 0 && round%cfg.ControllerKillEvery == 0 {
-			if err := jl.Close(); err != nil {
-				return rep, fmt.Errorf("fleet soak: close journal for controller kill: %w", err)
-			}
-			jl2, err := journal.OpenWith(cfg.Dir, journalOpts)
-			if err != nil {
-				return rep, fmt.Errorf("fleet soak: reopen journal: %w", err)
-			}
-			jl = jl2
 			nc := fleet.New(fleetSoakControllerConfig(cfg.Seed+int64(round), reg), ct)
-			nc.AttachJournal(jl2)
-			rs, err := nc.Recover()
+			rs, err := takeOver(&jl, cfg.Dir, journalOpts, nc)
 			if err != nil {
 				return rep, fmt.Errorf("fleet soak: controller recovery: %w", err)
 			}
@@ -585,17 +576,8 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	// controller recovered from the journal must reconcile the live fleet
 	// with zero corrective pushes and route traffic to every slot.
 	c.Flush()
-	if err := jl.Close(); err != nil {
-		return rep, fmt.Errorf("fleet soak: close journal: %w", err)
-	}
-	jl2, err := journal.OpenWith(cfg.Dir, journalOpts)
-	if err != nil {
-		return rep, fmt.Errorf("fleet soak: reopen for replay audit: %w", err)
-	}
-	jl = jl2
 	c2 := fleet.New(fleetSoakControllerConfig(cfg.Seed+7, reg), ct)
-	c2.AttachJournal(jl2)
-	rs, err := c2.Recover()
+	rs, err := takeOver(&jl, cfg.Dir, journalOpts, c2)
 	if err != nil {
 		return rep, fmt.Errorf("fleet soak: replay audit recovery: %w", err)
 	}
@@ -634,6 +616,22 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 // verdict other than XDP_PASS — a divergent (drop) program leaking through
 // a rollout is exactly what this catches — and returns the instruction
 // count, the observable that distinguishes fleet versions.
+// takeOver is a controller crash: the dying controller's journal is closed
+// and reopened, and c recovers from it — the state dir is all that survives.
+// *jl becomes the reopened journal.
+func takeOver(jl **journal.Log, dir string, o journal.Options, c *fleet.Controller) (fleet.RecoverStats, error) {
+	if err := (*jl).Close(); err != nil {
+		return fleet.RecoverStats{}, err
+	}
+	j, err := journal.OpenWith(dir, o)
+	if err != nil {
+		return fleet.RecoverStats{}, err
+	}
+	*jl = j
+	c.AttachJournal(j)
+	return c.Recover()
+}
+
 func serveVerdict(lt *fleet.LocalTransport, worker, slot string) (uint64, error) {
 	pkt := make([]byte, 64)
 	rv, stats, err := lt.Manager(worker).Serve(slot, vm.BuildXDPContext(len(pkt)), pkt)

@@ -19,6 +19,7 @@ package soak
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,7 +321,7 @@ func RunReplicaLoss(cfg ReplicaConfig) (*ReplicaReport, error) {
 			stale := false
 			for _, sl := range slots {
 				if _, err := lt.Manager(victimA).StatusOf(sl); err == nil {
-					if reps := c.Placements()[sl]; !containsName(reps, victimA) {
+					if reps := c.Placements()[sl]; !slices.Contains(reps, victimA) {
 						stale = true // placed elsewhere yet still held here
 					}
 				}
@@ -377,17 +378,8 @@ func RunReplicaLoss(cfg ReplicaConfig) (*ReplicaReport, error) {
 	// placement map and route immediately. --------------------------------
 	getCtl().Flush()
 	before := getCtl().Placements()
-	if err := jl.Close(); err != nil {
-		return rep, fmt.Errorf("replica soak: close journal: %w", err)
-	}
-	jl2, err := journal.OpenWith(cfg.Dir, journalOpts)
-	if err != nil {
-		return rep, fmt.Errorf("replica soak: reopen journal: %w", err)
-	}
-	jl = jl2
 	nc := fleet.New(replicaControllerConfig(cfg, reg), ct)
-	nc.AttachJournal(jl2)
-	rs, err := nc.Recover()
+	rs, err := takeOver(&jl, cfg.Dir, journalOpts, nc)
 	if err != nil {
 		return rep, fmt.Errorf("replica soak: controller recovery: %w", err)
 	}
@@ -451,13 +443,4 @@ func RunReplicaLoss(cfg ReplicaConfig) (*ReplicaReport, error) {
 	rep.Sent += int(pumpSent.Load())
 	rep.Dropped += int(pumpDropped.Load())
 	return rep, nil
-}
-
-func containsName(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

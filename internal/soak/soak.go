@@ -17,8 +17,6 @@ package soak
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +68,7 @@ type Report struct {
 	// began in-memory; EndDegraded is the health state at the end.
 	StartupDegraded bool
 	EndDegraded     bool
-	Health          lifecycle.JournalHealth
+	Health          journal.Health
 	// Journal is the journal's own accounting (zero when the journal never
 	// attached); Injector is what the fault plan actually did.
 	Journal  journal.Stats
@@ -289,71 +287,4 @@ func VerifyRecovery(dir string) (lifecycle.RecoverStats, error) {
 		}
 	}
 	return rs, nil
-}
-
-// survivingSegments lists dir's journal segment files in replay order.
-func survivingSegments(dir string) ([]string, error) {
-	return journal.SegmentFiles(dir)
-}
-
-// SweepPrefixes replays the crash at every point of the surviving byte
-// stream: for each segment and a set of truncation offsets within it, it
-// builds a copy of the state dir holding exactly the stream's prefix (whole
-// earlier segments, the truncated one, no later ones) and requires verify to
-// pass on it (VerifyRecovery for a lifecycle state dir; any journal-backed
-// store brings its own). samplesPerSegment bounds the offsets tried per
-// segment (boundary cases 0 and full size are always included; the segment's
-// size plus one tries every byte).
-func SweepPrefixes(dir string, samplesPerSegment int, verify func(caseDir string) error) error {
-	if samplesPerSegment < 2 {
-		samplesPerSegment = 2
-	}
-	segs, err := survivingSegments(dir)
-	if err != nil {
-		return err
-	}
-	scratch, err := os.MkdirTemp("", "soak-sweep-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
-
-	snap, _ := os.ReadFile(filepath.Join(dir, "snapshot.db"))
-	caseNum := 0
-	for k, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, seg))
-		if err != nil {
-			return err
-		}
-		for s := 0; s < samplesPerSegment; s++ {
-			cut := int64(len(data)) * int64(s) / int64(samplesPerSegment-1)
-			caseDir := filepath.Join(scratch, fmt.Sprintf("case-%03d", caseNum))
-			caseNum++
-			if err := os.MkdirAll(caseDir, 0o755); err != nil {
-				return err
-			}
-			if snap != nil {
-				if err := os.WriteFile(filepath.Join(caseDir, "snapshot.db"), snap, 0o644); err != nil {
-					return err
-				}
-			}
-			for _, prev := range segs[:k] {
-				b, err := os.ReadFile(filepath.Join(dir, prev))
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(filepath.Join(caseDir, prev), b, 0o644); err != nil {
-					return err
-				}
-			}
-			if err := os.WriteFile(filepath.Join(caseDir, seg), data[:cut], 0o644); err != nil {
-				return err
-			}
-			if err := verify(caseDir); err != nil {
-				return fmt.Errorf("prefix %s truncated to %d bytes (case %d): %w", seg, cut, caseNum-1, err)
-			}
-			os.RemoveAll(caseDir)
-		}
-	}
-	return nil
 }

@@ -8,8 +8,9 @@ import (
 	"merlin/internal/journal"
 )
 
-// lifecycleRecovers is SweepPrefixes' check for a lifecycle state dir.
-func lifecycleRecovers(dir string) error {
+// lifecycleRecovers is journal.SweepPrefixes' check for a lifecycle state
+// dir.
+func lifecycleRecovers(dir string, _ journal.Prefix) error {
 	_, err := VerifyRecovery(dir)
 	return err
 }
@@ -63,7 +64,7 @@ func TestChaosSoak(t *testing.T) {
 				if _, err := VerifyRecovery(dir); err != nil {
 					t.Fatalf("post-soak recovery inconsistent: %v", err)
 				}
-				if err := SweepPrefixes(dir, 6, lifecycleRecovers); err != nil {
+				if err := journal.SweepPrefixes(dir, 6, lifecycleRecovers); err != nil {
 					t.Fatalf("prefix sweep: %v", err)
 				}
 			})
@@ -128,7 +129,7 @@ func TestSoakRotationUnderChurn(t *testing.T) {
 	if rep.Journal.Rotations == 0 {
 		t.Fatalf("no segment rotations with 1KiB segments: %+v", rep.Journal)
 	}
-	if err := SweepPrefixes(dir, 4, lifecycleRecovers); err != nil {
+	if err := journal.SweepPrefixes(dir, 4, lifecycleRecovers); err != nil {
 		t.Fatalf("multi-segment prefix sweep: %v", err)
 	}
 }
