@@ -99,6 +99,13 @@ go test -run FuzzVMEquivalence -fuzz FuzzVMEquivalence -fuzztime 20s ./internal/
 # through identically on both engines and be rejected by the verifier.
 go test -run FuzzScalarSemantics -fuzz FuzzScalarSemantics -fuzztime 10s ./internal/difftest/
 
+# Bytecode-editing fuzz, no timing threshold: random programs (lddw,
+# forward and backward branches) with random dead masks and random edits;
+# Sweep must equal per-element deletion from the back, and Splice a reference
+# built from per-element deletions and insertions: instructions, targets and
+# finalized offsets.
+go test -run FuzzEditableSweep -fuzz FuzzEditableSweep -fuzztime 10s ./internal/ebpf/
+
 # Benchmark correctness smokes, no timing threshold: a real merlind worker
 # driven through the shared dispatcher, the controller fanning 8-packet
 # traffic RPCs over two workers, and the in-process batch path; each

@@ -103,17 +103,16 @@ type CFG struct {
 // malformed branch targets.
 func BuildCFG(prog *ebpf.Program) (*CFG, error) {
 	n := len(prog.Insns)
+	targets, err := prog.Targets()
+	if err != nil {
+		return nil, err
+	}
 	cfg := &CFG{
 		Prog:    prog,
 		Leader:  make([]bool, n),
 		BlockOf: make([]int, n),
-		Target:  make([]int, n),
+		Target:  targets,
 	}
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return nil, err
-	}
-	copy(cfg.Target, ed.Target)
 	if n == 0 {
 		return cfg, nil
 	}

@@ -89,17 +89,32 @@ func RunAll(prog *ebpf.Program, opts Options) (*ebpf.Program, []Stat, error) {
 	return cur, stats, nil
 }
 
-// isBranchTarget returns a set of elements that are jump targets.
-func branchTargets(prog *ebpf.Program) (map[int]bool, error) {
-	ed, err := ebpf.MakeEditable(prog)
+// branchTargets resolves prog's branches and marks, per element, whether
+// some branch lands on it.
+func branchTargets(prog *ebpf.Program) (targets []int, isTarget []bool, err error) {
+	targets, err = prog.Targets()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	targets := map[int]bool{}
-	for _, t := range ed.Target {
+	return targets, landings(targets), nil
+}
+
+// landings marks, per element, whether some branch in targets lands on it.
+func landings(targets []int) []bool {
+	is := make([]bool, len(targets))
+	for _, t := range targets {
 		if t >= 0 {
-			targets[t] = true
+			is[t] = true
 		}
 	}
-	return targets, nil
+	return is
+}
+
+// sweep returns prog, whose resolved branch targets are targets, without the
+// elements marked dead; a branch into a removed element lands on the next
+// survivor.
+func sweep(prog *ebpf.Program, targets []int, dead []bool) (*ebpf.Program, error) {
+	ed := ebpf.EditableOf(prog, targets)
+	ed.Sweep(dead)
+	return ed.Finalize()
 }

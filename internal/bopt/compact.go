@@ -12,28 +12,25 @@ func Compact(prog *ebpf.Program, opts Options) (*ebpf.Program, int, error) {
 	if !opts.ALU32 {
 		return prog, 0, nil
 	}
-	targets, err := branchTargets(prog)
+	resolved, targets, err := branchTargets(prog)
 	if err != nil {
 		return nil, 0, err
 	}
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return nil, 0, err
-	}
+	insns := prog.Insns
 	// Collect non-overlapping matches left to right.
 	type match struct {
 		start int // element index of the first instruction of the pattern
 		movIn bool
 	}
 	var matches []match
-	for i := 0; i+1 < len(ed.Insns); i++ {
-		a, b := ed.Insns[i], ed.Insns[i+1]
+	for i := 0; i+1 < len(insns); i++ {
+		a, b := insns[i], insns[i+1]
 		if !(isShl32(a) && isShr32(b) && a.Dst == b.Dst) || targets[i+1] {
 			continue
 		}
 		// A mov feeding the pair joins the match. It can never overlap a
 		// previous match: matches end in a shr, which is not a mov.
-		if i > 0 && !targets[i] && isMov64(ed.Insns[i-1]) && ed.Insns[i-1].Dst == a.Dst {
+		if i > 0 && !targets[i] && isMov64(insns[i-1]) && insns[i-1].Dst == a.Dst {
 			matches = append(matches, match{start: i - 1, movIn: true})
 			i++ // consume the pair
 			continue
@@ -44,19 +41,20 @@ func Compact(prog *ebpf.Program, opts Options) (*ebpf.Program, int, error) {
 	if len(matches) == 0 {
 		return prog, 0, nil
 	}
-	for k := len(matches) - 1; k >= 0; k-- {
-		m := matches[k]
+	ed := ebpf.EditableOf(prog, resolved)
+	dead := make([]bool, len(insns))
+	for _, m := range matches {
 		if m.movIn {
-			mov := ed.Insns[m.start]
+			mov := insns[m.start]
 			ed.Replace(m.start, ebpf.Mov32Reg(mov.Dst, mov.Src))
-			ed.Delete(m.start + 2)
-			ed.Delete(m.start + 1)
+			dead[m.start+1], dead[m.start+2] = true, true
 		} else {
-			r := ed.Insns[m.start].Dst
+			r := insns[m.start].Dst
 			ed.Replace(m.start, ebpf.Mov32Reg(r, r))
-			ed.Delete(m.start + 1)
+			dead[m.start+1] = true
 		}
 	}
+	ed.Sweep(dead)
 	out, err := ed.Finalize()
 	return out, len(matches), err
 }

@@ -13,50 +13,75 @@ import (
 func CPDCE(prog *ebpf.Program, opts Options) (*ebpf.Program, int, error) {
 	applied := 0
 	cur := prog
+	var f facts
 	for {
-		n, next, err := cpRound(cur)
-		if err != nil {
-			return nil, 0, err
+		round := 0
+		for _, r := range [...]func(*facts, *ebpf.Program) (int, *ebpf.Program, error){
+			cpRound, foldBranchesRound, unreachableRound, dceRound,
+		} {
+			n, next, err := r(&f, cur)
+			if err != nil {
+				return nil, 0, err
+			}
+			cur = next
+			round += n
 		}
-		cur = next
-		f, next2, err := foldBranchesRound(cur)
-		if err != nil {
-			return nil, 0, err
-		}
-		cur = next2
-		u, next3, err := unreachableRound(cur)
-		if err != nil {
-			return nil, 0, err
-		}
-		cur = next3
-		d, next4, err := dceRound(cur)
-		if err != nil {
-			return nil, 0, err
-		}
-		cur = next4
-		applied += n + f + u + d
-		if n+f+u+d == 0 {
+		applied += round
+		if round == 0 {
 			return cur, applied, nil
 		}
 	}
 }
 
+// facts holds the analyses of one program version. A round that changes
+// nothing hands back the program it was given, and the next round reuses
+// what was computed for that version instead of rebuilding it.
+type facts struct {
+	prog   *ebpf.Program
+	cfg    *analysis.CFG
+	consts []analysis.RegConsts
+	live   []analysis.RegMask
+}
+
+// of points f at prog, building its CFG unless f already describes it.
+func (f *facts) of(prog *ebpf.Program) error {
+	if f.prog == prog {
+		return nil
+	}
+	cfg, err := analysis.BuildCFG(prog)
+	if err != nil {
+		return err
+	}
+	*f = facts{prog: prog, cfg: cfg}
+	return nil
+}
+
+func (f *facts) constants() []analysis.RegConsts {
+	if f.consts == nil {
+		f.consts = analysis.Constants(f.cfg)
+	}
+	return f.consts
+}
+
+func (f *facts) liveness() []analysis.RegMask {
+	if f.live == nil {
+		f.live = analysis.Liveness(f.cfg)
+	}
+	return f.live
+}
+
 // foldBranchesRound resolves conditional branches whose outcome constant
 // propagation proves: always-taken branches become unconditional jumps,
 // never-taken branches are deleted.
-func foldBranchesRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	cfg, err := analysis.BuildCFG(prog)
-	if err != nil {
+func foldBranchesRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
+	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	consts := analysis.Constants(cfg)
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return 0, nil, err
-	}
+	consts := f.constants()
+	var ed *ebpf.Editable
+	var dead []bool
 	applied := 0
-	var deletions []int
-	for i, ins := range ed.Insns {
+	for i, ins := range prog.Insns {
 		if !ins.IsCondJump() {
 			continue
 		}
@@ -78,21 +103,23 @@ func foldBranchesRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 		if !ok {
 			continue
 		}
+		if ed == nil {
+			ed = ebpf.EditableOf(prog, f.cfg.Target)
+			dead = make([]bool, len(prog.Insns))
+		}
 		if taken {
 			tgt := ed.Target[i]
 			ed.Replace(i, ebpf.Jump(0))
 			ed.SetTarget(i, tgt)
 		} else {
-			deletions = append(deletions, i)
+			dead[i] = true
 		}
 		applied++
-	}
-	for k := len(deletions) - 1; k >= 0; k-- {
-		ed.Delete(deletions[k])
 	}
 	if applied == 0 {
 		return 0, prog, nil
 	}
+	ed.Sweep(dead)
 	out, err := ed.Finalize()
 	return applied, out, err
 }
@@ -100,12 +127,12 @@ func foldBranchesRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 // unreachableRound removes instructions no path from the entry reaches
 // (produced by branch folding). The kernel rejects unreachable code, so the
 // refined program must not contain any.
-func unreachableRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
+func unreachableRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
+	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	n := len(ed.Insns)
+	target := f.cfg.Target
+	n := len(prog.Insns)
 	seen := make([]bool, n)
 	stack := []int{0}
 	for len(stack) > 0 {
@@ -115,40 +142,43 @@ func unreachableRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 			continue
 		}
 		seen[i] = true
-		if t := ed.Target[i]; t >= 0 {
+		if t := target[i]; t >= 0 {
 			stack = append(stack, t)
 		}
-		if !ed.Insns[i].Terminates() {
+		if !prog.Insns[i].Terminates() {
 			stack = append(stack, i+1)
 		}
 	}
+	dead := make([]bool, n)
 	applied := 0
-	for i := n - 1; i >= 0; i-- {
+	for i := range seen {
 		if !seen[i] {
-			ed.Delete(i)
+			dead[i] = true
 			applied++
 		}
 	}
 	if applied == 0 {
 		return 0, prog, nil
 	}
-	out, err := ed.Finalize()
+	out, err := sweep(prog, target, dead)
 	return applied, out, err
 }
 
 // cpRound rewrites instructions whose register operands are known constants.
-func cpRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	cfg, err := analysis.BuildCFG(prog)
-	if err != nil {
+func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
+	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	consts := analysis.Constants(cfg)
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return 0, nil, err
+	consts := f.constants()
+	var ed *ebpf.Editable
+	replace := func(i int, ins ebpf.Instruction) {
+		if ed == nil {
+			ed = ebpf.EditableOf(prog, f.cfg.Target)
+		}
+		ed.Replace(i, ins)
 	}
 	applied := 0
-	for i, ins := range ed.Insns {
+	for i, ins := range prog.Insns {
 		rc := consts[i]
 		switch {
 		case ins.Class() == ebpf.ClassSTX && ins.ModeField() == ebpf.ModeMEM:
@@ -160,7 +190,7 @@ func cpRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 			if !immFitsStore(ins.SizeField(), cv.Val) {
 				continue
 			}
-			ed.Replace(i, ebpf.StoreImm(ins.SizeField(), ins.Dst, ins.Offset, int32(cv.Val)))
+			replace(i, ebpf.StoreImm(ins.SizeField(), ins.Dst, ins.Offset, int32(cv.Val)))
 			applied++
 		case ins.Class().IsALU() && ins.SourceField() == ebpf.SourceX && ins.ALUOpField() != ebpf.ALUMov:
 			// alu dst, src with src == const → alu dst, imm
@@ -172,9 +202,10 @@ func cpRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 			repl.Opcode = (ins.Opcode &^ uint8(ebpf.SourceX))
 			repl.Src = 0
 			repl.Imm = int32(cv.Val)
-			ed.Replace(i, repl)
+			replace(i, repl)
 			applied++
 		case ins.IsCondJump() && ins.SourceField() == ebpf.SourceX:
+			// The replacement is a branch too, so it keeps its target.
 			cv := rc[ins.Src]
 			if !cv.Known || !fitsInt32(cv.Val) {
 				continue
@@ -183,8 +214,7 @@ func cpRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 			repl.Opcode = (ins.Opcode &^ uint8(ebpf.SourceX))
 			repl.Src = 0
 			repl.Imm = int32(cv.Val)
-			ed.Replace(i, repl)
-			ed.SetTarget(i, ed.Target[i])
+			replace(i, repl)
 			applied++
 		}
 	}
@@ -214,33 +244,27 @@ func immFitsStore(size ebpf.Size, val int64) bool {
 func fitsInt32(v int64) bool { return v >= -0x80000000 && v <= 0x7fffffff }
 
 // dceRound removes side-effect-free definitions of dead registers.
-func dceRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	cfg, err := analysis.BuildCFG(prog)
-	if err != nil {
+func dceRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
+	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	liveOut := analysis.Liveness(cfg)
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return 0, nil, err
-	}
-	var victims []int
-	for i, ins := range ed.Insns {
-		if !removableDef(ins) {
-			continue
-		}
-		if !liveOut[i].Has(ins.Dst) {
-			victims = append(victims, i)
+	liveOut := f.liveness()
+	var dead []bool
+	applied := 0
+	for i, ins := range prog.Insns {
+		if removableDef(ins) && !liveOut[i].Has(ins.Dst) {
+			if dead == nil {
+				dead = make([]bool, len(prog.Insns))
+			}
+			dead[i] = true
+			applied++
 		}
 	}
-	if len(victims) == 0 {
+	if applied == 0 {
 		return 0, prog, nil
 	}
-	for k := len(victims) - 1; k >= 0; k-- {
-		ed.Delete(victims[k])
-	}
-	out, err := ed.Finalize()
-	return len(victims), out, err
+	out, err := sweep(prog, f.cfg.Target, dead)
+	return applied, out, err
 }
 
 // removableDef reports whether ins only produces a register value (no

@@ -40,21 +40,15 @@ func maskShiftRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 		return 0, nil, err
 	}
 	liveOut := analysis.Liveness(cfg)
-	targets, err := branchTargets(prog)
-	if err != nil {
-		return 0, nil, err
-	}
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return 0, nil, err
-	}
+	targets := landings(cfg.Target)
+	insns := prog.Insns
 	type match struct {
 		at int
 		k  int32
 	}
 	var matches []match
-	for i := 0; i+2 < len(ed.Insns); i++ {
-		ld, and, shr := ed.Insns[i], ed.Insns[i+1], ed.Insns[i+2]
+	for i := 0; i+2 < len(insns); i++ {
+		ld, and, shr := insns[i], insns[i+1], insns[i+2]
 		if !ld.IsWide() || ld.IsMapLoad() || targets[i+1] || targets[i+2] {
 			continue
 		}
@@ -84,37 +78,41 @@ func maskShiftRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 	if len(matches) == 0 {
 		return 0, prog, nil
 	}
-	for j := len(matches) - 1; j >= 0; j-- {
-		m := matches[j]
-		rd := ed.Insns[m.at+1].Dst
+	ed := ebpf.EditableOf(prog, cfg.Target)
+	dead := make([]bool, len(insns))
+	for _, m := range matches {
+		rd := insns[m.at+1].Dst
 		ed.Replace(m.at, ebpf.ALU64Imm(ebpf.ALULsh, rd, 32))
 		ed.Replace(m.at+1, ebpf.ALU64Imm(ebpf.ALURsh, rd, 32+m.k))
-		ed.Delete(m.at + 2)
+		dead[m.at+2] = true
 	}
+	ed.Sweep(dead)
 	out, err := ed.Finalize()
 	return len(matches), out, err
 }
 
 // identityRound removes no-op instructions.
 func identityRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	ed, err := ebpf.MakeEditable(prog)
+	var dead []bool
+	applied := 0
+	for i, ins := range prog.Insns {
+		if isNoop(ins) {
+			if dead == nil {
+				dead = make([]bool, len(prog.Insns))
+			}
+			dead[i] = true
+			applied++
+		}
+	}
+	if applied == 0 {
+		return 0, prog, nil
+	}
+	targets, err := prog.Targets()
 	if err != nil {
 		return 0, nil, err
 	}
-	var victims []int
-	for i, ins := range ed.Insns {
-		if isNoop(ins) {
-			victims = append(victims, i)
-		}
-	}
-	if len(victims) == 0 {
-		return 0, prog, nil
-	}
-	for k := len(victims) - 1; k >= 0; k-- {
-		ed.Delete(victims[k])
-	}
-	out, err := ed.Finalize()
-	return len(victims), out, err
+	out, err := sweep(prog, targets, dead)
+	return applied, out, err
 }
 
 // isNoop reports whether ins provably changes nothing. Note that 32-bit

@@ -26,26 +26,22 @@ func SLM(prog *ebpf.Program, opts Options) (*ebpf.Program, int, error) {
 }
 
 func slmRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
-	targets, err := branchTargets(prog)
+	resolved, targets, err := branchTargets(prog)
 	if err != nil {
 		return 0, nil, err
 	}
-	ed, err := ebpf.MakeEditable(prog)
-	if err != nil {
-		return 0, nil, err
-	}
-	applied := 0
+	insns := prog.Insns
 	// Collect merge pairs left to right, skipping overlaps.
 	i := 0
-	var merges [][2]int
-	for i+1 < len(ed.Insns) {
+	var merges []int // the first store of each pair
+	for i+1 < len(insns) {
 		if targets[i+1] {
 			i++
 			continue // control can land between the two stores
 		}
-		a, b := ed.Insns[i], ed.Insns[i+1]
+		a, b := insns[i], insns[i+1]
 		if ok := mergeableStores(a, b); ok {
-			merges = append(merges, [2]int{i, i + 1})
+			merges = append(merges, i)
 			i += 2
 			continue
 		}
@@ -54,21 +50,17 @@ func slmRound(prog *ebpf.Program) (int, *ebpf.Program, error) {
 	if len(merges) == 0 {
 		return 0, prog, nil
 	}
-	for k := len(merges) - 1; k >= 0; k-- {
-		lo, hi := orderByOffset(ed.Insns[merges[k][0]], ed.Insns[merges[k][1]])
-		merged, ok := mergeStores(lo, hi)
-		if !ok {
-			continue
-		}
-		ed.Replace(merges[k][0], merged)
-		ed.Delete(merges[k][1])
-		applied++
+	ed := ebpf.EditableOf(prog, resolved)
+	dead := make([]bool, len(insns))
+	for _, at := range merges {
+		// mergeableStores has proven the pair merges.
+		merged, _ := mergeStores(orderByOffset(insns[at], insns[at+1]))
+		ed.Replace(at, merged)
+		dead[at+1] = true
 	}
-	if applied == 0 {
-		return 0, prog, nil
-	}
+	ed.Sweep(dead)
 	out, err := ed.Finalize()
-	return applied, out, err
+	return len(merges), out, err
 }
 
 // mergeableStores reports whether a and b are same-width store-immediates

@@ -193,7 +193,7 @@ func TestEditableDeleteFixesOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Delete(1)
+	e.Sweep([]bool{false, true, false, false, false})
 	q, err := e.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +209,12 @@ func TestEditableDeleteFixesOffsets(t *testing.T) {
 	}
 }
 
-func TestEditableInsertBefore(t *testing.T) {
+// TestEditableSpliceInsertsBefore pins an insertion's branch rule: a branch
+// into the element an insertion precedes lands on the inserted instruction,
+// and a branch that skipped the element still skips it.
+func TestEditableSpliceInsertsBefore(t *testing.T) {
 	p := &Program{Insns: []Instruction{
-		JumpImm(JumpNE, R1, 0, 1),
+		JumpImm(JumpNE, R1, 0, 1), // → exit
 		Mov64Imm(R0, 1),
 		Exit(),
 	}}
@@ -219,7 +222,7 @@ func TestEditableInsertBefore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.InsertBefore(1, Mov64Imm(R2, 9))
+	e.Splice([]Edit{{Start: 1, End: 1, Repl: []Instruction{Mov64Imm(R2, 9)}}})
 	q, err := e.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +230,18 @@ func TestEditableInsertBefore(t *testing.T) {
 	// Branch skipped the mov; after insertion it must skip both.
 	if got := q.BranchTarget(0); got != 3 {
 		t.Fatalf("target = %d, want 3", got)
+	}
+
+	e, err = MakeEditable(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Splice([]Edit{{Start: 2, End: 2, Repl: []Instruction{Mov64Imm(R2, 9)}}})
+	if q, err = e.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.BranchTarget(0); got != 2 || q.Insns[2] != Mov64Imm(R2, 9) {
+		t.Fatalf("target = %d (%s), want the inserted mov at 2", got, Mnemonic(q.Insns[got]))
 	}
 }
 
@@ -246,7 +261,7 @@ func TestEditableDeleteAcrossWide(t *testing.T) {
 	if e.Target[1] != 5 {
 		t.Fatalf("target elem = %d, want 5", e.Target[1])
 	}
-	e.Delete(3)
+	e.Sweep([]bool{false, false, false, true, false, false})
 	q, err := e.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +273,8 @@ func TestEditableDeleteAcrossWide(t *testing.T) {
 
 // TestMakeEditableTargets pins which slots a branch may land on: the start of
 // any element including the last, never the second slot of an lddw, never
-// outside the program (the slot one past the end included).
+// outside the program (the slot one past the end included). Targets and the
+// Layout slot table must agree.
 func TestMakeEditableTargets(t *testing.T) {
 	// Slots: 0 branch, 1-2 lddw, 3 mov, 4 exit.
 	prog := func(off int16) *Program {
@@ -283,7 +299,12 @@ func TestMakeEditableTargets(t *testing.T) {
 		{"itself", -1, 0},
 		{"before the start", -2, -1},
 	} {
-		e, err := MakeEditable(prog(tc.off))
+		p := prog(tc.off)
+		lay := p.Layout()
+		if got, ok := lay.ElemAt(lay.JumpSlot(0, p.Insns[0])); got != tc.target || ok != (tc.target >= 0) {
+			t.Errorf("%s: layout resolves element %d (%v), want %d", tc.name, got, ok, tc.target)
+		}
+		e, err := MakeEditable(p)
 		if tc.target < 0 {
 			want := fmt.Sprintf("ebpf: t: branch at 0 targets invalid slot %d", 1+int(tc.off))
 			if err == nil || err.Error() != want {

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // HookType identifies where a program attaches. It gates which helpers are
@@ -158,6 +159,9 @@ func Decode(raw []byte) ([]Instruction, error) {
 		return nil, fmt.Errorf("ebpf: program length %d is not a multiple of 8", len(raw))
 	}
 	var out []Instruction
+	if len(raw) > 0 {
+		out = make([]Instruction, 0, len(raw)/8) // NI bounds the element count
+	}
 	for i := 0; i < len(raw); i += 8 {
 		ins := Instruction{
 			Opcode: raw[i],
@@ -179,59 +183,95 @@ func Decode(raw []byte) ([]Instruction, error) {
 	return out, nil
 }
 
-// Editable is a branch-target-resolved view of a program used by rewriting
-// passes. Targets are element indices, so instructions can be deleted,
-// replaced, or inserted without manual offset arithmetic; Finalize re-encodes
-// slot-relative offsets.
+// Layout relates a program's elements to its 8-byte encoding slots: the
+// dense slot table both VM engines and the verifier resolve branches
+// through, computed once per load and copying no instruction.
+type Layout struct {
+	// SlotOf[i] is the first slot of element i; SlotOf[len(Insns)] is NI.
+	SlotOf []int
+	// elem[s] is the element starting at slot s, -1 for the second slot of
+	// a wide instruction.
+	elem []int32
+}
+
+// Layout computes p's slot layout.
+func (p *Program) Layout() Layout {
+	slotOf := p.SlotIndex()
+	elem := make([]int32, slotOf[len(p.Insns)])
+	for i := range p.Insns {
+		elem[slotOf[i]] = int32(i)
+		for s := slotOf[i] + 1; s < slotOf[i+1]; s++ {
+			elem[s] = -1
+		}
+	}
+	return Layout{SlotOf: slotOf, elem: elem}
+}
+
+// ElemAt returns the element starting at slot s. ok is false when s lies
+// outside the program (the slot one past the end included) or is the second
+// slot of a wide instruction.
+func (l Layout) ElemAt(s int) (elem int, ok bool) {
+	if s < 0 || s >= len(l.elem) || l.elem[s] < 0 {
+		return -1, false
+	}
+	return int(l.elem[s]), true
+}
+
+// JumpSlot returns the slot a branch ins at element i lands on: offsets are
+// encoded in slots relative to the next instruction.
+func (l Layout) JumpSlot(i int, ins Instruction) int {
+	return l.SlotOf[i] + ins.Slots() + int(ins.Offset)
+}
+
+// Targets resolves every branch of p to the element index it lands on, -1
+// for non-branches, without copying the instructions. It returns an error if
+// any branch lands outside the program or into the middle of a wide
+// instruction. It resolves as Layout's ElemAt(JumpSlot(i, ins)) does, but
+// searches the slot index instead of building the slot table.
+func (p *Program) Targets() ([]int, error) {
+	n := len(p.Insns)
+	slotOf := p.SlotIndex()
+	t := make([]int, n)
+	for i, ins := range p.Insns {
+		t[i] = -1
+		if !ins.IsCondJump() && !ins.IsUncondJump() {
+			continue
+		}
+		s := slotOf[i] + ins.Slots() + int(ins.Offset)
+		j, ok := slices.BinarySearch(slotOf, s)
+		if !ok || j == n {
+			return nil, fmt.Errorf("ebpf: %s: branch at %d targets invalid slot %d", p.Name, i, s)
+		}
+		t[i] = j
+	}
+	return t, nil
+}
+
+// Editable is a branch-target-resolved copy of a program used by rewriting
+// passes. Targets are element indices, so instructions can be replaced,
+// swept away or spliced without manual offset arithmetic; Finalize
+// re-encodes slot-relative offsets.
 type Editable struct {
 	prog   *Program
 	Insns  []Instruction
 	Target []int // element index of branch target, or -1 for non-branches
 }
 
-// MakeEditable resolves branch targets of p into an Editable view.
+// MakeEditable resolves branch targets of p into an Editable copy.
 // It returns an error if any branch lands outside the program or into the
 // middle of a wide instruction.
 func MakeEditable(p *Program) (*Editable, error) {
-	e := &Editable{
-		prog:   p,
-		Insns:  append([]Instruction(nil), p.Insns...),
-		Target: make([]int, len(p.Insns)),
+	t, err := p.Targets()
+	if err != nil {
+		return nil, err
 	}
-	idx := p.SlotIndex()
-	// Slots are dense: the element starting at each one, -1 for the second
-	// slot of a wide instruction.
-	slotToElem := make([]int32, idx[len(p.Insns)])
-	for i := range p.Insns {
-		slotToElem[idx[i]] = int32(i)
-		for s := idx[i] + 1; s < idx[i+1]; s++ {
-			slotToElem[s] = -1
-		}
-	}
-	for i, ins := range e.Insns {
-		e.Target[i] = -1
-		if ins.IsCondJump() || ins.IsUncondJump() {
-			want := idx[i] + ins.Slots() + int(ins.Offset)
-			if want < 0 || want >= len(slotToElem) || slotToElem[want] < 0 {
-				return nil, fmt.Errorf("ebpf: %s: branch at %d targets invalid slot %d", p.Name, i, want)
-			}
-			e.Target[i] = int(slotToElem[want])
-		}
-	}
-	return e, nil
+	return &Editable{prog: p, Insns: slices.Clone(p.Insns), Target: t}, nil
 }
 
-// Delete removes instruction i. Branches that targeted i now target its
-// successor. Deleting a branch target's only definition is the caller's
-// responsibility to have proven safe.
-func (e *Editable) Delete(i int) {
-	e.Insns = append(e.Insns[:i], e.Insns[i+1:]...)
-	e.Target = append(e.Target[:i], e.Target[i+1:]...)
-	for k, t := range e.Target {
-		if t > i {
-			e.Target[k] = t - 1
-		}
-	}
+// EditableOf is MakeEditable for a caller that already holds p's resolved
+// targets (from Targets or a CFG built over p). Both slices are copied.
+func EditableOf(p *Program, targets []int) *Editable {
+	return &Editable{prog: p, Insns: slices.Clone(p.Insns), Target: slices.Clone(targets)}
 }
 
 // Replace swaps instruction i for ins, keeping its branch target (if the
@@ -246,22 +286,100 @@ func (e *Editable) Replace(i int, ins Instruction) {
 // SetTarget points branch instruction i at element j.
 func (e *Editable) SetTarget(i, j int) { e.Target[i] = j }
 
-// InsertBefore inserts ins ahead of element i. Branches targeting i are
-// redirected to the inserted instruction so fall-through semantics hold.
-func (e *Editable) InsertBefore(i int, ins Instruction) {
-	e.Insns = append(e.Insns, Instruction{})
-	copy(e.Insns[i+1:], e.Insns[i:])
-	e.Insns[i] = ins
-	e.Target = append(e.Target, 0)
-	copy(e.Target[i+1:], e.Target[i:])
-	e.Target[i] = -1
-	for k := range e.Target {
-		if k == i {
+// Sweep removes every element i with dead[i] set, in one pass. A branch into
+// a removed element lands on the next survivor (the end of the program when
+// none follows), exactly as if the dead elements were deleted one at a time
+// from the back; a target t is renumbered to the count of survivors before
+// it. Removing a branch target's only definition is the caller's
+// responsibility to have proven safe.
+func (e *Editable) Sweep(dead []bool) {
+	n := len(e.Insns)
+	before := make([]int, n+1) // survivors before element i
+	live := 0
+	for i := 0; i < n; i++ {
+		before[i] = live
+		if !dead[i] {
+			live++
+		}
+	}
+	before[n] = live
+	w := 0
+	for i := 0; i < n; i++ {
+		if dead[i] {
 			continue
 		}
-		if e.Target[k] >= i {
-			e.Target[k]++
+		e.Insns[w], e.Target[w] = e.Insns[i], renumber(e.Target[i], before, live)
+		w++
+	}
+	e.Insns, e.Target = e.Insns[:w], e.Target[:w]
+}
+
+// Edit replaces elements [Start, End) with Repl; Start == End inserts Repl
+// ahead of element Start. Replacement instructions carry no branch target.
+type Edit struct {
+	Start, End int
+	Repl       []Instruction
+}
+
+// Splice applies edits, ordered by strictly increasing Start and
+// non-overlapping, in one left-to-right pass. A branch into an edit's Start
+// lands on its first replacement instruction, or on whatever follows the
+// edit when Repl is empty; a branch into an edit's interior (Start, End)
+// lands on whatever follows the edit. Every other target keeps its element.
+func (e *Editable) Splice(edits []Edit) {
+	n := len(e.Insns)
+	size := n
+	for k, ed := range edits {
+		if ed.Start > ed.End || ed.End > n || k > 0 && (ed.Start <= edits[k-1].Start || ed.Start < edits[k-1].End) {
+			panic(fmt.Sprintf("ebpf: splice edit %d [%d,%d) out of order or range", k, ed.Start, ed.End))
 		}
+		size += len(ed.Repl) - (ed.End - ed.Start)
+	}
+	insns := make([]Instruction, 0, size)
+	target := make([]int, 0, size)
+	at := make([]int, n+1) // where a branch into old element i lands
+	k := 0
+	for i := 0; i <= n; {
+		at[i] = len(insns)
+		if k < len(edits) && edits[k].Start == i {
+			ed := edits[k]
+			k++
+			insns = append(insns, ed.Repl...)
+			for range ed.Repl {
+				target = append(target, -1)
+			}
+			if ed.End > i {
+				for j := i + 1; j < ed.End; j++ {
+					at[j] = len(insns)
+				}
+				i = ed.End
+				continue
+			}
+			// An insertion: element i follows it and keeps its instruction.
+		}
+		if i < n {
+			insns = append(insns, e.Insns[i])
+			target = append(target, e.Target[i])
+		}
+		i++
+	}
+	for w, t := range target {
+		target[w] = renumber(t, at, len(insns))
+	}
+	e.Insns, e.Target = insns, target
+}
+
+// renumber maps target t through remap, a table over the old elements plus
+// the one-past-the-end position; out-of-range targets keep their distance
+// past the end so Finalize still rejects them.
+func renumber(t int, remap []int, size int) int {
+	switch {
+	case t < 0:
+		return t
+	case t < len(remap):
+		return remap[t]
+	default:
+		return t - (len(remap) - 1) + size
 	}
 }
 

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -165,26 +166,25 @@ func (fi *FaultInjector) MutateBytecode(pass string, prog *ebpf.Program) *ebpf.P
 }
 
 // insertBeforeExits returns a copy of prog with ins inserted immediately
-// before up to max exit instructions (max < 0 means all of them), or prog
-// itself if there is no exit or editing fails.
+// before up to max exit instructions, counted from the last (max < 0 means
+// all of them), or prog itself if there is no exit or editing fails. A
+// branch to a chosen exit lands on the inserted instruction.
 func insertBeforeExits(prog *ebpf.Program, ins ebpf.Instruction, max int) *ebpf.Program {
 	ed, err := ebpf.MakeEditable(prog)
 	if err != nil {
 		return prog
 	}
-	inserted := 0
-	for i := len(ed.Insns) - 1; i >= 0; i-- {
+	var edits []ebpf.Edit
+	for i := len(ed.Insns) - 1; i >= 0 && (max < 0 || len(edits) < max); i-- {
 		if ed.Insns[i].IsExit() {
-			ed.InsertBefore(i, ins)
-			inserted++
-			if max >= 0 && inserted >= max {
-				break
-			}
+			edits = append(edits, ebpf.Edit{Start: i, End: i, Repl: []ebpf.Instruction{ins}})
 		}
 	}
-	if inserted == 0 {
+	if len(edits) == 0 {
 		return prog
 	}
+	slices.Reverse(edits)
+	ed.Splice(edits)
 	out, err := ed.Finalize()
 	if err != nil {
 		return prog

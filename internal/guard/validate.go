@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"merlin/internal/analysis"
 	"merlin/internal/ebpf"
 	"merlin/internal/vm"
 )
@@ -15,8 +14,8 @@ import (
 //
 //   - the program is non-empty and cannot fall off the end
 //   - it survives an encode/decode roundtrip through the wire format
-//   - every branch target lands on an instruction boundary in range
-//   - a control-flow graph can still be built over it
+//   - every branch target lands on an instruction boundary in range, which
+//     is all a control-flow graph needs to be built over it
 func ValidateProgram(prog *ebpf.Program) error {
 	if prog == nil || len(prog.Insns) == 0 {
 		return fmt.Errorf("guard: empty program")
@@ -36,11 +35,8 @@ func ValidateProgram(prog *ebpf.Program) error {
 	if !bytes.Equal(raw, re) {
 		return fmt.Errorf("guard: encode/decode roundtrip mismatch")
 	}
-	if _, err := ebpf.MakeEditable(prog); err != nil {
+	if _, err := prog.Targets(); err != nil {
 		return fmt.Errorf("guard: branch targets: %w", err)
-	}
-	if _, err := analysis.BuildCFG(prog); err != nil {
-		return fmt.Errorf("guard: cfg: %w", err)
 	}
 	return nil
 }

@@ -214,7 +214,9 @@ func mutate(p *ebpf.Program, rng *rand.Rand) (*ebpf.Program, bool) {
 		if ins.IsExit() || ins.IsCondJump() || ins.IsUncondJump() || ins.IsCall() {
 			return nil, false
 		}
-		ed.Delete(i)
+		dead := make([]bool, n)
+		dead[i] = true
+		ed.Sweep(dead)
 	case 1: // replace an ALU op with a random cheaper/equal form
 		i := rng.Intn(n)
 		ins := ed.Insns[i]

@@ -102,13 +102,6 @@ type Stats struct {
 	Reverted bool
 }
 
-// rewrite is one accepted replacement: elements [start,end) of the input
-// program become repl (already mapped back to actual registers).
-type rewrite struct {
-	start, end int
-	repl       []ebpf.Instruction
-}
-
 // Optimize applies the superoptimizer tier to prog and returns the optimized
 // program (the input is never mutated; the input pointer is returned
 // unchanged when nothing improved). Every applied rewrite has been proven
@@ -227,7 +220,9 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 	for _, is := range byStart {
 		sort.Slice(is, func(a, b int) bool { return keyed[is[a]].win.end > keyed[is[b]].win.end })
 	}
-	var rewrites []rewrite
+	// Each accepted replacement turns elements [Start,End) of the input into
+	// Repl, already mapped back to actual registers; starts ascend.
+	var rewrites []ebpf.Edit
 	for i := 0; i < len(prog.Insns); {
 		advanced := false
 		for _, ki := range byStart[i] {
@@ -236,10 +231,10 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 			if !v.Improved {
 				continue
 			}
-			rewrites = append(rewrites, rewrite{
-				start: k.win.start,
-				end:   k.win.end,
-				repl:  mapToActual(v.Repl, k.cw),
+			rewrites = append(rewrites, ebpf.Edit{
+				Start: k.win.start,
+				End:   k.win.end,
+				Repl:  mapToActual(v.Repl, k.cw),
 			})
 			i = k.win.end
 			advanced = true
@@ -278,25 +273,17 @@ func Optimize(prog *ebpf.Program, cfg Config) (*ebpf.Program, Stats, error) {
 	return out, st, nil
 }
 
-// applyRewrites splices the accepted replacements into a fresh copy of prog.
-// Rewrites are applied last-to-first so earlier indices stay valid; branches
-// into a window start are redirected to the replacement (or the successor
-// when the replacement is empty) by the Editable primitives.
-func applyRewrites(prog *ebpf.Program, rws []rewrite) (*ebpf.Program, error) {
-	ed, err := ebpf.MakeEditable(prog.Clone())
+// applyRewrites splices the accepted replacements, in ascending start order,
+// into a copy of prog in one left-to-right pass. A branch into a window start
+// lands on the replacement's first instruction, or on the window's successor
+// when the replacement is empty (windows lie inside one basic block, so no
+// branch lands in their interior).
+func applyRewrites(prog *ebpf.Program, rws []ebpf.Edit) (*ebpf.Program, error) {
+	ed, err := ebpf.MakeEditable(prog)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(rws, func(a, b int) bool { return rws[a].start > rws[b].start })
-	for _, rw := range rws {
-		for k, ins := range rw.repl {
-			ed.InsertBefore(rw.start+k, ins)
-		}
-		base := rw.start + len(rw.repl)
-		for i := rw.end - 1; i >= rw.start; i-- {
-			ed.Delete(base + (i - rw.start))
-		}
-	}
+	ed.Splice(rws)
 	return ed.Finalize()
 }
 

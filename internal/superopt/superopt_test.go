@@ -9,6 +9,7 @@ import (
 
 	"merlin/internal/ebpf"
 	"merlin/internal/guard"
+	"merlin/internal/vm"
 )
 
 // xdpProg wraps ALU instructions into a runnable XDP program body.
@@ -185,6 +186,38 @@ func TestOptimizeBranchIntoWindowStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, prog, out)
+}
+
+// TestApplyRewritesBranchIntoWindowStart: a branch into the first element of
+// a rewritten window lands on the replacement's first instruction, not on
+// what follows the replacement.
+func TestApplyRewritesBranchIntoWindowStart(t *testing.T) {
+	prog := xdpProg(
+		ebpf.Mov64Imm(ebpf.R0, 0),
+		ebpf.Mov64Imm(ebpf.R2, 0),
+		ebpf.JumpImm(ebpf.JumpEq, ebpf.R2, 0, 1), // always taken -> element 4
+		ebpf.Mov64Imm(ebpf.R0, 99),
+		ebpf.Mov64Imm(ebpf.R0, 1), // window [4,6): r0 = 2
+		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R0, 1),
+		ebpf.Exit(),
+	)
+	out, err := applyRewrites(prog, []ebpf.Edit{{Start: 4, End: 6, Repl: []ebpf.Instruction{ebpf.Mov64Imm(ebpf.R0, 2)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.BranchTarget(2); got != 4 || out.Insns[4] != ebpf.Mov64Imm(ebpf.R0, 2) {
+		t.Fatalf("branch lands on element %d (%s), want 4, the replacement", got, ebpf.Mnemonic(out.Insns[got]))
+	}
+	in := guard.Inputs(prog.Hook, 1, 1)[0]
+	for _, p := range []*ebpf.Program{prog, out} {
+		m, err := vm.New(p, vm.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r0, _, err := m.Run(in.Ctx, in.Pkt); err != nil || r0 != 2 {
+			t.Fatalf("%d insns: r0 = %d, %v; want 2", len(p.Insns), r0, err)
+		}
+	}
 }
 
 // TestOptimizeDeterministic: identical inputs and configuration produce

@@ -29,7 +29,7 @@ func (v *checker) condJump(st *state, ins ebpf.Instruction) (*state, *state, boo
 		return nil, nil, false, fmt.Errorf("unknown opcode %#02x", ins.Opcode)
 	}
 
-	tgt, ok := v.elemAt[v.slotOf[st.pc]+ins.Slots()+int(ins.Offset)]
+	tgt, ok := v.lay.ElemAt(v.lay.JumpSlot(st.pc, ins))
 	if !ok {
 		return nil, nil, false, fmt.Errorf("branch into the middle of an instruction")
 	}

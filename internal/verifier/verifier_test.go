@@ -445,3 +445,26 @@ func TestBswapVerifies(t *testing.T) {
 		ebpf.Exit(),
 	), "byte swap on non-scalar")
 }
+
+// TestBadBranchTargetRejectionPinned pins the verifier's rejection text for
+// a branch into the second slot of an lddw, to slot -1, and to the slot one
+// past the end.
+func TestBadBranchTargetRejectionPinned(t *testing.T) {
+	wide := ebpf.LoadImm64(ebpf.R0, 0x1234) // slots 1-2 after a branch at 0
+	for _, tc := range []struct {
+		branch ebpf.Instruction
+		want   string
+	}{
+		{ebpf.Jump(1), "ebpf: t: branch at 0 targets invalid slot 2"},
+		{ebpf.Jump(-2), "ebpf: t: branch at 0 targets invalid slot -1"},
+		{ebpf.Jump(3), "ebpf: t: branch at 0 targets invalid slot 4"},
+		{ebpf.JumpImm(ebpf.JumpEq, ebpf.R1, 0, 1), "ebpf: t: branch at 0 targets invalid slot 2"},
+		{ebpf.JumpImm(ebpf.JumpEq, ebpf.R1, 0, -2), "ebpf: t: branch at 0 targets invalid slot -1"},
+		{ebpf.JumpImm(ebpf.JumpEq, ebpf.R1, 0, 3), "ebpf: t: branch at 0 targets invalid slot 4"},
+	} {
+		st := verify(t, xdp(tc.branch, wide, ebpf.Exit()))
+		if st.Passed || st.Err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", ebpf.Mnemonic(tc.branch), st.Err, tc.want)
+		}
+	}
+}

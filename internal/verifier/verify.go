@@ -78,7 +78,7 @@ func Verify(prog *ebpf.Program, opts Options) Stats {
 	if opts.Version == 0 {
 		opts.Version = V65
 	}
-	v := &checker{prog: prog, opts: opts, seen: map[int][]*state{}}
+	v := &checker{prog: prog, opts: opts}
 	err := v.run()
 	st := Stats{
 		Passed:      err == nil,
@@ -102,14 +102,13 @@ type checker struct {
 	stored      int
 	nextID      uint32
 	branchSeen  int
-	seen        map[int][]*state
+	seen        [][]*state // per element, the states stored at its checkpoint
 	log         strings.Builder
 
 	// element/slot mapping
-	slotOf []int
-	elemAt map[int]int
-	// checkpoint sites (jump targets; + post-call sites on V65)
-	checkpoint map[int]bool
+	lay ebpf.Layout
+	// checkpoint sites, per element (jump targets; + post-call sites on V65)
+	checkpoint []bool
 }
 
 func (v *checker) logf(format string, args ...interface{}) {
@@ -130,17 +129,14 @@ func (v *checker) run() error {
 	if !last.IsExit() && !last.IsUncondJump() {
 		return fmt.Errorf("program does not end with exit")
 	}
-	v.slotOf = prog.SlotIndex()
-	v.elemAt = map[int]int{}
-	for i := range prog.Insns {
-		v.elemAt[v.slotOf[i]] = i
-	}
-	v.checkpoint = map[int]bool{}
-	ed, err := ebpf.MakeEditable(prog)
+	v.lay = prog.Layout()
+	v.seen = make([][]*state, len(prog.Insns))
+	v.checkpoint = make([]bool, len(prog.Insns))
+	targets, err := prog.Targets()
 	if err != nil {
 		return err
 	}
-	for i, t := range ed.Target {
+	for i, t := range targets {
 		if t >= 0 {
 			if t >= len(prog.Insns) {
 				return fmt.Errorf("branch at %d falls off the program", i)
@@ -153,8 +149,8 @@ func (v *checker) run() error {
 	}
 	// check_cfg analog: every instruction must be reachable from the entry,
 	// as the kernel requires ("unreachable insn").
-	if bad := firstUnreachable(prog, ed); bad >= 0 {
-		return fmt.Errorf("unreachable insn %d", v.slotOf[bad])
+	if bad := firstUnreachable(prog, targets); bad >= 0 {
+		return fmt.Errorf("unreachable insn %d", v.lay.SlotOf[bad])
 	}
 
 	init := &state{}
@@ -200,7 +196,7 @@ func (v *checker) run() error {
 			if v.opts.LogLevel > 0 {
 				// Rendering the mnemonic is most of a quiet verification's
 				// cost; format the line only when the log is kept.
-				v.logf("%d: (%02x) %s\n", v.slotOf[st.pc], ins.Opcode, ebpf.Mnemonic(ins))
+				v.logf("%d: (%02x) %s\n", v.lay.SlotOf[st.pc], ins.Opcode, ebpf.Mnemonic(ins))
 			}
 
 			// Periodic checkpointing, as the kernel does after enough
@@ -215,7 +211,7 @@ func (v *checker) run() error {
 				}
 				if v.npi-v.branchSeen >= period {
 					v.branchSeen = v.npi
-					if t, ok := v.elemAt[v.slotOf[st.pc]+ins.Slots()+int(ins.Offset)]; ok {
+					if t, ok := v.lay.ElemAt(v.lay.JumpSlot(st.pc, ins)); ok {
 						v.checkpoint[t] = true
 					}
 					if st.pc+1 < len(v.prog.Insns) {
@@ -226,7 +222,7 @@ func (v *checker) run() error {
 
 			next, branched, done, err := v.step(st, ins)
 			if err != nil {
-				return fmt.Errorf("insn %d: %s: %w", v.slotOf[st.pc], ebpf.Mnemonic(ins), err)
+				return fmt.Errorf("insn %d: %s: %w", v.lay.SlotOf[st.pc], ebpf.Mnemonic(ins), err)
 			}
 			if done {
 				break
@@ -250,7 +246,7 @@ func (v *checker) run() error {
 
 // firstUnreachable returns the element index of the first instruction not
 // reachable from the entry, or -1.
-func firstUnreachable(prog *ebpf.Program, ed *ebpf.Editable) int {
+func firstUnreachable(prog *ebpf.Program, targets []int) int {
 	n := len(prog.Insns)
 	seen := make([]bool, n)
 	stack := []int{0}
@@ -262,7 +258,7 @@ func firstUnreachable(prog *ebpf.Program, ed *ebpf.Editable) int {
 		}
 		seen[i] = true
 		ins := prog.Insns[i]
-		if t := ed.Target[i]; t >= 0 {
+		if t := targets[i]; t >= 0 {
 			stack = append(stack, t)
 		}
 		if !ins.Terminates() {
@@ -321,7 +317,7 @@ func (v *checker) step(st *state, ins ebpf.Instruction) (*state, *state, bool, e
 				return nil, nil, false, err
 			}
 		case ebpf.JumpAlways:
-			tgt, ok := v.elemAt[v.slotOf[st.pc]+ins.Slots()+int(ins.Offset)]
+			tgt, ok := v.lay.ElemAt(v.lay.JumpSlot(st.pc, ins))
 			if !ok {
 				return nil, nil, false, fmt.Errorf("jump into the middle of an instruction")
 			}

@@ -1006,7 +1006,7 @@ func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, 
 		return closureOp(compileCall(c, ins, pc))
 
 	case ebpf.JumpAlways:
-		tgt, ok := m.elemAt[m.slotOf[pc]+ins.Slots()+int(ins.Offset)]
+		tgt, ok := m.lay.ElemAt(m.lay.JumpSlot(pc, ins))
 		if !ok {
 			e := faultf(FaultBadPC, pc, "bad jump target")
 			return closureOp(faultDop(slots, c.Branch, e))
@@ -1017,7 +1017,7 @@ func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, 
 	// Conditional branch: operands, comparison and the taken-side target are
 	// all resolved now; a missing target faults only when the branch is
 	// taken, as in the reference interpreter.
-	slot := m.slotOf[pc]
+	slot := m.lay.SlotOf[pc]
 	u := uop{
 		dst: uint8(ins.Dst),
 		src: uint8(ins.Src),
@@ -1029,7 +1029,7 @@ func (m *Machine) compileJump(c *CostModel, ins ebpf.Instruction, pc int) (uop, 
 		op:   uint8(ins.JumpOpField()),
 		is32: ins.Class() == ebpf.ClassJMP32,
 	}
-	if tgt, ok := m.elemAt[slot+ins.Slots()+int(ins.Offset)]; ok {
+	if tgt, ok := m.lay.ElemAt(m.lay.JumpSlot(pc, ins)); ok {
 		u.tgt = int32(tgt)
 	} else {
 		co.fe = faultf(FaultBadPC, pc, "bad branch target")

@@ -523,3 +523,38 @@ func benchmarkRunBatch(b *testing.B, ref, hw bool) {
 		}
 	}
 }
+
+// TestBadTargetFaultsPinned pins the slot table's answers for the three ways
+// a branch misses an instruction start — the second slot of an lddw, slot
+// -1, and the slot one past the end — on both engines: kind, pc and text.
+func TestBadTargetFaultsPinned(t *testing.T) {
+	wide := ebpf.LoadImm64(ebpf.R0, 0x1234) // slots 1-2 after a branch at 0
+	for _, tc := range []struct {
+		name  string
+		insns []ebpf.Instruction
+		pc    int
+		want  string
+	}{
+		{"ja-into-lddw", []ebpf.Instruction{ebpf.Jump(1), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad jump target"},
+		{"ja-to-slot-minus-1", []ebpf.Instruction{ebpf.Jump(-2), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad jump target"},
+		{"ja-one-past-end", []ebpf.Instruction{ebpf.Jump(3), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad jump target"},
+		{"jeq-into-lddw", []ebpf.Instruction{ebpf.JumpImm(ebpf.JumpEq, ebpf.R0, 0, 1), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad branch target"},
+		{"jeq-to-slot-minus-1", []ebpf.Instruction{ebpf.JumpImm(ebpf.JumpEq, ebpf.R0, 0, -2), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad branch target"},
+		{"jeq-one-past-end", []ebpf.Instruction{ebpf.JumpImm(ebpf.JumpEq, ebpf.R0, 0, 3), wide, ebpf.Exit()}, 0,
+			"vm: bad-pc at insn 0: bad branch target"},
+	} {
+		prog := &ebpf.Program{Name: "t", Hook: ebpf.HookXDP, Insns: tc.insns}
+		bothEngines(t, prog, Config{}, func(engine string, m *Machine) {
+			_, _, err := m.Run(BuildXDPContext(64), make([]byte, 64))
+			re, ok := AsRuntimeError(err)
+			if !ok || re.Kind != FaultBadPC || re.PC != tc.pc || err.Error() != tc.want {
+				t.Errorf("%s/%s: err = %v, want %q", tc.name, engine, err, tc.want)
+			}
+		})
+	}
+}

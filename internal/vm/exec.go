@@ -83,7 +83,7 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 	var st Stats
 	c := &m.cfg.Costs
 	insns := m.prog.Insns
-	slotOf, elemAt := m.slotOf, m.elemAt
+	lay := m.lay
 	m.ktime += 1000
 
 	memAccess := func(addr uint64, size int, write bool) ([]byte, int, error) {
@@ -105,7 +105,7 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 		st.Branches++
 		st.Cycles += c.Branch
 		if m.Pred != nil {
-			if !m.Pred.Predict(slotOf[i], taken) {
+			if !m.Pred.Predict(lay.SlotOf[i], taken) {
 				st.BranchMisses++
 				st.Cycles += c.BranchMiss
 			}
@@ -196,7 +196,7 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 				}
 			case ebpf.JumpAlways:
 				st.Cycles += c.Branch
-				tgt, ok := elemAt[slotOf[pc]+ins.Slots()+int(ins.Offset)]
+				tgt, ok := lay.ElemAt(lay.JumpSlot(pc, ins))
 				if !ok {
 					return 0, st, faultf(FaultBadPC, pc, "bad jump target")
 				}
@@ -211,7 +211,7 @@ func (m *Machine) runRef(ctx, pkt []byte) (int64, Stats, error) {
 				taken, _ := ebpf.EvalJump(op, ins.Class() == ebpf.ClassJMP32, regs[ins.Dst], b)
 				branch(pc, taken)
 				if taken {
-					tgt, ok := elemAt[slotOf[pc]+ins.Slots()+int(ins.Offset)]
+					tgt, ok := lay.ElemAt(lay.JumpSlot(pc, ins))
 					if !ok {
 						return 0, st, faultf(FaultBadPC, pc, "bad branch target")
 					}

@@ -104,20 +104,18 @@ type Config struct {
 // State persists across runs (warm caches, populated maps), matching a
 // long-running attached program.
 type Machine struct {
-	prog  *ebpf.Program
-	cfg   Config
-	maps  []maps.Map
-	Cache *hw.Cache
-	Pred  *hw.BranchPredictor
+	prog *ebpf.Program
+	cfg  Config
+	maps []maps.Map
 
 	// Kmem is the synthetic kernel memory probe_read reads from
 	// (task structs, filenames, ...). Harnesses populate it per event.
 	Kmem []byte
 
-	// slotOf / elemAt are the branch-resolution tables, computed once at
-	// load time (the program is immutable) so Run allocates nothing.
-	slotOf []int
-	elemAt map[int]int
+	// lay is the branch-resolution table (each element's slot, each slot's
+	// element), computed once at load time (the program is immutable) so
+	// Run allocates nothing.
+	lay ebpf.Layout
 
 	// mapKeySz / mapValSz cache per-map key and value sizes so the hot
 	// map helpers skip the Spec() interface call (and its struct copy).
@@ -140,6 +138,12 @@ type Machine struct {
 
 	// Accumulated counters across all runs.
 	Total Stats
+
+	// Cache and Pred come last so that code, cold, fr and stack keep their
+	// offsets from when the slot table was one slice and a map: with fr 16
+	// bytes off a cache line, serve-batch measured 3-5 % slower.
+	Cache *hw.Cache
+	Pred  *hw.BranchPredictor
 }
 
 // New loads prog into a fresh machine, instantiating its maps.
@@ -154,11 +158,7 @@ func New(prog *ebpf.Program, cfg Config) (*Machine, error) {
 		cfg.Costs = DefaultCosts()
 	}
 	m := &Machine{prog: prog, cfg: cfg, rng: cfg.Seed*2654435761 + 1, Kmem: make([]byte, 4096)}
-	m.slotOf = prog.SlotIndex()
-	m.elemAt = make(map[int]int, len(prog.Insns))
-	for i := range prog.Insns {
-		m.elemAt[m.slotOf[i]] = i
-	}
+	m.lay = prog.Layout()
 	for _, spec := range prog.Maps {
 		mp, err := maps.New(spec, cfg.NCPU)
 		if err != nil {
