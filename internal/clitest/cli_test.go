@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,60 @@ bump:
   ret 2
 }
 `
+
+// soChainIR is an ALU chain the superoptimizer can shorten: a cold build
+// searches its windows and finds at least one rewrite.
+const soChainIR = `module "sochain"
+
+func fold(%ctx: ptr) -> i64 {
+entry:
+  %data = load ptr, %ctx, align 8
+  %endp = gep %ctx, 8
+  %end = load ptr, %endp, align 8
+  %lim = bin add i64 %data, 14
+  %short = icmp ugt i64 %lim, %end
+  condbr %short, drop, work
+drop:
+  ret 1
+work:
+  %p = load ptr, %ctx, align 8
+  %v = load i64, %p, align 8
+  %a = bin add i64 %v, 5
+  %b = bin add i64 %a, 3
+  %c = bin add i64 %b, 7
+  %d = bin mul i64 %c, 1
+  %e = bin xor i64 %d, 0
+  %f = bin add i64 %e, 0
+  ret %f
+}
+`
+
+// writeFile writes content to name under a fresh temp dir and returns its path.
+func writeFile(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// field returns the integer value of key=N in line, failing the test when
+// line has no such field.
+func field(t *testing.T, line, key string) int {
+	t.Helper()
+	for _, f := range strings.Fields(line) {
+		if v, ok := strings.CutPrefix(f, key+"="); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s in %q: %v", key, line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s= in %q", key, line)
+	return 0
+}
 
 // buildTools compiles the three binaries once per test run.
 func buildTools(t *testing.T) string {
@@ -167,5 +222,34 @@ func TestMerlincRejectsBadInput(t *testing.T) {
 	cmd := exec.Command(filepath.Join(bins, "merlinc"), src)
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("bad input accepted:\n%s", out)
+	}
+}
+
+// TestMerlincSuperoptCache: a cold merlinc -superopt build against an
+// empty verdict cache searches and rewrites; the same build against the
+// filled cache answers every window from it and searches nothing.
+func TestMerlincSuperoptCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	merlinc := filepath.Join(buildTools(t), "merlinc")
+	src := writeFile(t, "sochain.mir", soChainIR)
+	cache := filepath.Join(t.TempDir(), "cache")
+	superoptLine := func() string {
+		t.Helper()
+		out := run(t, merlinc, "-superopt", "-superopt-cache", cache, src)
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "superopt: ") {
+				return l
+			}
+		}
+		t.Fatalf("no superopt line:\n%s", out)
+		return ""
+	}
+	if cold := superoptLine(); field(t, cold, "hits") != 0 || field(t, cold, "rewrites") < 1 {
+		t.Errorf("cold build: %s, want hits=0 and rewrites >= 1", cold)
+	}
+	if warm := superoptLine(); field(t, warm, "hits") < 1 || field(t, warm, "searches") != 0 {
+		t.Errorf("warm build: %s, want hits >= 1 and searches=0", warm)
 	}
 }

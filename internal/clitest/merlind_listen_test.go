@@ -12,15 +12,19 @@ import (
 )
 
 // interactiveDaemon is a merlind run driven command by command: send writes
-// one line to stdin, waitFor scans stdout until a prefix appears (the
-// transcript so far is returned on failure).
+// one line to stdin, waitFor and collect read stdout until a prefix appears.
+// A reader goroutine feeds lines so that every wait has a deadline.
 type interactiveDaemon struct {
 	t     *testing.T
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
-	sc    *bufio.Scanner
+	lines chan string // stdout, line by line; closed at EOF
 	log   strings.Builder
 }
+
+// replyTimeout bounds every wait for a daemon line, so a command that never
+// answers fails its test with the transcript instead of hanging it.
+const replyTimeout = time.Minute
 
 func startDaemon(t *testing.T, bin string, flags ...string) *interactiveDaemon {
 	t.Helper()
@@ -37,8 +41,21 @@ func startDaemon(t *testing.T, bin string, flags ...string) *interactiveDaemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &interactiveDaemon{t: t, cmd: cmd, stdin: stdin, sc: bufio.NewScanner(stdout)}
+	d := &interactiveDaemon{t: t, cmd: cmd, stdin: stdin, lines: make(chan string)}
+	done := make(chan struct{})
+	go func() {
+		defer close(d.lines)
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			select {
+			case d.lines <- sc.Text():
+			case <-done:
+				return
+			}
+		}
+	}()
 	t.Cleanup(func() {
+		close(done)
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 	})
@@ -55,14 +72,93 @@ func (d *interactiveDaemon) send(line string) {
 // waitFor reads stdout until a line starts with prefix, returning that line.
 func (d *interactiveDaemon) waitFor(prefix string) string {
 	d.t.Helper()
-	for d.sc.Scan() {
-		d.log.WriteString(d.sc.Text() + "\n")
-		if strings.HasPrefix(d.sc.Text(), prefix) {
-			return d.sc.Text()
+	lines := d.collect(prefix)
+	return lines[len(lines)-1]
+}
+
+// collect reads stdout until a line starts with terminator, returning every
+// line read including it. It fails the test with the transcript when the
+// daemon exits first, when nothing arrives within replyTimeout, or when the
+// awaited "ok <verb>" is answered "err <verb>: ...".
+func (d *interactiveDaemon) collect(terminator string) []string {
+	d.t.Helper()
+	var errReply string
+	if verb, ok := strings.CutPrefix(terminator, "ok "); ok {
+		verb, _, _ = strings.Cut(verb, " ")
+		errReply = "err " + verb + ":"
+	}
+	deadline := time.After(replyTimeout)
+	var lines []string
+	for {
+		select {
+		case line, ok := <-d.lines:
+			if !ok {
+				d.t.Fatalf("daemon exited before %q appeared:\n%s", terminator, d.log.String())
+			}
+			d.log.WriteString(line + "\n")
+			lines = append(lines, line)
+			if strings.HasPrefix(line, terminator) {
+				return lines
+			}
+			if errReply != "" && strings.HasPrefix(line, errReply) {
+				d.t.Fatalf("daemon answered %q while %q was awaited:\n%s", line, terminator, d.log.String())
+			}
+		case <-deadline:
+			d.t.Fatalf("no %q within %v:\n%s", terminator, replyTimeout, d.log.String())
 		}
 	}
-	d.t.Fatalf("daemon exited before %q appeared:\n%s", prefix, d.log.String())
-	return ""
+}
+
+// do sends cmd and returns its reply, every line up to "ok <verb>".
+func (d *interactiveDaemon) do(cmd string) []string {
+	d.t.Helper()
+	d.send(cmd)
+	verb, _, _ := strings.Cut(cmd, " ")
+	return d.collect("ok " + verb)
+}
+
+// ask sends cmd and returns its "ok <verb>" reply line.
+func (d *interactiveDaemon) ask(cmd string) string {
+	d.t.Helper()
+	lines := d.do(cmd)
+	return lines[len(lines)-1]
+}
+
+// metrics sends a metrics verb (metrics, fmetrics) and parses the scrape.
+func (d *interactiveDaemon) metrics(verb string) map[string]int64 {
+	d.t.Helper()
+	return parseMetrics(d.t, strings.Join(d.do(verb), "\n"))
+}
+
+// kill SIGKILLs the daemon.
+func (d *interactiveDaemon) kill() {
+	d.t.Helper()
+	if err := d.cmd.Process.Kill(); err != nil {
+		d.t.Fatal(err)
+	}
+	_ = d.cmd.Wait()
+}
+
+// quit ends the daemon with the quit verb; it must exit cleanly.
+func (d *interactiveDaemon) quit() {
+	d.t.Helper()
+	d.send("quit")
+	if err := d.cmd.Wait(); err != nil {
+		d.t.Fatalf("daemon exited uncleanly: %v\n%s", err, d.log.String())
+	}
+}
+
+// until calls probe every 100ms until it holds, failing the test with the
+// transcript after replyTimeout.
+func (d *interactiveDaemon) until(what string, probe func() bool) {
+	d.t.Helper()
+	deadline := time.Now().Add(replyTimeout)
+	for !probe() {
+		if time.Now().After(deadline) {
+			d.t.Fatalf("%s never happened:\n%s", what, d.log.String())
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // TestMerlindMetricsEndpoint: -listen serves the shared registry over HTTP.

@@ -8,7 +8,6 @@ import (
 
 	"merlin/internal/lifecycle"
 	"merlin/internal/metrics"
-	"merlin/internal/vm"
 )
 
 // testWorkerConfig is the lifecycle config for in-process test workers:
@@ -85,15 +84,11 @@ func driveRollout(t *testing.T, c *Controller) *Rollout {
 // worker's live program — the observable that distinguishes fleet versions.
 func liveInsns(t *testing.T, lt *LocalTransport, worker, slot string) uint64 {
 	t.Helper()
-	pkt := make([]byte, 64)
-	rv, st, err := lt.Manager(worker).Serve(slot, vm.BuildXDPContext(len(pkt)), pkt)
+	n, err := serveVerdict(lt, worker, slot)
 	if err != nil {
-		t.Fatalf("serve on %s: %v", worker, err)
+		t.Fatal(err)
 	}
-	if rv != 2 {
-		t.Fatalf("worker %s serves verdict %d — a divergent program is live", worker, rv)
-	}
-	return st.Instructions
+	return n
 }
 
 func TestJoinHeartbeatAndLateJoinerReconciles(t *testing.T) {

@@ -99,11 +99,15 @@ func (c *Controller) snapshotLocked() snapshot {
 	for _, cat := range c.catalog {
 		snap.Catalog = append(snap.Catalog, *cat)
 	}
+	slices.SortFunc(snap.Catalog, func(a, b CatalogSlot) int { return cmp.Compare(a.Name, b.Name) })
 	for _, slots := range c.installed {
 		for _, rec := range slots {
 			snap.Installed = append(snap.Installed, rec)
 		}
 	}
+	slices.SortFunc(snap.Installed, func(a, b installedRec) int {
+		return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Slot, b.Slot))
+	})
 	for _, n := range c.placementSlotsLocked() {
 		pl := c.placements[n]
 		cp := *pl

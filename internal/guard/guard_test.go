@@ -90,6 +90,19 @@ func TestValidateProgramRejections(t *testing.T) {
 	if err := ValidateProgram(badBranch); err == nil {
 		t.Error("out-of-range branch accepted")
 	}
+
+	// Fields the 8-byte encoding cannot carry: a register number above 15
+	// and a 64-bit immediate on an instruction that is not a wide load.
+	badReg := tinyProg()
+	badReg.Insns[2].Dst = 20
+	if err := ValidateProgram(badReg); err == nil {
+		t.Error("Dst 20 accepted")
+	}
+	badImm := tinyProg()
+	badImm.Insns[0].Imm64 = 1 << 40
+	if err := ValidateProgram(badImm); err == nil {
+		t.Error("Imm64 on a non-wide mov accepted")
+	}
 }
 
 func TestInputsDeterministicAndHookShaped(t *testing.T) {

@@ -13,7 +13,8 @@ import (
 // must satisfy before it is allowed to replace the pre-pass program:
 //
 //   - the program is non-empty and cannot fall off the end
-//   - it survives an encode/decode roundtrip through the wire format
+//   - every instruction has a wire form: decoding its encoding gives back
+//     the same instruction
 //   - every branch target lands on an instruction boundary in range, which
 //     is all a control-flow graph needs to be built over it
 func ValidateProgram(prog *ebpf.Program) error {
@@ -23,17 +24,17 @@ func ValidateProgram(prog *ebpf.Program) error {
 	if last := prog.Insns[len(prog.Insns)-1]; !last.Terminates() {
 		return fmt.Errorf("guard: program falls off the end (%s)", ebpf.Mnemonic(last))
 	}
-	raw := prog.Encode()
-	insns, err := ebpf.Decode(raw)
+	insns, err := ebpf.Decode(prog.Encode())
 	if err != nil {
 		return fmt.Errorf("guard: roundtrip decode: %w", err)
 	}
 	if len(insns) != len(prog.Insns) {
 		return fmt.Errorf("guard: roundtrip length %d != %d", len(insns), len(prog.Insns))
 	}
-	re := (&ebpf.Program{Insns: insns}).Encode()
-	if !bytes.Equal(raw, re) {
-		return fmt.Errorf("guard: encode/decode roundtrip mismatch")
+	for i, ins := range insns {
+		if ins != prog.Insns[i] {
+			return fmt.Errorf("guard: encode/decode roundtrip mismatch at instruction %d (%s)", i, ebpf.Mnemonic(prog.Insns[i]))
+		}
 	}
 	if _, err := prog.Targets(); err != nil {
 		return fmt.Errorf("guard: branch targets: %w", err)

@@ -239,7 +239,9 @@ func TestRunBatchMetricsMatchPerRun(t *testing.T) {
 
 	// Publishing a batch allocates nothing: a clean batch through the fast
 	// engine allocates nothing at all, and a faulting one allocates only
-	// what the same batch allocates without Metrics.
+	// what the same batch allocates without Metrics. Under -race the
+	// faulting count differs between two machines with the same Config, so
+	// only the clean pin runs there.
 	allocs := func(cfg Config, ctxs, pkts [][]byte) float64 {
 		m, err := New(mixedFaultProg(), cfg)
 		if err != nil {
@@ -252,6 +254,9 @@ func TestRunBatchMetricsMatchPerRun(t *testing.T) {
 	withMetrics := Config{StepLimit: 64, Metrics: NewMetrics(metrics.New())}
 	if avg := allocs(withMetrics, ctxs[3:5], pkts[3:5]); avg != 0 {
 		t.Fatalf("clean RunBatch with Metrics allocates %.1f per batch, want 0", avg)
+	}
+	if raceEnabled {
+		return
 	}
 	if got, bare := allocs(withMetrics, ctxs, pkts), allocs(Config{StepLimit: 64}, ctxs, pkts); got > bare {
 		t.Fatalf("faulting RunBatch allocates %.1f per batch with Metrics, %.1f without", got, bare)
