@@ -219,52 +219,22 @@ func meet(a, b RegConsts) RegConsts {
 	return out
 }
 
-// Constants computes, for every element index, the register constant
-// environment immediately BEFORE the instruction executes.
-func Constants(cfg *CFG) []RegConsts {
-	n := len(cfg.Prog.Insns)
-	before := make([]RegConsts, n)
+// Consts is the result of constant reaching: every block's entry
+// environment. Walk replays each block from it, so the analysis keeps one
+// environment per block rather than one per instruction.
+type Consts struct {
+	cfg   *CFG
+	entry []RegConsts
+}
+
+// Constants runs constant reaching to a fixpoint over block-entry states.
+func Constants(cfg *CFG) *Consts {
+	c := &Consts{cfg: cfg, entry: make([]RegConsts, len(cfg.Blocks))}
 	blockOut := make([]RegConsts, len(cfg.Blocks))
 	blockSeen := make([]bool, len(cfg.Blocks))
 
-	transfer := func(rc RegConsts, ins ebpf.Instruction) RegConsts {
-		switch ins.Class() {
-		case ebpf.ClassALU64, ebpf.ClassALU:
-			op := ins.ALUOpField()
-			src := ConstVal{Known: true, Val: int64(ins.Imm)}
-			if ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd {
-				src = rc[ins.Src]
-			}
-			// mov does not read its destination. An op the ISA does not
-			// define faults in the VM: its destination is never a constant.
-			dst := rc[ins.Dst]
-			v, ok := ebpf.EvalALU(op, ins.Class() == ebpf.ClassALU, uint64(dst.Val), uint64(src.Val))
-			if ok && src.Known && (dst.Known || op == ebpf.ALUMov) {
-				rc[ins.Dst] = ConstVal{Known: true, Val: int64(v)}
-			} else {
-				rc.clear(ins.Dst)
-			}
-		case ebpf.ClassLD:
-			if ins.IsWide() {
-				if ins.IsMapLoad() {
-					rc.clear(ins.Dst)
-				} else {
-					rc[ins.Dst] = ConstVal{Known: true, Val: ins.Imm64}
-				}
-			}
-		case ebpf.ClassLDX:
-			rc.clear(ins.Dst)
-		case ebpf.ClassJMP, ebpf.ClassJMP32:
-			if ins.JumpOpField() == ebpf.JumpCall {
-				for r := ebpf.R0; r <= ebpf.R5; r++ {
-					rc.clear(r)
-				}
-			}
-		}
-		return rc
-	}
-
-	// Iterate to fixpoint over blocks in layout order.
+	// Iterate to fixpoint over blocks in layout order. The entry states kept
+	// are those of the last sweep, which changed nothing.
 	changed := true
 	for changed {
 		changed = false
@@ -290,10 +260,10 @@ func Constants(cfg *CFG) []RegConsts {
 				// No processed predecessors yet: assume nothing.
 				in = RegConsts{}
 			}
+			c.entry[bi] = in
 			rc := in
 			for i := blk[0]; i < blk[1]; i++ {
-				before[i] = rc
-				rc = transfer(rc, cfg.Prog.Insns[i])
+				rc.step(cfg.Prog.Insns[i])
 			}
 			if !blockSeen[bi] || rc != blockOut[bi] {
 				blockOut[bi] = rc
@@ -302,5 +272,55 @@ func Constants(cfg *CFG) []RegConsts {
 			}
 		}
 	}
-	return before
+	return c
+}
+
+// Walk calls fn for every element index in layout order with the register
+// constant environment immediately BEFORE the instruction executes. rc is
+// only valid during the call; fn must not modify or retain it.
+func (c *Consts) Walk(fn func(i int, rc *RegConsts)) {
+	for bi, blk := range c.cfg.Blocks {
+		rc := c.entry[bi]
+		for i := blk[0]; i < blk[1]; i++ {
+			fn(i, &rc)
+			rc.step(c.cfg.Prog.Insns[i])
+		}
+	}
+}
+
+// step applies ins's effect on register constants to rc.
+func (rc *RegConsts) step(ins ebpf.Instruction) {
+	switch ins.Class() {
+	case ebpf.ClassALU64, ebpf.ClassALU:
+		op := ins.ALUOpField()
+		src := ConstVal{Known: true, Val: int64(ins.Imm)}
+		if ins.SourceField() == ebpf.SourceX && op != ebpf.ALUEnd {
+			src = rc[ins.Src]
+		}
+		// mov does not read its destination. An op the ISA does not define
+		// faults in the VM: its destination is never a constant.
+		dst := rc[ins.Dst]
+		v, ok := ebpf.EvalALU(op, ins.Class() == ebpf.ClassALU, uint64(dst.Val), uint64(src.Val))
+		if ok && src.Known && (dst.Known || op == ebpf.ALUMov) {
+			rc[ins.Dst] = ConstVal{Known: true, Val: int64(v)}
+		} else {
+			rc.clear(ins.Dst)
+		}
+	case ebpf.ClassLD:
+		if ins.IsWide() {
+			if ins.IsMapLoad() {
+				rc.clear(ins.Dst)
+			} else {
+				rc[ins.Dst] = ConstVal{Known: true, Val: ins.Imm64}
+			}
+		}
+	case ebpf.ClassLDX:
+		rc.clear(ins.Dst)
+	case ebpf.ClassJMP, ebpf.ClassJMP32:
+		if ins.JumpOpField() == ebpf.JumpCall {
+			for r := ebpf.R0; r <= ebpf.R5; r++ {
+				rc.clear(r)
+			}
+		}
+	}
 }

@@ -140,7 +140,7 @@ func TestConstantsStraightLine(t *testing.T) {
 		ebpf.Exit(),
 	}}
 	cfg, _ := BuildCFG(p)
-	consts := Constants(cfg)
+	consts := Constants(cfg).All()
 	if cv := consts[3][ebpf.R2]; !cv.Known || cv.Val != 8 {
 		t.Fatalf("r2 before store = %+v, want 8", cv)
 	}
@@ -159,7 +159,7 @@ func TestConstantsMergeAtJoin(t *testing.T) {
 		ebpf.Exit(),
 	}}
 	cfg, _ := BuildCFG(p)
-	consts := Constants(cfg)
+	consts := Constants(cfg).All()
 	if consts[5][ebpf.R1].Known {
 		t.Error("r1 must be unknown at the join")
 	}
@@ -178,7 +178,7 @@ func TestConstantsLoop(t *testing.T) {
 		ebpf.Exit(),
 	}}
 	cfg, _ := BuildCFG(p)
-	consts := Constants(cfg)
+	consts := Constants(cfg).All()
 	if consts[1][ebpf.R1].Known {
 		t.Error("loop-carried r1 must be unknown at the head")
 	}
@@ -193,7 +193,7 @@ func TestConstantsCallClobbers(t *testing.T) {
 		ebpf.Exit(),
 	}}
 	cfg, _ := BuildCFG(p)
-	consts := Constants(cfg)
+	consts := Constants(cfg).All()
 	if consts[3][ebpf.R1].Known {
 		t.Error("r1 must be clobbered by the call")
 	}
@@ -209,7 +209,7 @@ func TestConstantsWideAndMapLoads(t *testing.T) {
 		ebpf.Exit(),
 	}}
 	cfg, _ := BuildCFG(p)
-	consts := Constants(cfg)
+	consts := Constants(cfg).All()
 	if cv := consts[1][ebpf.R1]; !cv.Known || cv.Val != 0x1_0000_0001 {
 		t.Error("lddw constant not tracked")
 	}
@@ -233,9 +233,17 @@ func TestConstantsUndefinedALUOpIsUnknown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cv := Constants(cfg)[2][ebpf.R0]; cv.Known {
+			if cv := Constants(cfg).All()[2][ebpf.R0]; cv.Known {
 				t.Errorf("opcode %#02x: r0 after the undefined op = %+v, want unknown", p.Insns[1].Opcode, cv)
 			}
 		}
 	}
+}
+
+// All expands c into one environment per element index, as Walk presents
+// them.
+func (c *Consts) All() []RegConsts {
+	out := make([]RegConsts, len(c.cfg.Prog.Insns))
+	c.Walk(func(i int, rc *RegConsts) { out[i] = *rc })
+	return out
 }

@@ -39,7 +39,7 @@ func CPDCE(prog *ebpf.Program, opts Options) (*ebpf.Program, int, error) {
 type facts struct {
 	prog   *ebpf.Program
 	cfg    *analysis.CFG
-	consts []analysis.RegConsts
+	consts *analysis.Consts
 	live   []analysis.RegMask
 }
 
@@ -56,7 +56,7 @@ func (f *facts) of(prog *ebpf.Program) error {
 	return nil
 }
 
-func (f *facts) constants() []analysis.RegConsts {
+func (f *facts) constants() *analysis.Consts {
 	if f.consts == nil {
 		f.consts = analysis.Constants(f.cfg)
 	}
@@ -77,18 +77,17 @@ func foldBranchesRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error)
 	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	consts := f.constants()
 	var ed *ebpf.Editable
 	var dead []bool
 	applied := 0
-	for i, ins := range prog.Insns {
+	f.constants().Walk(func(i int, rc *analysis.RegConsts) {
+		ins := prog.Insns[i]
 		if !ins.IsCondJump() {
-			continue
+			return
 		}
-		rc := consts[i]
 		a := rc[ins.Dst]
 		if !a.Known {
-			continue
+			return
 		}
 		var b analysis.ConstVal
 		if ins.SourceField() == ebpf.SourceX {
@@ -97,11 +96,11 @@ func foldBranchesRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error)
 			b = analysis.ConstVal{Known: true, Val: int64(ins.Imm)}
 		}
 		if !b.Known {
-			continue
+			return
 		}
 		taken, ok := ebpf.EvalJump(ins.JumpOpField(), ins.Class() == ebpf.ClassJMP32, uint64(a.Val), uint64(b.Val))
 		if !ok {
-			continue
+			return
 		}
 		if ed == nil {
 			ed = ebpf.EditableOf(prog, f.cfg.Target)
@@ -115,7 +114,7 @@ func foldBranchesRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error)
 			dead[i] = true
 		}
 		applied++
-	}
+	})
 	if applied == 0 {
 		return 0, prog, nil
 	}
@@ -169,7 +168,6 @@ func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
 	if err := f.of(prog); err != nil {
 		return 0, nil, err
 	}
-	consts := f.constants()
 	var ed *ebpf.Editable
 	replace := func(i int, ins ebpf.Instruction) {
 		if ed == nil {
@@ -178,17 +176,14 @@ func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
 		ed.Replace(i, ins)
 	}
 	applied := 0
-	for i, ins := range prog.Insns {
-		rc := consts[i]
+	f.constants().Walk(func(i int, rc *analysis.RegConsts) {
+		ins := prog.Insns[i]
 		switch {
 		case ins.Class() == ebpf.ClassSTX && ins.ModeField() == ebpf.ModeMEM:
 			// stx [dst+off], src with src == const → st [dst+off], imm
 			cv := rc[ins.Src]
-			if !cv.Known {
-				continue
-			}
-			if !immFitsStore(ins.SizeField(), cv.Val) {
-				continue
+			if !cv.Known || !immFitsStore(ins.SizeField(), cv.Val) {
+				return
 			}
 			replace(i, ebpf.StoreImm(ins.SizeField(), ins.Dst, ins.Offset, int32(cv.Val)))
 			applied++
@@ -196,7 +191,7 @@ func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
 			// alu dst, src with src == const → alu dst, imm
 			cv := rc[ins.Src]
 			if !cv.Known || !fitsInt32(cv.Val) {
-				continue
+				return
 			}
 			repl := ins
 			repl.Opcode = (ins.Opcode &^ uint8(ebpf.SourceX))
@@ -208,7 +203,7 @@ func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
 			// The replacement is a branch too, so it keeps its target.
 			cv := rc[ins.Src]
 			if !cv.Known || !fitsInt32(cv.Val) {
-				continue
+				return
 			}
 			repl := ins
 			repl.Opcode = (ins.Opcode &^ uint8(ebpf.SourceX))
@@ -217,7 +212,7 @@ func cpRound(f *facts, prog *ebpf.Program) (int, *ebpf.Program, error) {
 			replace(i, repl)
 			applied++
 		}
-	}
+	})
 	if applied == 0 {
 		return 0, prog, nil
 	}

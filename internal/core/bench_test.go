@@ -2,28 +2,39 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"merlin/internal/analysis"
 	"merlin/internal/codegen"
 	"merlin/internal/corpus"
 	"merlin/internal/ebpf"
+	"merlin/internal/guard"
 	"merlin/internal/ir"
 	"merlin/internal/irpass"
+	"merlin/internal/superopt"
 	"merlin/internal/verifier"
 	"merlin/internal/vm"
 )
 
-// The four per-instruction stages of a cold build — validate, lower, load,
-// verify — on the corpus's largest XDP program and its largest Tracee
-// program. No gate reads these; they exist so a regression in any of them is
-// one command away:
+// The per-program stages of a cold build — clone, validate, lower, analyse,
+// load, observe, verify — on the corpus's largest XDP program and its
+// largest Tracee program, and a whole cold pass over the benchmark's build
+// set. No gate reads these; they exist so a regression in any of them is one
+// command away:
 //
-//	go test ./internal/core -run '^$' -bench 'Validate|Compile|VMNew|Verify' -benchmem
+//	go test ./internal/core -run '^$' -bench 'Clone|Validate|Compile|Constants|VMNew|Observe|Verify' -benchmem
+//
+// BenchmarkColdPass is the allocation profile's recipe (EXPERIMENTS.md):
+//
+//	go test ./internal/core -run '^$' -bench ColdPass -benchtime 10x -cpuprofile cpu.out -memprofile mem.out -memprofilerate 65536
 
 type benchSubject struct {
 	name     string
 	spec     *corpus.ProgramSpec
 	front    *ir.Module    // inlined, generically cleaned: what the pipeline lowers
 	baseline *ebpf.Program // its lowering: what the guard loads and the verifier checks
+	cfg      *analysis.CFG // the baseline's, as the Dep stage builds it
+	inputs   []guard.Input // a deployment build's differential inputs
 }
 
 func benchSubjects(b *testing.B) []benchSubject {
@@ -50,7 +61,12 @@ func benchSubjects(b *testing.B) []benchSubject {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = append(out, benchSubject{spec.Name, spec, front, baseline})
+		cfg, err := analysis.BuildCFG(baseline)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs := guard.Inputs(spec.Hook, 4, guardDiffSeed)
+		out = append(out, benchSubject{spec.Name, spec, front, baseline, cfg, inputs})
 	}
 	return out
 }
@@ -65,6 +81,10 @@ func benchEach(b *testing.B, fn func(b *testing.B, s benchSubject)) {
 			}
 		})
 	}
+}
+
+func BenchmarkClone(b *testing.B) {
+	benchEach(b, func(b *testing.B, s benchSubject) { ir.Clone(s.front) })
 }
 
 func BenchmarkValidate(b *testing.B) {
@@ -83,6 +103,10 @@ func BenchmarkCompile(b *testing.B) {
 	})
 }
 
+func BenchmarkConstants(b *testing.B) {
+	benchEach(b, func(b *testing.B, s benchSubject) { analysis.Constants(s.cfg) })
+}
+
 func BenchmarkVMNew(b *testing.B) {
 	benchEach(b, func(b *testing.B, s benchSubject) {
 		if _, err := vm.New(s.baseline, vm.Config{Seed: 7}); err != nil {
@@ -91,10 +115,49 @@ func BenchmarkVMNew(b *testing.B) {
 	})
 }
 
+func BenchmarkObserve(b *testing.B) {
+	benchEach(b, func(b *testing.B, s benchSubject) { guard.Observe(s.baseline, s.inputs) })
+}
+
 func BenchmarkVerify(b *testing.B) {
 	benchEach(b, func(b *testing.B, s benchSubject) {
 		if st := verifier.Verify(s.baseline, verifier.Options{}); !st.Passed {
 			b.Fatal(st.Err)
 		}
 	})
+}
+
+// BenchmarkColdPass is one cold pass per iteration over the benchmark's
+// 37-program build set (every XDP program and the first six of each security
+// suite), as a build service runs it from empty caches: each program's
+// printed source parsed afresh and built with deployment options — guarded,
+// verified, four differential inputs, the superoptimizer on with a fresh
+// in-memory verdict cache per pass.
+func BenchmarkColdPass(b *testing.B) {
+	specs := corpus.XDP()
+	for _, suite := range [][]*corpus.ProgramSpec{corpus.Sysdig(), corpus.Tetragon(), corpus.Tracee()} {
+		specs = append(specs, suite[:6]...)
+	}
+	sources := make([]string, len(specs))
+	for i, s := range specs {
+		sources[i] = ir.Print(s.Mod)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := superopt.NewMemCache()
+		for k, s := range specs {
+			mod, err := ir.Parse(sources[k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Build(mod, s.Func, Options{
+				Hook: s.Hook, MCPU: s.MCPU, KernelALU32: true,
+				Guard: true, Verify: true, GuardDiffInputs: 4, PassTimeout: 30 * time.Second,
+				Superopt: &superopt.Config{Cache: cache},
+			}); err != nil {
+				b.Fatalf("%s: %v", s.Name, err)
+			}
+		}
+	}
 }

@@ -10,21 +10,21 @@ import (
 )
 
 // DiffPrograms — the differential proof gating every optimizer pass — runs
-// on the pre-decoded fast engine. This test replays the exact same proof on
-// the reference switch interpreter and requires the identical verdict,
+// on the reference switch interpreter. This test replays the exact same
+// proof on the pre-decoded fast engine and requires the identical verdict,
 // down to the error text: a verdict that depends on which engine proved it
 // would silently change which rewrites are accepted.
 
-// refDiffPrograms mirrors DiffPrograms on the reference interpreter.
-func refDiffPrograms(pre, post *ebpf.Program, inputs []Input) error {
+// fastDiffPrograms mirrors DiffPrograms on the pre-decoded engine.
+func fastDiffPrograms(pre, post *ebpf.Program, inputs []Input) error {
 	if len(pre.Maps) != len(post.Maps) {
 		return fmt.Errorf("guard: map count changed: %d -> %d", len(pre.Maps), len(post.Maps))
 	}
-	a, err := vm.NewRef(pre, vm.Config{Seed: 7})
+	a, err := vm.New(pre, vm.Config{Seed: 7})
 	if err != nil {
 		return fmt.Errorf("guard: load pre: %w", err)
 	}
-	b, err := vm.NewRef(post, vm.Config{Seed: 7})
+	b, err := vm.New(post, vm.Config{Seed: 7})
 	if err != nil {
 		return fmt.Errorf("guard: load post: %w", err)
 	}
@@ -88,8 +88,8 @@ func TestDiffVerdictEngineParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inputs := Inputs(tc.hook, 16, 99)
-			fast := DiffPrograms(tc.pre, tc.post, inputs)
-			ref := refDiffPrograms(tc.pre, tc.post, inputs)
+			ref := DiffPrograms(tc.pre, tc.post, inputs)
+			fast := fastDiffPrograms(tc.pre, tc.post, inputs)
 			if (fast == nil) != (ref == nil) {
 				t.Fatalf("engines disagree: fast=%v ref=%v", fast, ref)
 			}
@@ -124,8 +124,8 @@ func TestDiffVerdictEngineParityXDP(t *testing.T) {
 		{"flipped-verdict", xdp("pass", 2), xdp("drop", 1), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fast := DiffPrograms(tc.pre, tc.post, inputs)
-			ref := refDiffPrograms(tc.pre, tc.post, inputs)
+			ref := DiffPrograms(tc.pre, tc.post, inputs)
+			fast := fastDiffPrograms(tc.pre, tc.post, inputs)
 			if (fast == nil) != (ref == nil) ||
 				(fast != nil && fast.Error() != ref.Error()) {
 				t.Fatalf("engines disagree:\nfast %v\nref  %v", fast, ref)

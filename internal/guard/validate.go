@@ -58,26 +58,62 @@ type Observation struct {
 
 // Observe loads prog into a fresh VM (fixed seed) and records its behaviour
 // on inputs, in order, on one machine — maps and helper state persist from
-// run to run as they do for an attached program. Every run gets a private
-// copy of its input: programs rewrite packets in place, and a later
-// observation must see the bytes this one saw.
+// run to run as they do for an attached program.
+//
+// The machine runs the reference interpreter (vm.NewRef): an observation is
+// a handful of runs, fewer than it would take to pay back pre-decoding the
+// program, and internal/difftest holds both engines to the same r0, faults
+// and map state, so the verdict does not depend on the engine.
+//
+// Programs rewrite packets in place, so every run gets a fresh copy of its
+// input, in one scratch buffer per observation that is refilled before each
+// run; the machine is discarded afterwards, so the observation keeps its
+// final map backings without copying them.
 func Observe(prog *ebpf.Program, inputs []Input) *Observation {
+	return observe(prog, inputs, loadRef)
+}
+
+func loadRef(prog *ebpf.Program, cfg vm.Config) (*vm.Machine, error) {
+	rm, err := vm.NewRef(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rm.Machine, nil
+}
+
+// observe is Observe on the machine load returns.
+func observe(prog *ebpf.Program, inputs []Input, load func(*ebpf.Program, vm.Config) (*vm.Machine, error)) *Observation {
 	o := &Observation{prog: prog}
-	m, err := vm.New(prog, vm.Config{Seed: 7})
+	m, err := load(prog, vm.Config{Seed: 7})
 	if err != nil {
 		o.loadErr = err
 		return o
 	}
+	ctxMax, pktMax := 0, 0
+	for _, in := range inputs {
+		ctxMax, pktMax = max(ctxMax, len(in.Ctx)), max(pktMax, len(in.Pkt))
+	}
+	scratch := make([]byte, ctxMax+pktMax)
+	ctxBuf, pktBuf := scratch[:ctxMax:ctxMax], scratch[ctxMax:]
 	o.rets = make([]int64, len(inputs))
 	o.errs = make([]error, len(inputs))
 	for i, in := range inputs {
-		o.rets[i], _, o.errs[i] = m.Run(bytes.Clone(in.Ctx), bytes.Clone(in.Pkt))
+		o.rets[i], _, o.errs[i] = m.Run(refill(ctxBuf, in.Ctx), refill(pktBuf, in.Pkt))
 	}
 	o.maps = make([][]byte, m.NumMaps())
 	for i := range o.maps {
-		o.maps[i] = bytes.Clone(m.Map(i).Backing())
+		o.maps[i] = m.Map(i).Backing()
 	}
 	return o
+}
+
+// refill copies src into the head of buf and returns that head; a nil src
+// stays nil, as a run on the input itself would see it.
+func refill(buf, src []byte) []byte {
+	if src == nil {
+		return nil
+	}
+	return buf[:copy(buf, src)]
 }
 
 // SameProgram reports whether a and b are instruction- and map-spec-

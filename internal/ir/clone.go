@@ -4,73 +4,136 @@ package ir
 // with all internal references (operands, branch targets, map refs)
 // repointed into the copy. Optimization pipelines clone before mutating so
 // callers can compile the same module under different option sets.
+//
+// Each function's instructions, operand lists, constants, blocks and branch
+// target lists are allocated as one slab each, so a clone costs a fixed
+// number of allocations per function rather than several per instruction.
+// Every sub-slice is capped at its own length: a pass that appends to one
+// instruction's operands or one block's instructions reallocates instead of
+// overwriting its neighbour's.
 func Clone(m *Module) *Module {
 	out := &Module{Name: m.Name}
-	mapOf := map[*MapDef]*MapDef{}
-	for _, md := range m.Maps {
-		c := *md
-		out.Maps = append(out.Maps, &c)
-		mapOf[md] = &c
+	var mapOf map[*MapDef]*MapDef
+	if len(m.Maps) > 0 {
+		defs := make([]MapDef, len(m.Maps))
+		out.Maps = make([]*MapDef, len(m.Maps))
+		mapOf = make(map[*MapDef]*MapDef, len(m.Maps))
+		for i, md := range m.Maps {
+			defs[i] = *md
+			out.Maps[i] = &defs[i]
+			mapOf[md] = &defs[i]
+		}
 	}
-	for _, f := range m.Funcs {
-		out.Funcs = append(out.Funcs, cloneFunc(f, mapOf))
+	if len(m.Funcs) > 0 {
+		out.Funcs = make([]*Function, len(m.Funcs))
+		for i, f := range m.Funcs {
+			out.Funcs[i] = cloneFunc(f, mapOf)
+		}
 	}
 	return out
 }
 
 func cloneFunc(f *Function, mapOf map[*MapDef]*MapDef) *Function {
 	nf := &Function{Name: f.Name}
-	valOf := map[Value]Value{}
-	for _, p := range f.Params {
-		np := &Param{Name: p.Name, Ty: p.Ty}
-		nf.Params = append(nf.Params, np)
-		valOf[p] = np
+
+	// Size the slabs and number the originals: an operand or branch target
+	// resolves to its copy's slab index, whether or not the copy is filled
+	// in yet.
+	nInstrs, nArgs, nConsts, nTargets := 0, 0, 0, 0
+	blockOf := make(map[*Block]int32, len(f.Blocks))
+	for i, b := range f.Blocks {
+		blockOf[b] = int32(i)
+		nInstrs += len(b.Instrs)
 	}
-	blockOf := map[*Block]*Block{}
+	instrOf := make(map[*Instr]int32, nInstrs)
+	idx := int32(0)
 	for _, b := range f.Blocks {
-		nb := nf.AddBlock(b.Name)
-		blockOf[b] = nb
-	}
-	// First pass: create instruction copies so forward value references
-	// (which cannot occur, but map refs can) resolve uniformly.
-	for _, b := range f.Blocks {
-		nb := blockOf[b]
 		for _, in := range b.Instrs {
-			ni := &Instr{
-				Name: in.Name, Op: in.Op, Ty: in.Ty, Bin: in.Bin, Pred: in.Pred,
-				Align: in.Align, Size: in.Size, Helper: in.Helper, Target: in.Target,
-			}
-			if in.Map != nil {
-				ni.Map = mapOf[in.Map]
-				if ni.Map == nil {
-					ni.Map = in.Map
+			instrOf[in] = idx
+			idx++
+			nArgs += len(in.Args)
+			nTargets += len(in.Blocks)
+			for _, a := range in.Args {
+				if _, ok := a.(*Const); ok {
+					nConsts++
 				}
-			}
-			nb.Append(ni)
-			if in.HasResult() {
-				valOf[in] = ni
-			} else {
-				valOf[in] = ni // terminators aren't referenced, harmless
 			}
 		}
 	}
-	// Second pass: rewrite operands and block targets.
-	for _, b := range f.Blocks {
-		nb := blockOf[b]
-		for i, in := range b.Instrs {
-			ni := nb.Instrs[i]
-			for _, a := range in.Args {
-				switch v := a.(type) {
-				case *Const:
-					c := *v
-					ni.Args = append(ni.Args, &c)
-				default:
-					ni.Args = append(ni.Args, valOf[a])
+
+	if len(f.Params) > 0 {
+		params := make([]Param, len(f.Params))
+		nf.Params = make([]*Param, len(f.Params))
+		for i, p := range f.Params {
+			params[i] = Param{Name: p.Name, Ty: p.Ty}
+			nf.Params[i] = &params[i]
+		}
+	}
+	// paramOf is a linear search: eBPF functions take at most five
+	// parameters.
+	paramOf := func(p *Param) Value {
+		for i := len(f.Params) - 1; i >= 0; i-- {
+			if f.Params[i] == p {
+				return nf.Params[i]
+			}
+		}
+		return nil
+	}
+
+	blocks := make([]Block, len(f.Blocks))
+	instrs := make([]Instr, nInstrs)
+	ptrs := make([]*Instr, nInstrs)
+	args := make([]Value, nArgs)
+	consts := make([]Const, nConsts)
+	targets := make([]*Block, nTargets)
+	if len(f.Blocks) > 0 {
+		nf.Blocks = make([]*Block, len(f.Blocks))
+	}
+	k := 0 // next instruction slot
+	for bi, b := range f.Blocks {
+		nb := &blocks[bi]
+		nb.Name, nb.Fn = b.Name, nf
+		nf.Blocks[bi] = nb
+		if len(b.Instrs) > 0 {
+			nb.Instrs = ptrs[k : k+len(b.Instrs) : k+len(b.Instrs)]
+		}
+		for j, in := range b.Instrs {
+			ni := &instrs[k]
+			k++
+			*ni = *in
+			ni.Parent, ni.Args, ni.Blocks = nb, nil, nil
+			if in.Map != nil {
+				if c := mapOf[in.Map]; c != nil {
+					ni.Map = c
 				}
 			}
-			for _, t := range in.Blocks {
-				ni.Blocks = append(ni.Blocks, blockOf[t])
+			if n := len(in.Args); n > 0 {
+				ni.Args, args = args[:n:n], args[n:]
+				for ai, a := range in.Args {
+					var v Value // an operand the function does not define
+					switch a := a.(type) {
+					case *Const:
+						consts[0] = *a
+						v, consts = &consts[0], consts[1:]
+					case *Instr:
+						if idx, ok := instrOf[a]; ok {
+							v = &instrs[idx]
+						}
+					case *Param:
+						v = paramOf(a)
+					}
+					ni.Args[ai] = v
+				}
 			}
+			if n := len(in.Blocks); n > 0 {
+				ni.Blocks, targets = targets[:n:n], targets[n:]
+				for ti, t := range in.Blocks {
+					if idx, ok := blockOf[t]; ok {
+						ni.Blocks[ti] = &blocks[idx]
+					}
+				}
+			}
+			nb.Instrs[j] = ni
 		}
 	}
 	return nf

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -340,6 +341,64 @@ func TestCloneIndependence(t *testing.T) {
 				t.Fatal("clone mapptr points at the original module")
 			}
 		}
+	}
+}
+
+// TestCloneAppendsDoNotAlias: a clone's operand lists, branch target lists
+// and block instruction lists are sub-slices of shared slabs. Appending to
+// any one of them must reallocate it, leaving every neighbour — and the
+// original module — as it was.
+func TestCloneAppendsDoNotAlias(t *testing.T) {
+	m := buildSample().Mod
+	orig := Print(m)
+	c := Clone(m)
+	f := c.Funcs[0]
+	var all []*Instr
+	for _, b := range f.Blocks {
+		all = append(all, b.Instrs...)
+	}
+	snapshot := func() (args [][]Value, blocks [][]*Block) {
+		for _, in := range all {
+			args = append(args, slices.Clone(in.Args))
+			blocks = append(blocks, slices.Clone(in.Blocks))
+		}
+		return args, blocks
+	}
+	extra := f.AddBlock("extra")
+	for k, in := range all {
+		args, blocks := snapshot()
+		in.Args = append(in.Args, ConstInt(I64, 99))
+		in.Blocks = append(in.Blocks, extra)
+		for j, o := range all {
+			if j == k {
+				continue
+			}
+			if !slices.Equal(o.Args, args[j]) || !slices.Equal(o.Blocks, blocks[j]) {
+				t.Fatalf("appending to %s changed %s", FormatInstr(in), FormatInstr(o))
+			}
+		}
+		in.Args, in.Blocks = args[k], blocks[k]
+	}
+	f.Blocks = f.Blocks[:len(f.Blocks)-1]
+	for bi, b := range f.Blocks {
+		heads := make([]*Instr, len(f.Blocks))
+		for j, o := range f.Blocks {
+			heads[j] = o.Instrs[0]
+		}
+		n := len(b.Instrs)
+		b.Append(&Instr{Op: OpBr})
+		for j, o := range f.Blocks {
+			if j != bi && o.Instrs[0] != heads[j] {
+				t.Fatalf("appending to block %s changed block %s", b.Name, o.Name)
+			}
+		}
+		b.Instrs = b.Instrs[:n]
+	}
+	if Print(c) != orig {
+		t.Fatal("clone does not print as the original after undoing the appends")
+	}
+	if Print(m) != orig {
+		t.Fatal("appends to the clone changed the original")
 	}
 }
 

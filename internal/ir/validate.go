@@ -28,32 +28,33 @@ func validateFunc(m *Module, f *Function) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	names := map[string]bool{}
+	nInstrs := f.NumInstrs()
+	names := make(map[string]bool, len(f.Params)+nInstrs)
 	for _, p := range f.Params {
 		if names[p.Name] {
 			return fmt.Errorf("duplicate name %%%s", p.Name)
 		}
 		names[p.Name] = true
 	}
-	blockSet := map[*Block]bool{}
+	blockSet := make(map[*Block]bool, len(f.Blocks))
 	for _, b := range f.Blocks {
 		blockSet[b] = true
 	}
-	// Function-scoped values: params and entry-block allocas.
-	scoped := map[Value]bool{}
-	for _, p := range f.Params {
-		scoped[p] = true
-	}
+	// defSite is where each instruction operand may be used: -1 for a
+	// function-scoped value (an entry-block alloca), otherwise 1 + the index
+	// of the block defining it, entered once the walk has passed the
+	// definition. Parameters are never instruction operands, so they need
+	// no entry.
+	defSite := make(map[*Instr]int, nInstrs)
 	for _, in := range f.Entry().Instrs {
 		if in.Op == OpAlloca {
-			scoped[in] = true
+			defSite[in] = -1
 		}
 	}
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %s is empty", b.Name)
 		}
-		local := map[Value]bool{}
 		for i, in := range b.Instrs {
 			if in.HasResult() {
 				if in.Name == "" {
@@ -72,15 +73,15 @@ func validateFunc(m *Module, f *Function) error {
 				if !ok {
 					continue
 				}
-				if !local[ai] && !scoped[ai] {
+				if site, ok := defSite[ai]; !ok || (site != -1 && site != 1+bi) {
 					return fmt.Errorf("block %s: %s uses %%%s which is not defined earlier in the block (cross-block values must go through allocas)", b.Name, FormatInstr(in), ai.Name)
 				}
 			}
 			if err := checkInstr(m, f, blockSet, in); err != nil {
 				return fmt.Errorf("block %s: %s: %w", b.Name, FormatInstr(in), err)
 			}
-			if in.HasResult() {
-				local[in] = true
+			if in.HasResult() && defSite[in] != -1 {
+				defSite[in] = 1 + bi
 			}
 		}
 	}

@@ -57,8 +57,8 @@ func (m *Machine) Run(ctx, pkt []byte) (int64, Stats, error) {
 }
 
 // run dispatches to the pre-decoded engine (decode.go) when the program
-// compiled, else to the reference switch interpreter below. RefMachine pins
-// m.code to nil so this always takes the reference path.
+// compiled, else to the reference switch interpreter below. A RefMachine is
+// never pre-decoded, so it always takes the reference path.
 func (m *Machine) run(ctx, pkt []byte) (int64, Stats, error) {
 	if m.code != nil {
 		rv, err := m.runFast(ctx, pkt, &m.fr.st)

@@ -1,5 +1,7 @@
 package vm
 
+import "unsafe"
+
 // kindNames names every micro-op kind, for the external corpus-coverage test
 // (kinds_test.go); NumKinds is how many there are.
 var kindNames = [...]string{
@@ -59,3 +61,6 @@ func Specialisations() []Specialisation {
 	}
 	return out
 }
+
+// UopSize is the size of one pre-decoded element.
+const UopSize = unsafe.Sizeof(uop{})

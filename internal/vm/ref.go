@@ -15,13 +15,14 @@ type RefMachine struct {
 }
 
 // NewRef loads prog into a machine that executes with the reference switch
-// interpreter, bypassing the pre-decoded engine.
+// interpreter. It does not pre-decode: a machine that runs a handful of
+// inputs (the guard's differential observations) would spend more on
+// decoding than on the runs.
 func NewRef(prog *ebpf.Program, cfg Config) (*RefMachine, error) {
-	m, err := New(prog, cfg)
+	m, err := load(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.code = nil
 	return &RefMachine{Machine: m}, nil
 }
 

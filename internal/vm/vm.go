@@ -146,8 +146,26 @@ type Machine struct {
 	Pred  *hw.BranchPredictor
 }
 
-// New loads prog into a fresh machine, instantiating its maps.
+// New loads prog into a fresh machine, instantiating its maps, and
+// pre-decodes it for the fast engine.
 func New(prog *ebpf.Program, cfg Config) (*Machine, error) {
+	m, err := load(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Pre-decode into the direct-threaded form. Decoding never rejects a
+	// program the reference interpreter accepts (would-be faults compile to
+	// fault closures), but if it ever does, the machine silently serves
+	// with the reference interpreter instead.
+	if code, cold, err := compile(m); err == nil {
+		m.code, m.cold = code, cold
+	}
+	return m, nil
+}
+
+// load builds a machine for prog with its maps instantiated and no
+// pre-decoded code: on its own it runs the reference interpreter.
+func load(prog *ebpf.Program, cfg Config) (*Machine, error) {
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
 	}
@@ -171,13 +189,6 @@ func New(prog *ebpf.Program, cfg Config) (*Machine, error) {
 	if cfg.UseHW {
 		m.Cache = hw.NewL1D()
 		m.Pred = hw.NewBranchPredictor()
-	}
-	// Pre-decode into the direct-threaded form. Decoding never rejects a
-	// program the reference interpreter accepts (would-be faults compile to
-	// fault closures), but if it ever does, the machine silently serves
-	// with the reference interpreter instead.
-	if code, cold, err := compile(m); err == nil {
-		m.code, m.cold = code, cold
 	}
 	return m, nil
 }
