@@ -66,8 +66,8 @@ bash bench/run.sh -workload serve-batch -seconds 1
 go test -race -count=2 -run 'TestStoreChaosSurvival|TestStoreMergeWhileCompacting' ./internal/journal/
 
 # The fleet chaos scenarios: seeded random schedules of worker kills,
-# partitions, deploys and controller crashes under 2% control-RPC faults.
-# Each slot has two replicas of three workers, so a kill plus a partition can
-# take out both: three more passes walk that total-outage audit path under
-# different interleavings.
-go test -race -count=3 -run 'TestScenarioFleet' ./internal/fleet/
+# partitions, deploys and controller crashes under 2% control-RPC faults, and
+# the fixed replica-loss schedule. Each random slot has two replicas of three
+# workers, so a kill plus a partition can take out both: three more passes
+# walk that total-outage audit path under different interleavings.
+go test -race -count=3 -run 'TestScenarioFleet|TestScenarioReplicaLoss' ./internal/fleet/

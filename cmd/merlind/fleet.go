@@ -20,7 +20,7 @@
 //	                        the merged cache back to every worker
 //	fevents                 dump the fleet event ring
 //	fmetrics                fleet-aggregated metrics (controller + workers)
-//	tick                    probe down workers, reconcile recovering ones
+//	tick                    one reconciler pass (probes down workers too)
 //	quit                    flush and exit
 package main
 
@@ -77,8 +77,8 @@ type controllerOpts struct {
 
 // runController is merlind's -controller mode: a fleet control plane over
 // TCP. Worker merlinds announce themselves with join lines; operators drive
-// rollouts over stdin or the same listener; a background ticker probes down
-// workers and reconciles recovering ones.
+// rollouts over stdin or the same listener; a background ticker runs the
+// reconciler, whose status reads double as probes of down workers.
 func runController(o controllerOpts) {
 	reg := metrics.New()
 	ctl := fleet.New(fleet.Config{
@@ -134,9 +134,9 @@ func runController(o controllerOpts) {
 		serveMetricsHTTP(o.listen, reg, ctl.WriteMetrics)
 	}
 
-	// The maintenance ticker: re-probe down workers, reconcile recovering
-	// ones. Rollout stepping stays explicit (fstep/fwait) so scripts control
-	// exactly when the fleet moves.
+	// The maintenance ticker: one reconciler pass per second. Rollout
+	// stepping stays explicit (fstep/fwait) so scripts control exactly when
+	// the fleet moves.
 	go func() {
 		for {
 			time.Sleep(time.Second)

@@ -19,7 +19,7 @@
 //	rollback <slot>                               restore previous live program
 //	abort <slot>                                  discard the staged candidate
 //	drain <slot>                                  remove the slot entirely
-//	                                              (controller-driven rebalance)
+//	                                              (controller-driven repair)
 //	build <file.mir|corpus:NAME> [func]           run the build service
 //	                                              (dedup + artifact cache)
 //	cachestats                                    superopt + artifact cache sizes
@@ -130,8 +130,8 @@
 // fans packets out over the consistent-hash ring, and with -state-dir the
 // controller journals every transition and resumes in-flight rollouts after
 // a crash ("ok frecover ..."). Each slot is placed on -replication workers
-// (default 2); traffic fails over to surviving replicas and a background
-// rebalancer re-replicates lost copies through the canary gate. Controller
+// (default 2); traffic fails over to surviving replicas and the background
+// reconciler re-replicates lost copies through the canary gate. Controller
 // commands: join, workers, fleet, placement, fdeploy, fstep, fwait, ftraffic,
 // fevents, fmetrics, leave, tick, quit.
 //

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"merlin/internal/journal"
-	"merlin/internal/lifecycle"
 	"merlin/internal/metrics"
 	"merlin/internal/superopt"
 )
@@ -39,19 +38,15 @@ import (
 type Config struct {
 	// RPCTimeout bounds every worker RPC (default 2s).
 	RPCTimeout time.Duration
-	// ReadRetries is how many times an idempotent (read) RPC is retried
-	// after a transport failure (default 3). Mutating RPCs never retry
-	// blindly — the gate resolves their ambiguity from the slot status the
-	// next canary feed reports instead.
-	ReadRetries int
 	// RetryBase / RetryMax shape the jittered exponential backoff between
-	// read retries (defaults 50ms / 2s).
+	// read retries (defaults 50ms / 2s). Mutating RPCs never retry blindly —
+	// the gate and the reconciler resolve their ambiguity from the slot
+	// status they read next instead.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// SuspectAfter / DownAfter are the consecutive transport-failure counts
-	// that demote a worker to suspect / down (defaults 1 / 3).
-	SuspectAfter int
-	DownAfter    int
+	// DownAfter is the consecutive transport-failure count that demotes a
+	// suspect worker to down (default 3); the first failure makes it suspect.
+	DownAfter int
 	// BreakerBase / BreakerMax bound the circuit breaker cooldown; it
 	// starts at base and doubles per failed probe (defaults 500ms / 30s).
 	BreakerBase time.Duration
@@ -71,23 +66,8 @@ type Config struct {
 	MaxEvents int
 	// Replication is the number of distinct workers each slot is placed on
 	// (R, default 2): traffic routes only to a slot's replicas and the
-	// rebalancer repairs under-replication.
+	// reconciler repairs under-replication.
 	Replication int
-	// RepairConcurrency bounds how many repair tasks run at once (default 2)
-	// so a mass failure cannot stampede the survivors.
-	RepairConcurrency int
-	// RepairMaxFails is how many transport-level retries one repair task gets
-	// before it is abandoned (default 5).
-	RepairMaxFails int
-	// RepairBreakerAfter is how many abandoned repairs in a row open a
-	// slot's repair circuit breaker (default 3) — a flapping worker or a
-	// gate-refusing target must not wedge the rebalancer.
-	RepairBreakerAfter int
-	// RepairBackoff / RepairBackoffMax shape the jittered exponential
-	// backoff between repair retries and breaker cooldowns (defaults
-	// 250ms / 10s).
-	RepairBackoff    time.Duration
-	RepairBackoffMax time.Duration
 	// AuthToken, when non-empty, is prefixed to every worker RPC as
 	// "auth <token> <cmd>"; workers sharing the token verify it in constant
 	// time and refuse everything else.
@@ -100,21 +80,19 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// readRetries is how many times an idempotent (read) RPC is retried after a
+// transport failure.
+const readRetries = 3
+
 func (c Config) withDefaults() Config {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
-	}
-	if c.ReadRetries == 0 {
-		c.ReadRetries = 3
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 50 * time.Millisecond
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 2 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
@@ -143,21 +121,6 @@ func (c Config) withDefaults() Config {
 	if c.Replication <= 0 {
 		c.Replication = 2
 	}
-	if c.RepairConcurrency <= 0 {
-		c.RepairConcurrency = 2
-	}
-	if c.RepairMaxFails <= 0 {
-		c.RepairMaxFails = 5
-	}
-	if c.RepairBreakerAfter <= 0 {
-		c.RepairBreakerAfter = 3
-	}
-	if c.RepairBackoff <= 0 {
-		c.RepairBackoff = 250 * time.Millisecond
-	}
-	if c.RepairBackoffMax <= 0 {
-		c.RepairBackoffMax = 10 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -167,8 +130,8 @@ func (c Config) withDefaults() Config {
 // CatalogSlot is the fleet's blessed version of one slot: the source
 // descriptor every worker must run and the fleet generation that blessed it.
 // The catalog only advances when a rollout completes on every worker — a
-// halted rollout leaves it untouched, which is what makes reconcile roll a
-// partitioned half-promoted worker back instead of forward.
+// halted rollout leaves it untouched, which is what makes the reconciler
+// roll a partitioned half-promoted worker back instead of forward.
 type CatalogSlot struct {
 	Name string `json:"name"`
 	Src  string `json:"src"`
@@ -177,9 +140,8 @@ type CatalogSlot struct {
 
 // installedRec records what the controller last confirmed on a worker:
 // which fleet generation of a slot it promoted and the worker-local live
-// generation that corresponds to it. Reconcile compares a worker's actual
-// status against this and the catalog to decide whether to push, roll back,
-// or leave alone.
+// generation that corresponds to it. The reconciler compares a worker's
+// actual status against this and the catalog to decide what to do.
 type installedRec struct {
 	Worker   string `json:"worker"`
 	Slot     string `json:"slot"`
@@ -205,8 +167,8 @@ var errBreakerOpen = errors.New("circuit breaker open")
 
 // Controller is the fleet control plane. All exported methods are safe for
 // concurrent use: cheap state lives under mu (never held across an RPC),
-// while stepMu serializes the multi-RPC compound operations (Tick, Step) so
-// the rollout state machine and reconcile never interleave.
+// while stepMu serializes the multi-RPC compound operations (Tick, Step,
+// Join) so the rollout state machine and the reconciler never interleave.
 type Controller struct {
 	cfg Config
 	tr  Transport
@@ -222,10 +184,8 @@ type Controller struct {
 	eventSeq   int
 	rng        uint64
 	trafficSeq int
-	rings      map[string]*ring       // traffic rings by pool membership, see trafficRingLocked
-	repairQ    []*repairTask          // pending repairs, FIFO
-	repairs    map[string]*repairTask // active repairs, one per slot
-	repairBk   map[string]*repairBreaker
+	rings      map[string]*ring // traffic rings by pool membership, see trafficRingLocked
+	joins      map[string]*join // slot → repair in flight (reconcile.go)
 
 	jl *journal.Ledger // persist.go
 
@@ -251,8 +211,7 @@ func New(cfg Config, tr Transport) *Controller {
 		installed:  map[string]map[string]installedRec{},
 		placements: map[string]*Placement{},
 		rings:      map[string]*ring{},
-		repairs:    map[string]*repairTask{},
-		repairBk:   map[string]*repairBreaker{},
+		joins:      map[string]*join{},
 		rng:        cfg.Seed | 1,
 	}
 	c.jl = c.newLedger()
@@ -316,7 +275,7 @@ func (c *Controller) rpcWith(name, line string, read, ignoreBreaker bool) ([]str
 		}
 	default:
 		if read {
-			attempts += c.cfg.ReadRetries
+			attempts += readRetries
 		}
 	}
 	// Pre-compute the jittered backoff schedule under mu so the RPC loop
@@ -371,9 +330,7 @@ func (c *Controller) rpcFailedLocked(w *worker, err error) {
 	w.lastErr = err.Error()
 	switch w.health {
 	case Healthy:
-		if w.fails >= c.cfg.SuspectAfter {
-			c.setHealthLocked(w, Suspect, err.Error())
-		}
+		c.setHealthLocked(w, Suspect, err.Error())
 	case Suspect:
 		if w.fails >= c.cfg.DownAfter {
 			c.openBreakerLocked(w, c.cfg.BreakerBase, err.Error())
@@ -398,8 +355,8 @@ func (c *Controller) rpcSucceededLocked(w *worker) {
 		c.setHealthLocked(w, Healthy, "rpc recovered")
 	case Down:
 		// Probe answered: the worker is back, but it is not routed until
-		// reconcile has pushed the catalog at it (it may have restarted
-		// empty or be carrying a half-promoted rollout).
+		// the reconciler has converged it (it may have restarted empty or
+		// be carrying a half-promoted rollout).
 		w.cooldown = 0
 		c.setHealthLocked(w, Recovering, "probe succeeded")
 	}
@@ -428,7 +385,7 @@ func (c *Controller) openBreakerLocked(w *worker, cooldown time.Duration, why st
 // heartbeat no-op. A new worker, a changed address, or an announce from a
 // worker with RPC failures on record (suspect or down — it may have restarted
 // empty in between) all enter through Recovering: the controller reconciles
-// the worker against the catalog before routing to it.
+// the worker before routing to it.
 func (c *Controller) Join(name, addr string) error {
 	if name == "" || addr == "" {
 		return errors.New("fleet: join needs a name and an address")
@@ -471,7 +428,7 @@ func (c *Controller) Workers() []string {
 
 // Leave removes a worker from the fleet for good: membership, installed
 // records, and every placement naming it are scrubbed (journaled), leaving
-// the affected slots under-replicated for the rebalancer to repair onto the
+// the affected slots under-replicated for the reconciler to repair onto the
 // survivors. Refused while a rollout is in flight — the rollout's worker
 // order must stay meaningful.
 func (c *Controller) Leave(name string) error {
@@ -487,8 +444,7 @@ func (c *Controller) Leave(name string) error {
 	}
 	delete(c.workers, name)
 	delete(c.installed, name)
-	c.dropRepairsForWorkerLocked(name)
-	for _, slot := range c.placementSlotsLocked() {
+	for _, slot := range sortedKeys(c.placements) {
 		pl := c.placements[slot]
 		if !slices.Contains(pl.Replicas, name) {
 			continue
@@ -514,169 +470,7 @@ func (c *Controller) workerNamesLocked(keep func(*worker) bool) []string {
 	return names
 }
 
-// ---- reconcile -----------------------------------------------------------
-
-// reconcile drives one worker to the catalog: every blessed slot must be
-// live at the generation the controller last confirmed — judged against the
-// worker's *actual* status reply, never the journal alone, so a worker that
-// promoted during a one-way partition (or restarted empty) converges no
-// matter what the controller missed. On a clean pass a recovering worker
-// becomes healthy and rejoins the ring.
-func (c *Controller) reconcile(name string) error {
-	if c.met != nil {
-		c.met.reconciles.Inc()
-	}
-	lines, err := c.rpc(name, "status", true)
-	if err != nil {
-		return err
-	}
-	live := map[string]lifecycle.SlotStatus{}
-	for _, l := range lines {
-		if st, perr := lifecycle.ParseSlotStatus(l); perr == nil {
-			live[st.Slot] = st
-		}
-	}
-
-	type action struct {
-		slot, src string
-		fleetGen  int
-		why       string
-	}
-	c.mu.Lock()
-	var acts []action
-	var drains []string
-	deferred := false
-	rolloutSlot, rolloutGen, rolloutCand := "", 0, 0
-	if r := c.rollout; !r.terminal() {
-		rolloutSlot, rolloutGen = r.Slot, r.Gen
-		if r.Idx < len(r.Order) && r.Order[r.Idx] == name {
-			rolloutCand = r.Cand // a candidate staged here, not yet promoted
-		}
-	}
-	for slotName, cat := range c.catalog {
-		if !c.placedLocked(slotName, name) {
-			// Placement moved this slot off the worker (or never put it
-			// there). A live copy is stale and must drain — except while a
-			// rollout owns the slot, when we defer rather than mutate under
-			// its feet. A leftover installed record with no live copy is
-			// erased outright.
-			if _, present := live[slotName]; present {
-				if slotName == rolloutSlot {
-					deferred = true
-				} else {
-					drains = append(drains, slotName)
-				}
-			} else if _, ok := c.installedLocked(name)[slotName]; ok {
-				c.deleteInstalledLocked(name, slotName)
-			}
-			continue
-		}
-		if slotName == rolloutSlot {
-			// The active rollout owns this slot, and reconcile runs under
-			// stepMu so it cannot race the rollout's own actions. A worker
-			// MISSING the slot entirely (it restarted empty) gets the blessed
-			// version pushed right away — it must keep serving traffic, and if
-			// the rollout later deploys here the candidate now stages against
-			// a real incumbent and pays the canary gate. A worker that HAS the
-			// slot is admitted only when its live program is one the control
-			// plane can vouch for: the version last installed (blessed, or
-			// promoted by this very rollout), or a candidate the rollout
-			// staged here that cleared the local canary gate (a promote whose
-			// reply was lost). A live program nothing accounts for — an
-			// ungated switch, a refused rollback — keeps the worker in
-			// Recovering until the rollout settles and a full pass repairs it.
-			inst, ok := c.installedLocked(name)[slotName]
-			st, present := live[slotName]
-			switch {
-			case !present:
-				acts = append(acts, action{slotName, cat.Src, cat.Gen, "slot missing mid-rollout"})
-			case (ok && st.LiveGeneration == inst.LocalGen &&
-				(inst.FleetGen == cat.Gen || inst.FleetGen == rolloutGen)) ||
-				(rolloutCand != 0 && st.LiveGeneration == rolloutCand):
-				// vouched: nothing to do
-			default:
-				deferred = true
-			}
-			continue
-		}
-		inst, ok := c.installedLocked(name)[slotName]
-		st, present := live[slotName]
-		switch {
-		case !present:
-			acts = append(acts, action{slotName, cat.Src, cat.Gen, "slot missing"})
-		case !ok || inst.FleetGen != cat.Gen || st.LiveGeneration != inst.LocalGen:
-			acts = append(acts, action{slotName, cat.Src, cat.Gen,
-				fmt.Sprintf("live=gen%d installed=%+v catalog=gen%d",
-					st.LiveGeneration, inst, cat.Gen)})
-		}
-	}
-	c.mu.Unlock()
-
-	for _, a := range acts {
-		liveGen, err := c.pushSlot(name, a.slot, a.src)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.setInstalledLocked(name, a.slot, a.fleetGen, liveGen, true)
-		c.eventLocked(Event{Kind: EventReconciled, Worker: name, Slot: a.slot,
-			Detail: fmt.Sprintf("%s → pushed gen%d (live=gen%d)", a.why, a.fleetGen, liveGen)})
-		c.mu.Unlock()
-	}
-
-	sort.Strings(drains)
-	for _, slotName := range drains {
-		lines, err := c.rpc(name, "drain "+slotName, false)
-		if err != nil {
-			return err
-		}
-		if _, ok := ReplyOK(lines); !ok {
-			return fmt.Errorf("fleet: drain %s on %s: %s", slotName, name, lastLine(lines))
-		}
-		c.mu.Lock()
-		c.deleteInstalledLocked(name, slotName)
-		c.eventLocked(Event{Kind: EventDrained, Worker: name, Slot: slotName,
-			Detail: "stale copy drained (not a replica)"})
-		if c.met != nil {
-			c.met.drains.Inc()
-		}
-		c.mu.Unlock()
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w := c.workers[name]; w != nil && w.health == Recovering && !deferred {
-		c.setHealthLocked(w, Healthy, "reconciled against catalog")
-	}
-	return nil
-}
-
-// pushSlot deploys src on a worker and force-promotes it, returning the
-// resulting live generation. It is the one ungated install, used only by
-// reconcile, where the version being pushed already earned fleet blessing —
-// the per-worker canary gate was paid during the rollout that blessed it.
-func (c *Controller) pushSlot(name, slot, src string) (int, error) {
-	lines, err := c.rpc(name, "deploy "+slot+" "+src, false)
-	if err != nil {
-		return 0, err
-	}
-	rep, ok := parseDeployReply(lines)
-	if !ok {
-		return 0, fmt.Errorf("fleet: deploy %s on %s: %s", slot, name, lastLine(lines))
-	}
-	if rep.candGen == 0 {
-		return rep.liveGen, nil // fresh slot: went live immediately
-	}
-	lines, err = c.rpc(name, "promote "+slot+" force", false)
-	if err != nil {
-		return 0, err
-	}
-	last, ok := ReplyOK(lines)
-	if !ok {
-		return 0, fmt.Errorf("fleet: promote %s on %s: %s", slot, name, lastLine(lines))
-	}
-	return parseLiveGen(last), nil
-}
+// ---- installed records ---------------------------------------------------
 
 func (c *Controller) installedLocked(worker string) map[string]installedRec {
 	m := c.installed[worker]
@@ -702,54 +496,6 @@ func (c *Controller) deleteInstalledLocked(worker, slot string) {
 	delete(c.installed[worker], slot)
 	rec := installedRec{Worker: worker, Slot: slot, Gone: true}
 	c.jl.Append(func() any { return record{Kind: recInstalled, Installed: &rec} }, true)
-}
-
-// ---- tick ----------------------------------------------------------------
-
-// Tick runs one maintenance pass: probe every down worker whose breaker
-// cooldown has expired, reconcile every recovering worker, republish gauges.
-// Call it periodically; it is also safe to call in a tight loop.
-func (c *Controller) Tick() {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-
-	c.mu.Lock()
-	now := c.cfg.Now()
-	var probe, recon []string
-	for n, w := range c.workers {
-		switch w.health {
-		case Down:
-			if !now.Before(w.openUntil) {
-				probe = append(probe, n)
-			}
-		case Recovering:
-			recon = append(recon, n)
-		}
-	}
-	sort.Strings(probe)
-	sort.Strings(recon)
-	c.mu.Unlock()
-
-	for _, n := range probe {
-		// The status RPC doubles as the half-open probe; on success the
-		// health machine lands in Recovering and we reconcile right away.
-		if _, err := c.rpc(n, "status", false); err == nil {
-			recon = append(recon, n)
-		}
-	}
-	for _, n := range recon {
-		_ = c.reconcile(n) // failures re-open the breaker via the rpc path
-	}
-
-	// One rebalance pass: detect under-replicated slots, advance each active
-	// repair by one step.
-	c.rebalance()
-
-	c.mu.Lock()
-	c.jl.Tick() // a degraded journal's re-attachment probe
-	c.jl.Collect()
-	c.gaugesLocked()
-	c.mu.Unlock()
 }
 
 // ---- traffic -------------------------------------------------------------
@@ -932,15 +678,10 @@ func (c *Controller) FleetStatus() Status {
 		}
 		st.Workers = append(st.Workers, wi)
 	}
-	slots := make([]string, 0, len(c.catalog))
-	for n := range c.catalog {
-		slots = append(slots, n)
-	}
-	sort.Strings(slots)
-	for _, n := range slots {
+	for _, n := range sortedKeys(c.catalog) {
 		st.Catalog = append(st.Catalog, *c.catalog[n])
 	}
-	for _, n := range c.placementSlotsLocked() {
+	for _, n := range sortedKeys(c.placements) {
 		pl := c.placements[n]
 		st.Placements = append(st.Placements, PlacementView{
 			Slot:     n,

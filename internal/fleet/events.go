@@ -16,7 +16,6 @@ const (
 	EventRolloutHalted  EventKind = "rollout-halted"
 	EventRolloutFailed  EventKind = "rollout-failed"
 	EventWorkerPromoted EventKind = "worker-promoted"
-	EventWorkerRolled   EventKind = "worker-rolled-back"
 	EventRecovered      EventKind = "recovered"
 	EventLeave          EventKind = "leave"
 	EventPlacement      EventKind = "placement"

@@ -16,9 +16,9 @@ import (
 //
 // It is the one code path that puts a version live through the gate: a
 // rollout steps it on each worker in turn (its Phase is the rollout's phase,
-// journaled with it), a repair steps it on one target. reconcile's pushSlot
-// is the only ungated install — it pushes versions that already paid this
-// gate during the rollout that blessed them.
+// journaled with it), a join steps it on one target. The reconciler's restore
+// is the only ungated install — it holds a replica to the blessed version,
+// which already paid this gate during the rollout that blessed it.
 type gate struct {
 	Phase  string `json:"phase"`
 	Cand   int    `json:"cand,omitempty"` // candidate generation the deploy staged

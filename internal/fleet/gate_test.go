@@ -135,12 +135,12 @@ func TestLostPromoteReplyResolvedByNextCanaryFeed(t *testing.T) {
 		victim := c.Placements()["s"][0]
 		lt.Kill(victim)
 		demoteToDown(t, c, "s", victim)
-		for i := 0; i < 40 && c.met.repairsGated.Value() == 0; i++ {
+		for i := 0; i < 40 && c.met.repairsDone["gated"].Value() == 0; i++ {
 			c.Tick()
 			clock.Advance(time.Second) // past any retry backoff
 		}
-		if got := c.met.repairsGated.Value(); got != 1 || c.met.repairsBootstrap.Value() != 0 {
-			t.Fatalf("gated=%d bootstrap=%d, want 1/0", got, c.met.repairsBootstrap.Value())
+		if got := c.met.repairsDone["gated"].Value(); got != 1 || c.met.repairsDone["bootstrap"].Value() != 0 {
+			t.Fatalf("gated=%d bootstrap=%d, want 1/0", got, c.met.repairsDone["bootstrap"].Value())
 		}
 		if n := ct.Stats().Injected(); n != 1 {
 			t.Fatalf("%d faults injected, want the one lost promote reply", n)
@@ -227,6 +227,76 @@ func TestCandGenJournalRecoversToSameDecision(t *testing.T) {
 		st, err := lt.Manager(w).StatusOf("s")
 		if err != nil || st.LiveGeneration != 2 || st.CandidateGeneration != 0 {
 			t.Fatalf("%s after the rollback: %+v err=%v", w, st, err)
+		}
+	}
+}
+
+// testdata/rollback-rollout/journal.log was written by a controller that
+// unwound a halted rollout itself, one worker per Step, and journaled its
+// progress in aborted/rbIdx/skipped: three workers (order w1, w2, w3), R=3,
+// pass:8 blessed at gen 2, a pass:16 rollout promoted on w1 and w2 and
+// rejected by w3 (which resolves pass:16 to drop:16). The journal ends in
+// rollback with w3's candidate aborted, w2 rolled back, and w1 — down at the
+// time — skipped. Recovered, the rollout must end failed and every replica,
+// w1 included, must be back on the blessed version.
+func TestRollbackJournalRecoversToBlessed(t *testing.T) {
+	lt := NewLocalTransport()
+	for _, n := range []string{"w1", "w2", "w3"} {
+		lt.AddWorker(n, testWorkerConfig())
+	}
+	// The world the journal describes, rebuilt by hand; w1 came back with
+	// its state.
+	blessed := []string{"deploy s pass:0", "deploy s pass:8", "promote s force"}
+	for w, script := range map[string][]string{
+		"w1": append(slices.Clone(blessed), "deploy s pass:16", "promote s force"),
+		"w2": append(slices.Clone(blessed), "deploy s pass:16", "promote s force", "rollback s"),
+		"w3": append(slices.Clone(blessed), "deploy s pass:16", "abort s"),
+	} {
+		for _, line := range script {
+			if lines, err := lt.RPC(context.Background(), w, line); err != nil || !strings.HasPrefix(lastLine(lines), "ok ") {
+				t.Fatalf("%s: %s = %v %v", w, line, lines, err)
+			}
+		}
+	}
+	want := liveInsns(t, lt, "w2", "s")
+
+	dir := t.TempDir()
+	b, err := os.ReadFile(filepath.Join("testdata", "rollback-rollout", "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	c := New(Config{Seed: 42, TrafficBatch: 4, Replication: 3, RetryBase: time.Millisecond,
+		BreakerBase: 5 * time.Millisecond}, lt)
+	c.AttachJournal(jl)
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.RolloutStatus(); r == nil || r.Phase != PhaseRollback || !slices.Equal(r.Promoted, []string{"w1", "w2"}) {
+		t.Fatalf("recovered rollout = %+v", r)
+	}
+	c.Tick()
+	if r := driveRollout(t, c); r.Phase != PhaseFailed {
+		t.Fatalf("resumed rollout = %+v, want failed", r)
+	}
+	c.Tick()
+	if cat := c.FleetStatus().Catalog; len(cat) != 1 || cat[0].Src != "pass:8" || cat[0].Gen != 2 {
+		t.Fatalf("catalog = %+v", cat)
+	}
+	for _, w := range []string{"w1", "w2", "w3"} {
+		st, err := lt.Manager(w).StatusOf("s")
+		if err != nil || st.CandidateGeneration != 0 {
+			t.Fatalf("%s after recovery: %+v err=%v", w, st, err)
+		}
+		if got := liveInsns(t, lt, w, "s"); got != want {
+			t.Fatalf("%s serves %d insns, the blessed pass:8 serves %d", w, got, want)
 		}
 	}
 }

@@ -2,11 +2,12 @@ package fleet
 
 // Health is a worker's position in the controller's failure-detection state
 // machine. Transitions are driven exclusively by RPC outcomes (transport
-// failures, never application-level "err" replies) and by probe results:
+// failures, never application-level "err" replies), probe results and
+// announces — never by what a worker runs in one slot:
 //
 //	healthy ──fail──▶ suspect ──fails ≥ DownAfter──▶ down
 //	suspect ──success──▶ healthy
-//	down ──probe success──▶ recovering ──reconciled──▶ healthy
+//	down ──probe success or announce──▶ recovering ──reconciled──▶ healthy
 //	recovering ──fail──▶ down
 //
 // Down workers are excluded from the routing ring (their slots re-route to
@@ -28,11 +29,11 @@ const (
 	// Down: the breaker is open; the worker receives no traffic and its
 	// hash-ring points are withdrawn. Only cooldown-gated probes reach it.
 	Down
-	// Recovering: a probe succeeded; the worker answers RPCs again but is
-	// not routed until the controller has reconciled its slots against the
-	// fleet catalog (a rejoining worker may have restarted empty, or be
-	// carrying a half-promoted program from a rollout that failed while it
-	// was partitioned away).
+	// Recovering: a probe succeeded or the worker announced itself; it
+	// answers RPCs again but is not routed until one reconciler pass has
+	// converged its slots (a rejoining worker may have restarted empty, or
+	// be carrying a half-promoted program from a rollout that failed while
+	// it was partitioned away).
 	Recovering
 )
 

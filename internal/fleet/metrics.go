@@ -35,8 +35,7 @@ type fleetMetrics struct {
 	drains             *metrics.Counter
 	repairsStarted     *metrics.Counter
 	repairsFailed      *metrics.Counter
-	repairsGated       *metrics.Counter
-	repairsBootstrap   *metrics.Counter
+	repairsDone        map[string]*metrics.Counter // by mode: gated, bootstrap, restore
 	repairBreakerOpens *metrics.Counter
 	repairSteps        *metrics.Histogram
 	repairMillis       *metrics.Histogram
@@ -85,7 +84,7 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 	fm.rolloutsFailed = r.Counter("merlin_fleet_rollouts_rolled_back_total",
 		"fleet rollouts halted and rolled back")
 	fm.reconciles = r.Counter("merlin_fleet_reconciles_total",
-		"worker reconcile passes against the fleet catalog")
+		"worker status reads the reconciler converged a worker from")
 	fm.reg = r
 	fm.replicaGauges = map[string]*metrics.Gauge{}
 	fm.underReplicated = r.Gauge("merlin_fleet_under_replicated",
@@ -93,21 +92,22 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 	fm.failovers = r.Counter("merlin_fleet_failovers_total",
 		"traffic chunks served by a non-primary replica of their slot")
 	fm.drains = r.Counter("merlin_fleet_drains_total",
-		"stale slot copies drained off workers that lost the placement")
+		"slot copies drained off workers the placement does not name")
 	fm.repairsStarted = r.Counter("merlin_fleet_repairs_started_total",
-		"re-replication repairs enqueued for under-replicated slots")
+		"workers admitted to join an under-replicated slot")
 	fm.repairsFailed = r.Counter("merlin_fleet_repairs_failed_total",
-		"repairs abandoned after retries, gate refusal, or target loss")
-	fm.repairsGated = r.Counter("merlin_fleet_repairs_completed_total",
-		"re-replication repairs finished", "mode", "gated")
-	fm.repairsBootstrap = r.Counter("merlin_fleet_repairs_completed_total",
-		"re-replication repairs finished", "mode", "bootstrap")
+		"joins refused by the target's gate or lost with their target")
+	fm.repairsDone = map[string]*metrics.Counter{}
+	for _, mode := range []string{"gated", "bootstrap", "restore"} {
+		fm.repairsDone[mode] = r.Counter("merlin_fleet_repairs_completed_total",
+			"re-replication repairs finished", "mode", mode)
+	}
 	fm.repairBreakerOpens = r.Counter("merlin_fleet_repair_breaker_opens_total",
-		"per-slot repair circuit breaker openings")
+		"refused joins cleared by draining the target's copy before it joins again")
 	fm.repairSteps = r.Histogram("merlin_fleet_repair_steps",
-		"steps per completed repair")
+		"gate steps per completed join")
 	fm.repairMillis = r.Histogram("merlin_fleet_repair_wall_ms",
-		"wall-clock milliseconds per completed repair")
+		"wall-clock milliseconds per completed join")
 	fm.cacheSyncs = r.Counter("merlin_fleet_cache_syncs_total",
 		"superopt cache federation rounds run")
 	fm.cachePulled = r.Counter("merlin_fleet_cache_entries_pulled_total",
@@ -121,15 +121,6 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 	fm.cacheUnion = r.Gauge("merlin_fleet_cache_union_size",
 		"verdict entries in the controller's merged federation cache")
 	return fm
-}
-
-// repairCompleted bumps the mode-labeled completion counter.
-func (fm *fleetMetrics) repairCompleted(mode string) {
-	if mode == "gated" {
-		fm.repairsGated.Inc()
-	} else {
-		fm.repairsBootstrap.Inc()
-	}
 }
 
 // gaugesLocked republishes the per-state worker gauges, the degraded flag and
@@ -158,7 +149,7 @@ func (c *Controller) gaugesLocked() {
 	// count.
 	under := int64(0)
 	want := c.repairWantLocked()
-	for _, slot := range c.placementSlotsLocked() {
+	for _, slot := range sortedKeys(c.placements) {
 		pl := c.placements[slot]
 		live := c.liveReplicasLocked(pl)
 		g := c.met.replicaGauges[slot]

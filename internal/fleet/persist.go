@@ -16,9 +16,9 @@ import (
 // them into — the same ledger, with the same storage-failure policy, as the
 // per-worker lifecycle journal one level down. What is NOT persisted is
 // health: a recovered controller assumes nothing about the world and
-// re-earns its view by probing every journaled worker. Repair tasks are also
-// not persisted: a recovered controller recomputes under-replication from
-// the placement map and health, which is both simpler and self-correcting.
+// re-earns its view by probing every journaled worker. Joins (repairs in
+// flight) are also not persisted: a recovered controller recomputes
+// under-replication from the placement map and health.
 const (
 	recWorker    = "worker"
 	recCatalog   = "catalog"
@@ -108,7 +108,7 @@ func (c *Controller) snapshotLocked() snapshot {
 	slices.SortFunc(snap.Installed, func(a, b installedRec) int {
 		return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Slot, b.Slot))
 	})
-	for _, n := range c.placementSlotsLocked() {
+	for _, n := range sortedKeys(c.placements) {
 		pl := c.placements[n]
 		cp := *pl
 		cp.Replicas = append([]string(nil), pl.Replicas...)
@@ -142,8 +142,8 @@ type RecoverStats struct {
 // Recover rebuilds controller state from the attached journal: snapshot
 // first, then the record tail, latest-wins per key. Every recovered worker
 // starts Down with an already-expired breaker — the next Tick probes it
-// immediately and reconcile re-admits it. An in-flight rollout resumes from
-// its journaled phase; its idempotent steps re-discover any action whose
+// immediately and the reconciler re-admits it. An in-flight rollout resumes
+// from its journaled phase; its idempotent steps re-discover any action whose
 // acknowledgement died with the previous controller.
 func (c *Controller) Recover() (RecoverStats, error) {
 	c.mu.Lock()
@@ -189,22 +189,6 @@ func (c *Controller) Recover() (RecoverStats, error) {
 	if err != nil {
 		return rs, err
 	}
-	// Prune orphan placements: a crash between a Deploy's placement record
-	// and its rollout/catalog records can leave a placement for a slot the
-	// recovered controller has no blessed catalog entry for. The rebalancer
-	// only repairs catalog slots, so an orphan would sit under-replicated
-	// forever; drop it — the next Deploy of the slot re-assigns fresh.
-	for _, slot := range c.placementSlotsLocked() {
-		if c.catalog[slot] != nil {
-			continue
-		}
-		if c.rollout != nil && !c.rollout.terminal() && c.rollout.Slot == slot {
-			continue
-		}
-		delete(c.placements, slot)
-		c.eventLocked(Event{Kind: EventPlacement, Slot: slot,
-			Detail: "orphan placement (no catalog) dropped at recovery"})
-	}
 	rs.Workers = len(c.workers)
 	rs.Slots = len(c.catalog)
 	rs.Placements = len(c.placements)
@@ -230,7 +214,7 @@ func (c *Controller) applyRecordLocked(rec record) {
 		if rec.Worker.Gone {
 			delete(c.workers, rec.Worker.Name)
 			delete(c.installed, rec.Worker.Name)
-			for _, slot := range c.placementSlotsLocked() {
+			for _, slot := range sortedKeys(c.placements) {
 				pl := c.placements[slot]
 				if slices.Contains(pl.Replicas, rec.Worker.Name) {
 					pl.Replicas = withoutStr(pl.Replicas, rec.Worker.Name)

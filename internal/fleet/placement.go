@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -24,7 +23,7 @@ type Placement struct {
 
 // replicasLocked returns a copy of the slot's replica set. A slot no rollout
 // ever placed (or one recovered from a journal older than placement, until
-// the rebalancer assigns it) lives on every worker.
+// the reconciler assigns it) lives on every worker.
 func (c *Controller) replicasLocked(slot string) []string {
 	if pl := c.placements[slot]; pl != nil {
 		return append([]string(nil), pl.Replicas...)
@@ -32,20 +31,10 @@ func (c *Controller) replicasLocked(slot string) []string {
 	return c.workerNamesLocked(func(*worker) bool { return true })
 }
 
-// placedLocked reports whether the worker should hold the slot. Unplaced
-// slots live everywhere (see replicasLocked).
-func (c *Controller) placedLocked(slot, worker string) bool {
-	pl := c.placements[slot]
-	if pl == nil {
-		return true
-	}
-	return slices.Contains(pl.Replicas, worker)
-}
-
 // assignPlacementLocked picks the slot's initial replicas: walk the ring of
 // ALL members from hash(slot) and take the first R distinct workers,
 // preferring eligible ones but falling back to down members rather than
-// under-assigning — a down replica is repaired or reconciled later, an
+// under-assigning — a down replica is repaired or restored later, an
 // unassigned one is forgotten. Journals and returns the placement.
 func (c *Controller) assignPlacementLocked(slot string) *Placement {
 	members := c.workerNamesLocked(func(*worker) bool { return true })
@@ -105,43 +94,26 @@ func (c *Controller) dropPlacementLocked(slot, why string) {
 	c.gaugesLocked()
 }
 
-// placementSlotsLocked returns the placed slot names, sorted.
-func (c *Controller) placementSlotsLocked() []string {
-	slots := make([]string, 0, len(c.placements))
-	for n := range c.placements {
-		slots = append(slots, n)
-	}
-	sort.Strings(slots)
-	return slots
-}
-
 // liveReplicasLocked counts the placement's currently-routable replicas.
 func (c *Controller) liveReplicasLocked(pl *Placement) int {
-	live := 0
-	for _, rn := range pl.Replicas {
-		if w := c.workers[rn]; w != nil && w.health.eligible() {
-			live++
-		}
-	}
-	return live
+	return c.countReplicasLocked(pl, Health.eligible)
 }
 
-// availReplicasLocked counts replicas that are routable or on their way back
-// (Recovering): the rebalancer only repairs when fewer than R replicas are
-// even plausibly alive, so a worker mid-reconcile does not trigger a churny
-// re-replication.
+// availReplicasLocked counts the replicas that are not down: the reconciler
+// repairs only when fewer than R are even plausibly alive, so a worker being
+// re-admitted does not trigger a churny re-replication.
 func (c *Controller) availReplicasLocked(pl *Placement) int {
-	avail := 0
+	return c.countReplicasLocked(pl, func(h Health) bool { return h != Down })
+}
+
+func (c *Controller) countReplicasLocked(pl *Placement, ok func(Health) bool) int {
+	n := 0
 	for _, rn := range pl.Replicas {
-		w := c.workers[rn]
-		if w == nil {
-			continue
-		}
-		if w.health.eligible() || w.health == Recovering {
-			avail++
+		if w := c.workers[rn]; w != nil && ok(w.health) {
+			n++
 		}
 	}
-	return avail
+	return n
 }
 
 // Placements returns slot → replica set (copies).
@@ -156,11 +128,5 @@ func (c *Controller) Placements() map[string][]string {
 }
 
 func withoutStr(xs []string, s string) []string {
-	out := make([]string, 0, len(xs))
-	for _, x := range xs {
-		if x != s {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(xs), func(x string) bool { return x == s })
 }

@@ -52,8 +52,8 @@ func seedIncumbent(t *testing.T, lt *LocalTransport, worker, slot, desc string) 
 	}
 }
 
-// predictRepairTarget returns the worker the rebalancer would repair slot
-// onto right now — the first eligible non-replica on the ring walk.
+// predictRepairTarget returns the worker the reconciler would admit to slot
+// right now — the first non-replica on the ring walk that is not down.
 func predictRepairTarget(t *testing.T, c *Controller, slot string) string {
 	t.Helper()
 	c.mu.Lock()
@@ -62,7 +62,7 @@ func predictRepairTarget(t *testing.T, c *Controller, slot string) string {
 	if pl == nil {
 		t.Fatalf("slot %s has no placement", slot)
 	}
-	target := c.repairTargetLocked(slot, pl)
+	target := c.joinTargetLocked(slot, pl)
 	if target == "" {
 		t.Fatalf("no repair target for %s", slot)
 	}
@@ -152,8 +152,8 @@ func TestRepairBootstrapsOntoFreshWorkerAndDrainsRejoiner(t *testing.T) {
 	if slices.Contains(after, victim) || len(after) != 2 {
 		t.Fatalf("placement not repaired: %v (victim %s)", after, victim)
 	}
-	if c.met.repairsBootstrap.Value() != 1 {
-		t.Fatalf("bootstrap repairs = %d, want 1", c.met.repairsBootstrap.Value())
+	if c.met.repairsDone["bootstrap"].Value() != 1 {
+		t.Fatalf("bootstrap repairs = %d, want 1", c.met.repairsDone["bootstrap"].Value())
 	}
 	for _, w := range after {
 		if st, err := lt.Manager(w).StatusOf("s"); err != nil || st.LiveGeneration == 0 {
@@ -181,6 +181,37 @@ func TestRepairBootstrapsOntoFreshWorkerAndDrainsRejoiner(t *testing.T) {
 	}
 }
 
+// A Healthy worker holding a copy of a catalog slot it is not placed for
+// loses it on the next Tick: the loop observes every worker, not only the
+// ones being re-admitted.
+func TestHealthyNonReplicaCopyDrainedInOneTick(t *testing.T) {
+	c, lt := placementFleet(t, 3, Config{})
+	if r := runRollout(t, c, "s", "pass:0"); r.Phase != PhaseDone {
+		t.Fatalf("rollout = %+v", r)
+	}
+	reps := c.Placements()["s"]
+	spare := ""
+	for _, w := range []string{"w1", "w2", "w3"} {
+		if !slices.Contains(reps, w) {
+			spare = w
+		}
+	}
+	seedIncumbent(t, lt, spare, "s", "drop:0")
+	if h := workerHealth(c.FleetStatus(), spare); h != Healthy {
+		t.Fatalf("%s is %s, want healthy", spare, h)
+	}
+	c.Tick()
+	if st, err := lt.Manager(spare).StatusOf("s"); err == nil {
+		t.Fatalf("copy on non-replica %s survived a Tick: %+v", spare, st)
+	}
+	if c.met.drains.Value() != 1 {
+		t.Fatalf("drains = %d, want 1", c.met.drains.Value())
+	}
+	if got := c.Placements()["s"]; !slices.Equal(got, reps) {
+		t.Fatalf("placement churned: %v → %v", reps, got)
+	}
+}
+
 func TestRepairPaysCanaryGateOnIncumbentTarget(t *testing.T) {
 	c, lt := placementFleet(t, 3, Config{})
 	if r := runRollout(t, c, "s", "pass:0"); r.Phase != PhaseDone {
@@ -201,9 +232,9 @@ func TestRepairPaysCanaryGateOnIncumbentTarget(t *testing.T) {
 	if slices.Contains(after, victim) || !slices.Contains(after, target) {
 		t.Fatalf("placement after gated repair = %v (victim %s target %s)", after, victim, target)
 	}
-	if c.met.repairsGated.Value() != 1 || c.met.repairsBootstrap.Value() != 0 {
+	if c.met.repairsDone["gated"].Value() != 1 || c.met.repairsDone["bootstrap"].Value() != 0 {
 		t.Fatalf("gated=%d bootstrap=%d, want 1/0",
-			c.met.repairsGated.Value(), c.met.repairsBootstrap.Value())
+			c.met.repairsDone["gated"].Value(), c.met.repairsDone["bootstrap"].Value())
 	}
 	// gen2 proves the repair staged over the seeded incumbent and promoted
 	// through the gate rather than bootstrapping a fresh gen1.
@@ -213,47 +244,42 @@ func TestRepairPaysCanaryGateOnIncumbentTarget(t *testing.T) {
 	}
 }
 
-func TestRepairGateRefusalOpensBreaker(t *testing.T) {
+// A join refused by its target's gate is never forced: the divergent copy is
+// drained (the target is not a replica, so it holds no claim to the slot)
+// and the target joins again with an empty slot, which bootstraps. No
+// breaker is needed for the refusal not to loop.
+func TestRepairGateRefusalDrainsThenBootstraps(t *testing.T) {
 	c, lt := placementFleet(t, 3, Config{})
 	if r := runRollout(t, c, "s", "pass:0"); r.Phase != PhaseDone {
 		t.Fatalf("rollout = %+v", r)
 	}
 	target := predictRepairTarget(t, c, "s")
-	// A genuinely divergent incumbent: every repair attempt stages, mirrors,
-	// diverges, and is rejected by the target's own gate. Never forced.
+	// A genuinely divergent incumbent: the join stages, mirrors, diverges,
+	// and is rejected by the target's own gate.
 	seedIncumbent(t, lt, target, "s", "drop:0")
 
 	victim := c.Placements()["s"][0]
 	lt.Kill(victim)
 	demoteToDown(t, c, "s", victim)
-	for i := 0; i < 30 && c.met.repairBreakerOpens.Value() == 0; i++ {
+	for i := 0; i < 30 && slices.Contains(c.Placements()["s"], victim); i++ {
 		c.Tick()
+		if rep := c.Traffic("s", 16); rep.Dropped != 0 {
+			t.Fatalf("dropped while under-replicated: %+v", rep)
+		}
 	}
-	if c.met.repairBreakerOpens.Value() == 0 {
-		t.Fatalf("repair breaker never opened (failed=%d)", c.met.repairsFailed.Value())
+	if reps := c.Placements()["s"]; slices.Contains(reps, victim) || !slices.Contains(reps, target) {
+		t.Fatalf("placement = %v (victim %s target %s)", reps, victim, target)
 	}
-	if got := c.met.repairsFailed.Value(); got < 3 {
-		t.Fatalf("abandoned repairs = %d, want >= 3 before the breaker opens", got)
+	if c.met.repairsFailed.Value() != 1 || c.met.repairBreakerOpens.Value() != 1 {
+		t.Fatalf("refused joins = %d, drained before re-joining = %d, want 1 and 1",
+			c.met.repairsFailed.Value(), c.met.repairBreakerOpens.Value())
 	}
-	if c.met.repairsGated.Value()+c.met.repairsBootstrap.Value() != 0 {
-		t.Fatal("a repair completed against a divergent incumbent")
+	if c.met.repairsDone["gated"].Value() != 0 || c.met.repairsDone["bootstrap"].Value() != 1 {
+		t.Fatalf("gated=%d bootstrap=%d, want 0/1", c.met.repairsDone["gated"].Value(), c.met.repairsDone["bootstrap"].Value())
 	}
-	// The divergent program never went live and the slot still serves from
-	// the survivor; under-replication is visible, not fatal.
-	if st, err := lt.Manager(target).StatusOf("s"); err == nil && st.LiveGeneration > 1 {
-		t.Fatalf("divergent target was promoted: %+v", st)
-	}
-	if rep := c.Traffic("s", 64); rep.Dropped != 0 {
-		t.Fatalf("dropped while under-replicated: %+v", rep)
-	}
-	c.mu.Lock()
-	under := int64(0)
-	if pl := c.placements["s"]; c.liveReplicasLocked(pl) < c.repairWantLocked() {
-		under = 1
-	}
-	c.mu.Unlock()
-	if under != 1 {
-		t.Fatal("slot not recognized as under-replicated")
+	survivor := c.Placements()["s"][0]
+	if got, want := liveInsns(t, lt, target, "s"), liveInsns(t, lt, survivor, "s"); got != want {
+		t.Fatalf("target serves %d insns, survivor %d", got, want)
 	}
 }
 

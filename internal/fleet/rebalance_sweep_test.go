@@ -77,7 +77,7 @@ func buildReplicaScenario(t *testing.T, jl *journal.Log) (*LocalTransport, *Cont
 	c.Tick() // repair a: deploy staged a candidate on targetA
 	c.Tick() // repair a: first canary feed
 	c.mu.Lock()
-	inflight := c.repairs["a"] != nil
+	inflight := c.joins["a"] != nil
 	c.mu.Unlock()
 	if !inflight {
 		t.Fatal("scenario: slot a repair not in flight at the crash point")
@@ -132,7 +132,7 @@ func verifyRebalanceRecovery(t *testing.T, dir string) {
 	}
 
 	// Drive to quiescence: probes re-admit the live workers, any recovered
-	// rollout finishes, the rebalancer re-repairs whatever placement version
+	// rollout finishes, the reconciler re-repairs whatever placement version
 	// the prefix preserved. Breakers and repair steps are wall-clock paced,
 	// so poll with a deadline rather than a fixed step count.
 	deadline := time.Now().Add(10 * time.Second)
@@ -191,13 +191,13 @@ func verifyRebalanceRecovery(t *testing.T, dir string) {
 func replicationConverged(c *Controller, dead ...string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.repairs) > 0 || len(c.repairQ) > 0 {
+	if len(c.joins) > 0 {
 		return false
 	}
 	if c.rollout != nil && !c.rollout.terminal() {
 		return false
 	}
-	for _, slot := range c.placementSlotsLocked() {
+	for _, slot := range sortedKeys(c.placements) {
 		pl := c.placements[slot]
 		if len(pl.Replicas) != c.repairWantLocked() {
 			return false
@@ -243,13 +243,13 @@ func TestRebalanceRecoverResumesRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repairs are deliberately not journaled: the successor recomputes
+	// Joins are deliberately not journaled: the successor recomputes
 	// under-replication from the recovered placements and health.
 	c.mu.Lock()
-	recoveredRepairs := len(c.repairs) + len(c.repairQ)
+	recoveredJoins := len(c.joins)
 	c.mu.Unlock()
-	if recoveredRepairs != 0 {
-		t.Fatalf("recovery resurrected %d repair tasks", recoveredRepairs)
+	if recoveredJoins != 0 {
+		t.Fatalf("recovery resurrected %d joins", recoveredJoins)
 	}
 	if rs.Placements != 3 {
 		t.Fatalf("recovered %d placements, want 3", rs.Placements)

@@ -8,7 +8,8 @@ import (
 
 // Rollout phases. Forward progress on each worker is its gate's deploy →
 // canary → promote (see gate); any gate failure pivots the whole rollout into
-// rollback, which unwinds the already-promoted workers in reverse order.
+// rollback, which withdraws the candidate: the blessed version is desired
+// again and one reconciler pass converges the workers to it.
 // done / failed are terminal.
 const (
 	PhaseDeploy   = "deploy"
@@ -21,8 +22,10 @@ const (
 
 // Rollout is the journaled state of one fleet-wide rolling deploy. Every
 // field is exported for JSON round-tripping through the controller journal;
-// each Step() performs at most one worker action and journals the resulting
-// state, so a controller killed at any point resumes exactly one action deep.
+// each forward Step() performs at most one worker action and journals the
+// resulting state, so a controller killed at any point resumes exactly one
+// action deep (the rollback Step's reconciler pass re-reads every worker it
+// acts on, so it is safe to repeat).
 // The phases are idempotent against replayed or half-delivered RPCs: a
 // re-deploy replaces the candidate, and promote ambiguity (reply lost to a
 // partition) is resolved by the next canary feed's status instead of
@@ -42,27 +45,27 @@ type Rollout struct {
 	Promoted []string `json:"promoted,omitempty"`
 	// CandGen is read, never written: journals from before the gate kept a
 	// candidate generation per worker here, and recovery moves the current
-	// worker's entry into Cand.
+	// worker's entry into Cand. (Journals from before the reconciler also
+	// carry aborted/rbIdx/skipped rollback bookkeeping, which is ignored.)
 	CandGen map[string]int `json:"candGen,omitempty"`
-	// Rollback bookkeeping: Aborted records that the in-flight candidate on
-	// the current worker was torn down; RbIdx indexes Promoted from the
-	// back; Skipped lists workers that were unreachable during rollback and
-	// are left for reconcile to restore when they rejoin.
-	Aborted bool     `json:"aborted,omitempty"`
-	RbIdx   int      `json:"rbIdx,omitempty"`
-	Skipped []string `json:"skipped,omitempty"`
-	Reason  string   `json:"reason,omitempty"`
+	Reason  string         `json:"reason,omitempty"`
 }
 
 func (r *Rollout) terminal() bool {
 	return r == nil || r.Phase == PhaseDone || r.Phase == PhaseFailed
 }
 
+// owns reports whether r is moving slot forward: in flight and not rolling
+// back. The reconciler leaves the gate's worker and the promoted replicas of
+// an owned slot alone.
+func (r *Rollout) owns(slot string) bool {
+	return !r.terminal() && r.Phase != PhaseRollback && r.Slot == slot
+}
+
 func (r *Rollout) clone() Rollout {
 	cp := *r
 	cp.Order = append([]string(nil), r.Order...)
 	cp.Promoted = append([]string(nil), r.Promoted...)
-	cp.Skipped = append([]string(nil), r.Skipped...)
 	return cp
 }
 
@@ -98,8 +101,6 @@ func (c *Controller) Deploy(slot, src string) error {
 		return fmt.Errorf("fleet: no routable replica of %s to deploy to", slot)
 	}
 	sort.Strings(order)
-	// The rollout owns the slot now; any repair racing it is stale.
-	c.cancelRepairsForSlotLocked(slot, "new rollout owns the slot")
 	gen := 1
 	if cat := c.catalog[slot]; cat != nil {
 		gen = cat.Gen + 1
@@ -132,9 +133,18 @@ func (c *Controller) Step() (bool, error) {
 	}
 	switch {
 	case r.Phase == PhaseRollback:
+		// The candidate is withdrawn: one reconciler pass converges every
+		// reachable worker to the blessed version (a down one converges
+		// when it returns).
 		c.mu.Unlock()
-		c.stepRollback(r)
+		c.pass()
 		c.mu.Lock()
+		r.Phase = PhaseFailed
+		if c.met != nil {
+			c.met.rolloutsFailed.Inc()
+		}
+		c.eventLocked(Event{Kind: EventRolloutFailed, Slot: r.Slot, Detail: fmt.Sprintf(
+			"%s; gen%d withdrawn from %d promoted workers", r.Reason, r.Gen, len(r.Promoted))})
 	case r.Idx >= len(r.Order):
 		c.finishLocked(r)
 	default:
@@ -171,12 +181,8 @@ func (c *Controller) judgeLocked(r *Rollout, name string, out outcome, liveGen i
 		// live with no candidate staged: the worker lost its state (restarted
 		// empty mid-rollout) and the new version switched in without paying
 		// the canary gate. An ungated switch never counts as a promotion —
-		// halt the rollout, and park the worker in Recovering so reconcile
-		// pushes the blessed version back over the ungated one once the
-		// rollback settles.
-		if w := c.workers[name]; w != nil && w.health != Down {
-			c.setHealthLocked(w, Recovering, "ungated live switch during rollout")
-		}
+		// halt the rollout; the worker's installed record does not vouch for
+		// what it runs, so the rollback pass restores the blessed version.
 		c.haltLocked(r, fmt.Sprintf("ungated live switch on %s (incumbent lost)", name))
 	case gatePromoted:
 		c.markPromotedLocked(r, name, liveGen)
@@ -202,7 +208,7 @@ func (c *Controller) markPromotedLocked(r *Rollout, name string, liveGen int) {
 }
 
 // finishLocked completes the rollout: the catalog adopts the new version,
-// making it the generation reconcile defends from now on.
+// making it the generation the reconciler defends from now on.
 func (c *Controller) finishLocked(r *Rollout) {
 	r.Phase = PhaseDone
 	cat := &CatalogSlot{Name: r.Slot, Src: r.Src, Gen: r.Gen}
@@ -216,93 +222,12 @@ func (c *Controller) finishLocked(r *Rollout) {
 }
 
 // haltLocked pivots the rollout into rollback. The catalog was never
-// updated, so even workers we cannot reach right now converge back to the
-// old version through reconcile when they reappear.
+// updated, so the candidate simply stops being desired: workers we cannot
+// reach right now converge back to the blessed version when they reappear.
 func (c *Controller) haltLocked(r *Rollout, reason string) {
-	if r.Phase == PhaseRollback {
-		return
-	}
 	r.Phase = PhaseRollback
 	r.Reason = reason
-	r.Aborted = false
-	r.RbIdx = 0
 	c.eventLocked(Event{Kind: EventRolloutHalted, Slot: r.Slot, Detail: reason})
-}
-
-func (c *Controller) stepRollback(r *Rollout) {
-	// First unwind action: tear down the in-flight candidate on the worker
-	// the rollout was parked on, so it cannot clear canary and self-promote
-	// state later. Best-effort — a dead worker's candidate dies with it.
-	if !r.Aborted {
-		c.mu.Lock()
-		staged := r.Cand != 0 && r.Idx < len(r.Order)
-		r.Aborted = true
-		c.mu.Unlock()
-		if staged {
-			_, _ = c.rpc(r.Order[r.Idx], "abort "+r.Slot, false)
-			return
-		}
-	}
-
-	c.mu.Lock()
-	if r.RbIdx >= len(r.Promoted) {
-		r.Phase = PhaseFailed
-		if c.catalog[r.Slot] == nil {
-			// A failed bootstrap rollout: the slot was never blessed, so its
-			// placement points at nothing the fleet defends. Withdraw it — the
-			// next Deploy re-assigns fresh against then-current membership.
-			c.dropPlacementLocked(r.Slot, "bootstrap rollout failed")
-		}
-		if c.met != nil {
-			c.met.rolloutsFailed.Inc()
-		}
-		c.eventLocked(Event{Kind: EventRolloutFailed, Slot: r.Slot,
-			Detail: fmt.Sprintf("%s; rolled back %d workers, %d left to reconcile",
-				r.Reason, len(r.Promoted)-len(r.Skipped), len(r.Skipped))})
-		c.mu.Unlock()
-		return
-	}
-	name := r.Promoted[len(r.Promoted)-1-r.RbIdx]
-	w := c.workers[name]
-	oldGen := 0
-	if cat := c.catalog[r.Slot]; cat != nil {
-		oldGen = cat.Gen
-	}
-	if w == nil || w.health == Down {
-		// Unreachable: leave it to reconcile. Its installed record still
-		// says r.Gen, which no longer matches the catalog, so the moment it
-		// rejoins the old version is pushed back onto it.
-		r.Skipped = append(r.Skipped, name)
-		r.RbIdx++
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-
-	lines, err := c.rpc(name, "rollback "+r.Slot, false)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		return // retry next Step; if the worker went down we skip it then
-	}
-	if last, ok := ReplyOK(lines); ok {
-		c.setInstalledLocked(name, r.Slot, oldGen, parseLiveGen(last), true)
-		c.eventLocked(Event{Kind: EventWorkerRolled, Worker: name, Slot: r.Slot,
-			Detail: fmt.Sprintf("back to fleet gen%d", oldGen)})
-	} else {
-		// "err no previous program" or similar: this worker cannot unwind
-		// locally (e.g. the slot was fresh); reconcile restores it from the
-		// catalog if the catalog has a blessed version. Demote it so the next
-		// Tick actually runs that reconcile — a Healthy worker is never
-		// re-examined.
-		r.Skipped = append(r.Skipped, name)
-		if w := c.workers[name]; w != nil && w.health != Down {
-			c.setHealthLocked(w, Recovering, "rollback refused; awaiting reconcile")
-		}
-		c.eventLocked(Event{Kind: EventWorkerRolled, Worker: name, Slot: r.Slot,
-			Detail: "local rollback refused (" + lastLine(lines) + "); left to reconcile"})
-	}
-	r.RbIdx++
 }
 
 // RolloutStatus returns a copy of the current rollout, or nil.

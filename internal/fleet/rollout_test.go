@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,6 +134,74 @@ func TestWorkerDeathMidRolloutHaltsAndRollsBack(t *testing.T) {
 	}
 	if st := c.FleetStatus(); st.Degraded {
 		t.Fatalf("fleet degraded after rejoin: %+v", st)
+	}
+}
+
+// A bootstrap rollout that halts withdraws its never-blessed program from
+// the workers it reached, and a per-slot rollback never takes a worker out
+// of another slot's traffic pool.
+func TestHaltedBootstrapDrainsAndKeepsWorkerRouted(t *testing.T) {
+	c, lt := testFleet(t, 3, Config{})
+	if r := runRollout(t, c, "b", "pass:0"); r.Phase != PhaseDone {
+		t.Fatalf("bootstrap b = %+v", r)
+	}
+	served := func() uint64 {
+		st, err := lt.Manager("w1").StatusOf("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Served
+	}
+	before := served()
+	check := func(when string) {
+		t.Helper()
+		if rep := c.Traffic("b", 64); rep.Dropped != 0 {
+			t.Fatalf("%s: b dropped %+v", when, rep)
+		}
+		if h := workerHealth(c.FleetStatus(), "w1"); h != Healthy {
+			t.Fatalf("%s: w1 is %s, out of b's pool", when, h)
+		}
+	}
+
+	if err := c.Deploy("a", "pass:4"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50 && len(c.RolloutStatus().Promoted) == 0; i++ {
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := c.RolloutStatus(); !slices.Equal(r.Promoted, []string{"w1"}) || r.Idx != 1 {
+		t.Fatalf("rollout not parked on w2 after promoting w1: %+v", r)
+	}
+	lt.Kill("w2")
+	for i := 0; i < 50; i++ {
+		done, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("step")
+		if done {
+			break
+		}
+	}
+	if r := c.RolloutStatus(); r.Phase != PhaseFailed {
+		t.Fatalf("rollout = %+v, want failed", r)
+	}
+	for i := 0; i < 5; i++ {
+		c.Tick()
+		check("tick")
+	}
+	for _, w := range []string{"w1", "w2", "w3"} {
+		if st, err := lt.Manager(w).StatusOf("a"); err == nil {
+			t.Fatalf("%s still holds the withdrawn a: %+v", w, st)
+		}
+	}
+	if tr := c.Traffic("a", 16); tr.Sent != 0 {
+		t.Fatalf("withdrawn a still served: %+v", tr)
+	}
+	if served() <= before {
+		t.Fatal("w1 served none of b's traffic")
 	}
 }
 

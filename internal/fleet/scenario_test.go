@@ -152,7 +152,6 @@ func (w *world) newController() *Controller {
 		RPCTimeout: time.Second,
 		RetryBase:  time.Millisecond, RetryMax: 20 * time.Millisecond,
 		BreakerBase: 5 * time.Millisecond, BreakerMax: 100 * time.Millisecond,
-		RepairBackoff: 2 * time.Millisecond, RepairBackoffMax: 50 * time.Millisecond,
 		TrafficBatch: 4, CompactEvery: 64, Replication: 2, AuthToken: w.token,
 		Seed: uint64(w.seed+int64(w.counts[opCrash])) | 1, Metrics: w.reg,
 	}, w.ct)
@@ -605,9 +604,14 @@ func TestScenarioReplicaLoss(t *testing.T) {
 // control-RPC faults. Each seed walks different kill, partition, deploy and
 // crash interleavings through the same audits; a kill plus a partition can
 // take out both replicas of a slot, which is the total outage the zero-drop
-// audit must tell apart from a routing bug.
+// audit must tell apart from a routing bug. Seed 62 is the schedule that
+// most often left a healthy worker holding a copy it was not placed for.
 func TestScenarioFleet(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
+	var seeds []int64
+	for s := int64(1); s <= 24; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, seed := range append(seeds, 62) {
 		if testing.Short() && seed > 1 {
 			break // the seed sweep is skipped in -short
 		}
