@@ -62,8 +62,9 @@ bash bench/run.sh -workload serve-batch -seconds 1
 
 # The keyed store under both caches gets a second pass of its seeded storage
 # faults (ENOSPC/EIO/torn writes) and of its merge-while-compacting race,
-# over the verdict and artifact codecs.
-go test -race -count=2 -run 'TestStoreChaosSurvival|TestStoreMergeWhileCompacting' ./internal/journal/
+# over the verdict and artifact codecs; the lifecycle storage soak (three
+# seeds of 1% faults under churn and live traffic) gets one too.
+go test -race -count=2 -run 'TestStoreChaosSurvival|TestStoreMergeWhileCompacting|TestChaosSoak' ./internal/journal/ ./internal/lifecycle/
 
 # The fleet chaos scenarios: seeded random schedules of worker kills,
 # partitions, deploys and controller crashes under 2% control-RPC faults, and

@@ -68,7 +68,6 @@ func announceLoop(ctrlAddr, join string, every time.Duration) {
 type controllerOpts struct {
 	addr        string // control listener address (required)
 	stateDir    string // controller journal home ("" = in-memory)
-	jopts       journal.Options
 	listen      string // HTTP /metrics address ("" = none)
 	seed        int64
 	replication int    // replicas per slot (>= 1)
@@ -94,7 +93,7 @@ func runController(o controllerOpts) {
 	var jl *journal.Log
 	if o.stateDir != "" {
 		var err error
-		jl, err = journal.OpenWith(o.stateDir, o.jopts)
+		jl, err = journal.Open(o.stateDir)
 		fatalIf(err != nil, "-state-dir: %v", err)
 		ctl.AttachJournal(jl)
 		rs, err := ctl.Recover()

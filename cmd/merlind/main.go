@@ -69,13 +69,12 @@
 // directory is flock-guarded: a second daemon pointed at the same -state-dir
 // fails fast at startup instead of interleaving journal appends.
 //
-// The journal rotates into bounded segments (-journal-segment-bytes) and its
-// durability is tunable with -fsync-policy: sync-every-record (default),
-// group-commit (a background committer batches fsyncs every -fsync-interval
-// or -fsync-batch records), or async (fsync only on stage transitions and
-// compaction). Stage transitions are individually fsynced under every
-// policy. If the state dir is unavailable at startup (for any reason other
-// than another daemon's lock) or fails persistently at runtime, merlind
+// Every stage transition is fsynced before its command answers; a flush
+// appends each slot's state and fsyncs once, so all of it is durable when
+// the flush returns. The journal rotates into bounded segments and compacts
+// into a snapshot on its own; neither has a flag. If the state dir is
+// unavailable at startup (for any reason other than another daemon's
+// lock) or fails persistently at runtime, merlind
 // keeps serving from memory in a degraded mode — reported by the
 // merlin_journal_degraded gauge and the status command — and re-attaches
 // with exponential backoff once storage recovers.
@@ -211,11 +210,11 @@ func (d *daemon) shutdown() {
 // backoff. On success it hands the journal to the lifecycle manager, which
 // writes a recovery marker and compacts every slot's current state into the
 // snapshot.
-func (d *daemon) reattachLoop(dir string, o journal.Options) {
+func (d *daemon) reattachLoop(dir string) {
 	backoff := 250 * time.Millisecond
 	for {
 		time.Sleep(backoff)
-		jl, err := journal.OpenWith(dir, o)
+		jl, err := journal.Open(dir)
 		if err != nil {
 			if backoff *= 2; backoff > time.Minute {
 				backoff = time.Minute
@@ -252,13 +251,6 @@ func main() {
 	passTimeout := flag.Duration("pass-timeout", guard.DefaultTimeout, "per-pass wall-clock budget")
 	seed := flag.Int64("seed", 1, "synthetic traffic seed")
 	stateDir := flag.String("state-dir", "", "directory for the crash-safe state journal (empty = in-memory)")
-	compactEvery := flag.Int("compact-every", 256, "journal records between snapshot compactions")
-	fsyncPolicy := flag.String("fsync-policy", "sync-every-record",
-		"journal durability policy: sync-every-record | group-commit | async (stage transitions always fsync)")
-	fsyncInterval := flag.Duration("fsync-interval", 2*time.Millisecond, "group-commit background flush interval")
-	fsyncBatch := flag.Int("fsync-batch", 32, "group-commit max unsynced records before an inline flush")
-	segmentBytes := flag.Int64("journal-segment-bytes", journal.DefaultSegmentBytes,
-		"journal segment rotation threshold in bytes")
 	listen := flag.String("listen", "", "serve GET /metrics on this TCP address (empty = no HTTP)")
 	useSuperopt := flag.Bool("superopt", false, "run the superoptimizer tier on every deploy build")
 	superoptCache := flag.String("superopt-cache", "", "persistent superoptimizer verdict cache directory")
@@ -285,14 +277,7 @@ func main() {
 	fatalIf(!ok, "unknown hook %q", *hookName)
 	fatalIf(*passTimeout <= 0, "-pass-timeout must be positive")
 	fatalIf(math.IsNaN(*canaryFraction) || *canaryFraction < 0 || *canaryFraction > 1, "-canary-fraction must be in [0, 1], got %v", *canaryFraction)
-	fatalIf(*compactEvery <= 0, "-compact-every must be positive, got %d", *compactEvery)
 	fatalIf(*backoff <= 0, "-backoff must be positive, got %v", *backoff)
-	pol, err := journal.ParsePolicy(*fsyncPolicy)
-	fatalIf(err != nil, "-fsync-policy: %v", err)
-	fatalIf(*fsyncInterval <= 0, "-fsync-interval must be positive, got %v", *fsyncInterval)
-	fatalIf(*fsyncBatch <= 0, "-fsync-batch must be positive, got %d", *fsyncBatch)
-	fatalIf(*segmentBytes <= 0, "-journal-segment-bytes must be positive, got %d", *segmentBytes)
-	pol.Interval, pol.MaxBatch = *fsyncInterval, *fsyncBatch
 	fatalIf(*superoptCache != "" && !*useSuperopt, "-superopt-cache requires -superopt")
 	fatalIf(*superoptCache != "" && *superoptCache == *stateDir, "-superopt-cache and -state-dir must be different directories (each is exclusively locked)")
 	fatalIf(*buildWorkers <= 0, "-build-workers must be positive, got %d", *buildWorkers)
@@ -311,7 +296,6 @@ func main() {
 		runController(controllerOpts{
 			addr:        *controller,
 			stateDir:    *stateDir,
-			jopts:       journal.Options{SegmentBytes: *segmentBytes, Policy: pol},
 			listen:      *listen,
 			seed:        *seed,
 			replication: *replication,
@@ -382,22 +366,20 @@ func main() {
 	}
 	d.Builds = buildsvc.New(bcfg)
 	cfg := lifecycle.Config{
-		ShadowRuns:   *shadow,
-		CanaryRuns:   *canary,
-		CycleSlack:   *cycleSlack,
-		InsnBudget:   *insnBudget,
-		CycleBudget:  *cycleBudget,
-		MaxRetries:   *retries,
-		BackoffBase:  *backoff,
-		AutoPromote:  *autoPromote,
-		Metrics:      reg,
-		CompactEvery: *compactEvery,
-		VM:           vm.Config{Seed: uint64(*seed), Metrics: vm.NewMetrics(reg)},
+		ShadowRuns:  *shadow,
+		CanaryRuns:  *canary,
+		CycleSlack:  *cycleSlack,
+		InsnBudget:  *insnBudget,
+		CycleBudget: *cycleBudget,
+		MaxRetries:  *retries,
+		BackoffBase: *backoff,
+		AutoPromote: *autoPromote,
+		Metrics:     reg,
+		VM:          vm.Config{Seed: uint64(*seed), Metrics: vm.NewMetrics(reg)},
 	}
-	jopts := journal.Options{SegmentBytes: *segmentBytes, Policy: pol}
 	var degradedReason string
 	if *stateDir != "" {
-		jl, err := journal.OpenWith(*stateDir, jopts)
+		jl, err := journal.Open(*stateDir)
 		switch {
 		case err == nil:
 			d.jl = jl
@@ -442,7 +424,7 @@ func main() {
 	if *stateDir != "" && d.jl == nil {
 		// Launched only after the startup reads of d.jl above: from here on
 		// the field is accessed under jlmu.
-		go d.reattachLoop(*stateDir, jopts)
+		go d.reattachLoop(*stateDir)
 	}
 
 	serveMode := *control != ""

@@ -12,11 +12,13 @@ package buildsvc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"merlin/internal/core"
 	"merlin/internal/ebpf"
+	"merlin/internal/guard"
 	"merlin/internal/ir"
 )
 
@@ -209,8 +211,12 @@ func (s *Service) worker() {
 			f.stats = StatsFromResult(res, dur)
 			// Fill the artifact cache before publishing and before leaving
 			// the inflight map, so a submission arriving as we finish hits
-			// the cache instead of starting a second build.
-			s.cache.Put(f.key, Artifact{Prog: res.Prog, Stats: f.stats})
+			// the cache instead of starting a second build. A build a pass
+			// timeout rolled back is returned but not cached: a wall clock,
+			// not the key, decided its bytecode.
+			if !timedOut(res) {
+				s.cache.Put(f.key, Artifact{Prog: res.Prog, Stats: f.stats})
+			}
 		} else {
 			f.err = err
 		}
@@ -219,6 +225,11 @@ func (s *Service) worker() {
 		s.mu.Unlock()
 		close(f.done)
 	}
+}
+
+// timedOut reports whether the guard rolled a pass back on its time budget.
+func timedOut(res *core.Result) bool {
+	return slices.ContainsFunc(res.PassFailures, func(f guard.PassFailure) bool { return f.Kind == guard.FailTimeout })
 }
 
 // StatsFromResult summarizes a pipeline result into artifact stats.

@@ -12,6 +12,7 @@ import (
 
 	"merlin/internal/core"
 	"merlin/internal/ebpf"
+	"merlin/internal/guard"
 	"merlin/internal/metrics"
 	"merlin/internal/superopt"
 )
@@ -320,6 +321,13 @@ func TestKeyCanonicalization(t *testing.T) {
 	if soA.Key() == soC.Key() {
 		t.Error("superopt budget is part of the key (budget-qualified, like verdicts)")
 	}
+	// The pass time budget is not semantic: a build it changed is never
+	// cached.
+	slow, fast := base, base
+	slow.Opts.PassTimeout, fast.Opts.PassTimeout = 30*time.Second, 2*time.Second
+	if slow.Key() != fast.Key() {
+		t.Error("PassTimeout must not change the key")
+	}
 	// Different source or func must split the key.
 	otherSrc := Request{Source: []byte("module \"k2\"\n"), Func: "f", Opts: base.Opts}
 	otherFn := Request{Source: src, Func: "g", Opts: base.Opts}
@@ -328,10 +336,8 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestDefaultBuildEndToEnd runs the real pipeline through the service once,
-// proving the glue: parse, build, cache, then a cached resubmit.
-func TestDefaultBuildEndToEnd(t *testing.T) {
-	src := []byte(`module "svc"
+// foldSrc is a small module the real pipeline builds.
+const foldSrc = `module "svc"
 
 func fold(%ctx: ptr) -> i64 {
 entry:
@@ -341,7 +347,40 @@ entry:
   %b = bin add i64 %a, 3
   ret %b
 }
-`)
+`
+
+// TestTimedOutBuildIsNotCached: a build whose guard rolled a pass back on
+// its time budget reaches its caller but never the artifact cache, so the
+// same request builds again instead of being served the wall clock's
+// bytecode.
+func TestTimedOutBuildIsNotCached(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	stall := &guard.FaultInjector{Pass: "DAO", Mode: guard.FaultStall}
+	req := Request{Source: []byte(foldSrc), Func: "fold", Opts: core.Options{
+		Hook: ebpf.HookXDP, MCPU: 2, Guard: true, PassTimeout: 20 * time.Millisecond, Injector: stall,
+	}}
+	for i := 1; i <= 2; i++ {
+		res, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != OutcomeBuilt {
+			t.Fatalf("submit %d outcome %q, want built: a timed-out build was cached", i, res.Outcome)
+		}
+		if !timedOut(res.Result) || stall.Fired() != i {
+			t.Fatalf("submit %d: the stall did not time DAO out: fired=%d failures=%v", i, stall.Fired(), res.Result.PassFailures)
+		}
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("artifact cache holds %d entries, want none", n)
+	}
+}
+
+// TestDefaultBuildEndToEnd runs the real pipeline through the service once,
+// proving the glue: parse, build, cache, then a cached resubmit.
+func TestDefaultBuildEndToEnd(t *testing.T) {
+	src := []byte(foldSrc)
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	req := Request{Source: src, Func: "fold", Opts: core.Options{Hook: ebpf.HookXDP, MCPU: 2}}

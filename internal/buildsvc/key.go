@@ -41,7 +41,10 @@ func (r Request) Key() string {
 
 // canonOptions serializes the semantic build options deterministically.
 // Fields that select or parameterize transformations are included; plumbing
-// (Metrics, Injector, cache handles, search worker counts) is not. The
+// (Metrics, Injector, cache handles, search worker counts) is not, and
+// neither is PassTimeout: a build whose guard rolled a pass back on its
+// time budget is never cached (Service.worker), so the budget cannot change
+// what a key's artifact holds. The
 // enabled-optimizer set is canonicalized to pipeline order so Enable slices
 // that name the same set in different orders share a key, mirroring how the
 // superopt cache canonicalizes register names.
@@ -73,7 +76,6 @@ func canonOptions(o core.Options) []byte {
 	u32(uint32(o.VerifierLimits.MaxStates))
 	flag(o.Guard)
 	u32(uint32(o.GuardDiffInputs))
-	b = binary.LittleEndian.AppendUint64(b, uint64(o.PassTimeout))
 	if o.Superopt != nil {
 		b = append(b, 1)
 		u32(uint32(o.Superopt.Budget))

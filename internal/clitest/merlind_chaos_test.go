@@ -24,17 +24,19 @@ func TestMerlindFlagValidation(t *testing.T) {
 		flags []string
 		want  string
 	}{
-		{"compact-every zero", []string{"-compact-every", "0"}, "-compact-every must be positive"},
-		{"compact-every negative", []string{"-compact-every", "-7"}, "-compact-every must be positive"},
 		{"canary-fraction high", []string{"-canary-fraction", "1.5"}, "-canary-fraction must be in [0, 1]"},
 		{"canary-fraction negative", []string{"-canary-fraction", "-0.1"}, "-canary-fraction must be in [0, 1]"},
 		{"canary-fraction NaN", []string{"-canary-fraction", "NaN"}, "-canary-fraction must be in [0, 1]"},
 		{"backoff negative", []string{"-backoff", "-1s"}, "-backoff must be positive"},
 		{"backoff zero", []string{"-backoff", "0s"}, "-backoff must be positive"},
-		{"fsync-policy unknown", []string{"-fsync-policy", "eventually"}, "-fsync-policy"},
-		{"fsync-interval negative", []string{"-fsync-interval", "-1ms"}, "-fsync-interval must be positive"},
-		{"fsync-batch zero", []string{"-fsync-batch", "0"}, "-fsync-batch must be positive"},
-		{"segment-bytes zero", []string{"-journal-segment-bytes", "0"}, "-journal-segment-bytes must be positive"},
+		// The retired storage knobs: a script still passing one is refused
+		// loudly rather than silently running under the one durability rule.
+		{"compact-every zero", []string{"-compact-every", "0"}, "flag provided but not defined: -compact-every"},
+		{"compact-every negative", []string{"-compact-every", "-7"}, "flag provided but not defined: -compact-every"},
+		{"fsync-policy unknown", []string{"-fsync-policy", "eventually"}, "flag provided but not defined: -fsync-policy"},
+		{"fsync-interval negative", []string{"-fsync-interval", "-1ms"}, "flag provided but not defined: -fsync-interval"},
+		{"fsync-batch zero", []string{"-fsync-batch", "0"}, "flag provided but not defined: -fsync-batch"},
+		{"segment-bytes zero", []string{"-journal-segment-bytes", "0"}, "flag provided but not defined: -journal-segment-bytes"},
 		{"rejoin-every zero", []string{"-rejoin-every", "0s"}, "-rejoin-every must be positive"},
 		{"rejoin-every negative", []string{"-rejoin-every", "-1s"}, "-rejoin-every must be positive"},
 		{"replication zero", []string{"-replication", "0"}, "-replication must be at least 1"},
@@ -144,9 +146,10 @@ func TestMerlindDegradedStartup(t *testing.T) {
 	}
 }
 
-// TestMerlindGroupCommitPolicy: the group-commit durability policy round-trips
-// through a full deploy → promote → restart cycle; recovery still sees the
-// promoted generation because stage transitions force their own fsync.
+// TestMerlindGroupCommitPolicy: a deploy → promote → restart cycle, with
+// flushes after traffic grouping their records under one fsync; recovery
+// still sees the promoted generation because stage transitions force their
+// own fsync.
 func TestMerlindGroupCommitPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -162,10 +165,9 @@ func TestMerlindGroupCommitPolicy(t *testing.T) {
 		"quit",
 	}, "\n") + "\n"
 	out, err := runScript(t, bin, script,
-		"-state-dir", state, "-fsync-policy", "group-commit",
-		"-journal-segment-bytes", "4096", "-shadow", "2", "-canary", "2")
+		"-state-dir", state, "-shadow", "2", "-canary", "2")
 	if err != nil {
-		t.Fatalf("group-commit run failed: %v\n%s", err, out)
+		t.Fatalf("first run failed: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "ok promote lb live=gen2") {
 		t.Fatalf("promotion missing:\n%s", out)

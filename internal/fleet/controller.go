@@ -7,14 +7,14 @@
 // in-flight rollout instead of forgetting it.
 //
 // Every worker interaction goes through the Transport interface using the
-// merlind line protocol, so the same controller drives real TCP daemons,
-// in-process workers (LocalTransport), and chaos-wrapped transports that
-// drop, delay, duplicate, and partition at will.
+// merlind line protocol, so the same controller drives real TCP daemons and,
+// in its tests, in-process workers behind transports that drop, delay,
+// duplicate, and partition at will.
 //
 // The protocol's server side lives here too, once: Worker implements every
 // worker verb, and Serve is the read-line → auth → dispatch → reply loop.
 // cmd/merlind runs Serve over stdin and (via Listen) its -control and
-// -controller listeners; LocalTransport runs it per RPC over the same Worker.
+// -controller listeners; the tests' in-process workers run it per RPC.
 package fleet
 
 import (
@@ -481,10 +481,10 @@ func (c *Controller) installedLocked(worker string) map[string]installedRec {
 	return m
 }
 
-func (c *Controller) setInstalledLocked(worker, slot string, fleetGen, localGen int, sync bool) {
+func (c *Controller) setInstalledLocked(worker, slot string, fleetGen, localGen int) {
 	rec := installedRec{Worker: worker, Slot: slot, FleetGen: fleetGen, LocalGen: localGen}
 	c.installedLocked(worker)[slot] = rec
-	c.jl.Append(func() any { return record{Kind: recInstalled, Installed: &rec} }, sync)
+	c.jl.Append(func() any { return record{Kind: recInstalled, Installed: &rec} }, true)
 }
 
 // deleteInstalledLocked erases the confirmation record for a drained slot and

@@ -230,7 +230,7 @@ func (c *Controller) act(name string, a action) {
 		c.landLocked(a.slot, j, parseLiveGen(last), "restore")
 		return
 	default:
-		c.setInstalledLocked(name, a.slot, a.gen, parseLiveGen(last), true)
+		c.setInstalledLocked(name, a.slot, a.gen, parseLiveGen(last))
 		ev.Detail += fmt.Sprintf(" → fleet gen%d (%s)", a.gen, last)
 	}
 	c.eventLocked(ev)
@@ -325,7 +325,7 @@ func (c *Controller) stepJoin(name, slot string) {
 // drains it.
 func (c *Controller) landLocked(slot string, j *join, liveGen int, mode string) {
 	delete(c.joins, slot)
-	c.setInstalledLocked(j.worker, slot, j.gen, liveGen, true)
+	c.setInstalledLocked(j.worker, slot, j.gen, liveGen)
 	reps := slices.Clone(c.placements[slot].Replicas)
 	detail := fmt.Sprintf("%s joined (%s, live=gen%d, %d steps)", j.worker, mode, liveGen, j.steps)
 	if i := slices.IndexFunc(reps, func(n string) bool { w := c.workers[n]; return w == nil || w.health == Down }); i >= 0 {

@@ -195,7 +195,7 @@ func (c *Controller) judgeLocked(r *Rollout, name string, out outcome, liveGen i
 // markPromotedLocked records worker name as running r.Gen and moves the
 // rollout to the next worker (or completion).
 func (c *Controller) markPromotedLocked(r *Rollout, name string, liveGen int) {
-	c.setInstalledLocked(name, r.Slot, r.Gen, liveGen, true)
+	c.setInstalledLocked(name, r.Slot, r.Gen, liveGen)
 	r.Promoted = append(r.Promoted, name)
 	c.eventLocked(Event{Kind: EventWorkerPromoted, Worker: name, Slot: r.Slot,
 		Detail: fmt.Sprintf("fleet gen%d live=gen%d (%d/%d)",

@@ -14,8 +14,8 @@ import (
 )
 
 // The line-protocol server: every face that speaks the protocol — a worker's
-// stdin and control listener, the controller's stdin and listener, and
-// LocalTransport's in-process workers — runs Serve over its own reader,
+// stdin and control listener, the controller's stdin and listener, and the
+// tests' in-process workers — runs Serve over its own reader,
 // writer and DispatchFunc, so framing, auth and the reply grammar exist once.
 
 // MaxLine bounds one protocol line, newline included, in either direction:

@@ -22,9 +22,9 @@ import (
 
 // Worker is the worker side of the line protocol: the one implementation of
 // every verb a merlind worker answers. cmd/merlind assembles one from its
-// flags and serves it on stdin and the -control listener; LocalTransport
-// hosts one per in-process worker. The two differ only in what they inject:
-// the source resolver, and which optional subsystems are nil.
+// flags and serves it on stdin and the -control listener; the tests host one
+// per in-process worker. The two differ only in what they inject: the source
+// resolver, and which optional subsystems are nil.
 //
 // The command reference is cmd/merlind's package comment.
 type Worker struct {
@@ -39,7 +39,8 @@ type Worker struct {
 	// Seed starts the synthetic traffic stream; each traffic command
 	// continues it where the previous one stopped.
 	Seed int64
-	// Auth challenges the network faces (Listen, LocalTransport.RPC).
+	// Auth challenges the network faces (Listen, and the tests' in-process
+	// RPCs).
 	Auth Auth
 
 	// Optional subsystems; a nil one makes its verbs answer err.

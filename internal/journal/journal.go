@@ -28,17 +28,13 @@
 // loudly and tolerated: records are idempotent upserts, so replaying what
 // survived yields a consistent, possibly older, state.
 //
-// Durability is a policy (Options.Policy). Appends the caller marks sync are
-// always individually fsynced regardless of policy — those are stage
-// transitions that must survive a machine crash. For the rest:
-//
-//	ModeSync   every record is fsynced before Append returns (default).
-//	ModeGroup  group commit: records accumulate and a background committer
-//	           fsyncs the batch every Interval; a batch reaching MaxBatch is
-//	           fsynced inline by the appender, which doubles as backpressure
-//	           — the in-flight window is bounded at MaxBatch records.
-//	ModeAsync  no fsync until a forced append, Sync, Compact, or Close; a
-//	           power cut can lose everything since the last barrier.
+// Durability is one rule. A record the caller forces (Append or AppendBatch
+// with sync set) is fsynced before the call returns. Any other record is
+// made durable by the next barrier: a forced append, Sync, rotation, Compact
+// (whose snapshot holds it) or Close. The log counts the bytes written since
+// its last successful fsync, a forced append whose fsync failed included, so
+// no barrier skips them. A caller that writes k records and needs all of
+// them on disk appends them unforced and calls Sync once: one fsync, not k.
 //
 // Every file operation goes through a chaos.FS (Options.FS), so tests and
 // soak harnesses inject ENOSPC, EIO, torn writes, rename failures, and slow
@@ -65,7 +61,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"merlin/internal/chaos"
 )
@@ -83,69 +78,10 @@ const (
 	maxRecordSize = 1 << 28
 )
 
-// DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes is
+// defaultSegmentBytes is the rotation threshold when Options.SegmentBytes is
 // zero: big enough that short-lived tools never rotate, small enough that a
 // weeks-old daemon's active segment stays cheap to scan and truncate.
-const DefaultSegmentBytes = 4 << 20
-
-// Mode selects the durability policy for unforced appends.
-type Mode int
-
-const (
-	// ModeSync fsyncs every record before Append returns.
-	ModeSync Mode = iota
-	// ModeGroup batches fsyncs: a background committer flushes every
-	// Interval, and a batch reaching MaxBatch is flushed inline.
-	ModeGroup
-	// ModeAsync never fsyncs unforced appends; only forced appends, Sync,
-	// Compact and Close are barriers.
-	ModeAsync
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeSync:
-		return "sync-every-record"
-	case ModeGroup:
-		return "group-commit"
-	case ModeAsync:
-		return "async"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// Policy is a durability policy: the mode plus group-commit tuning.
-type Policy struct {
-	Mode Mode
-	// Interval is the group committer's flush period (default 2ms).
-	Interval time.Duration
-	// MaxBatch is the unsynced-record count that triggers an inline flush
-	// and bounds the in-flight window (default 32).
-	MaxBatch int
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.Interval <= 0 {
-		p.Interval = 2 * time.Millisecond
-	}
-	if p.MaxBatch <= 0 {
-		p.MaxBatch = 32
-	}
-	return p
-}
-
-// ParsePolicy maps a -fsync-policy flag value to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "sync", "sync-every-record":
-		return Policy{Mode: ModeSync}, nil
-	case "group", "group-commit":
-		return Policy{Mode: ModeGroup}, nil
-	case "async":
-		return Policy{Mode: ModeAsync}, nil
-	}
-	return Policy{}, fmt.Errorf("journal: unknown fsync policy %q (want sync-every-record, group-commit, or async)", s)
-}
+const defaultSegmentBytes = 4 << 20
 
 // Options parameterize OpenWith.
 type Options struct {
@@ -153,11 +89,9 @@ type Options struct {
 	// pass a chaos.Injector to fault every file operation.
 	FS chaos.FS
 	// SegmentBytes is the rotation threshold for the active segment
-	// (default DefaultSegmentBytes). Appends larger than the threshold still
+	// (default defaultSegmentBytes). Appends larger than the threshold still
 	// land whole — a segment always holds at least one record.
 	SegmentBytes int64
-	// Policy is the durability policy for unforced appends.
-	Policy Policy
 }
 
 // castagnoli is the CRC32C polynomial table (iSCSI/ext4 flavor, hardware
@@ -183,7 +117,8 @@ type Stats struct {
 	// Appends counts records appended through this handle.
 	Appends int
 	// Fsyncs counts successful fsyncs of segment files; ForcedFsyncs is the
-	// subset demanded by Append(..., true). FsyncErrors counts failed ones.
+	// subset demanded by a forced append, the rest are barriers (Sync,
+	// rotation, Close). FsyncErrors counts failed ones.
 	Fsyncs       int
 	ForcedFsyncs int
 	FsyncErrors  int
@@ -210,7 +145,6 @@ type Log struct {
 	mu       sync.Mutex
 	dir      string
 	fs       chaos.FS
-	policy   Policy
 	segBytes int64
 	f        chaos.File // active segment
 	lock     *os.File   // held flock on the state dir; see lock.go
@@ -219,17 +153,13 @@ type Log struct {
 	size     int64      // active segment size in bytes
 	total    int64      // intact bytes across all segments
 	recs     int        // records appended since Open or the last Compact
-	pending  int        // unforced records not yet fsynced
+	unsynced int64      // active-segment bytes written since the last successful fsync
 	wedged   bool       // a torn append could not be rolled back; repair before next write
 	stats    Stats
-
-	stopc chan struct{} // closes the group committer
-	donec chan struct{} // committer exited
 }
 
 // Open opens (creating if needed) the state directory and its journal with
-// default options: the real filesystem, default segment size, and the
-// sync-every-record policy.
+// default options: the real filesystem and the default segment size.
 func Open(dir string) (*Log, error) { return OpenWith(dir, Options{}) }
 
 // OpenWith opens the state directory, repairing any torn tail. It never
@@ -245,7 +175,7 @@ func OpenWith(dir string, o Options) (*Log, error) {
 		fs = chaos.OS()
 	}
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
+		o.SegmentBytes = defaultSegmentBytes
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -258,15 +188,10 @@ func OpenWith(dir string, o Options) (*Log, error) {
 	// rename; the snapshot proper is still the authoritative previous one.
 	_ = fs.Remove(filepath.Join(dir, snapshotTmp))
 
-	l := &Log{dir: dir, fs: fs, policy: o.Policy.withDefaults(), segBytes: o.SegmentBytes, lock: lock}
+	l := &Log{dir: dir, fs: fs, segBytes: o.SegmentBytes, lock: lock}
 	if err := l.openSegments(); err != nil {
 		releaseLock(lock)
 		return nil, err
-	}
-	if l.policy.Mode == ModeGroup {
-		l.stopc = make(chan struct{})
-		l.donec = make(chan struct{})
-		go l.committer(l.stopc, l.donec, l.policy.Interval)
 	}
 	return l, nil
 }
@@ -463,22 +388,20 @@ func appendFrame(buf, payload []byte) []byte {
 }
 
 // Append writes one record to the journal. With sync set the record is
-// fsynced before returning regardless of policy — use it for transitions
-// that must survive a machine crash, not just a process crash. Without it
-// the configured durability policy decides when the record reaches stable
-// storage.
+// fsynced before Append returns: use it for what must survive a machine
+// crash, not just a process crash. Without it the record reaches stable
+// storage at the next barrier (a forced append, Sync, rotation, Compact or
+// Close).
 func (l *Log) Append(payload []byte, sync bool) error {
 	return l.AppendBatch([][]byte{payload}, sync)
 }
 
-// AppendBatch writes payloads as consecutive records with one write and at
-// most one fsync: the durability policy (or sync) is applied to the batch as
-// it would be to its last record, so every record is as durable when
-// AppendBatch returns as len(payloads) Appends would have left it. Each
-// payload is framed on its own — replay, torn-tail repair and record counts
-// cannot tell a batch from single appends — and a failed write rolls the
-// whole batch back to the last record boundary. A batch is never split
-// across segments: rotation is decided before it is written.
+// AppendBatch writes payloads as consecutive records with one write and, when
+// sync is set, one fsync. Each payload is framed on its own — replay,
+// torn-tail repair and record counts cannot tell a batch from single appends
+// — and a failed write rolls the whole batch back to the last record
+// boundary. A batch is never split across segments: rotation is decided
+// before it is written.
 func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	if len(payloads) == 0 {
 		return nil
@@ -513,31 +436,13 @@ func (l *Log) AppendBatch(payloads [][]byte, sync bool) error {
 	}
 	l.size += int64(len(buf))
 	l.total += int64(len(buf))
+	l.unsynced += int64(len(buf))
 	l.recs += len(payloads)
 	l.stats.Appends += len(payloads)
 	if sync {
 		if err := l.fsyncLocked(true); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		return nil
-	}
-	switch l.policy.Mode {
-	case ModeSync:
-		if err := l.fsyncLocked(false); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-	case ModeGroup:
-		l.pending += len(payloads)
-		if l.pending >= l.policy.MaxBatch {
-			// Inline flush at the batch bound: this is the backpressure —
-			// the in-flight window never exceeds MaxBatch records (plus one
-			// caller's batch).
-			if err := l.fsyncLocked(false); err != nil {
-				return fmt.Errorf("journal: group fsync: %w", err)
-			}
-		}
-	case ModeAsync:
-		l.pending += len(payloads)
 	}
 	return nil
 }
@@ -556,7 +461,8 @@ func (l *Log) repairLocked() bool {
 	return true
 }
 
-// fsyncLocked flushes the active segment and settles the pending window.
+// fsyncLocked flushes the active segment. A failure leaves the unsynced
+// bytes counted, so the next barrier retries them.
 func (l *Log) fsyncLocked(forced bool) error {
 	if err := l.f.Sync(); err != nil {
 		l.stats.FsyncErrors++
@@ -566,34 +472,22 @@ func (l *Log) fsyncLocked(forced bool) error {
 	if forced {
 		l.stats.ForcedFsyncs++
 	}
-	l.pending = 0
+	l.unsynced = 0
 	return nil
 }
 
-// committer is the group-commit flusher: every interval it fsyncs whatever
-// records accumulated since the last barrier.
-func (l *Log) committer(stopc, donec chan struct{}, interval time.Duration) {
-	defer close(donec)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stopc:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.f != nil && l.pending > 0 {
-				_ = l.fsyncLocked(false) // failure counted; records stay pending-at-risk
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // rotateLocked rolls the journal onto a fresh segment. Rotation is
-// best-effort: if the new segment cannot be created the active one simply
-// keeps growing and the next append retries.
+// best-effort: if the old segment cannot be synced or the new one cannot be
+// created, the active segment simply keeps growing and the next append
+// retries.
 func (l *Log) rotateLocked() {
+	// The old segment's unsynced tail must be durable before appends move
+	// on — an fsync of the new file would not cover it, and once the old
+	// file is closed no later barrier could.
+	if l.unsynced > 0 && l.fsyncLocked(false) != nil {
+		l.stats.RotateSoftErrors++
+		return
+	}
 	next := l.segNum + 1
 	var nf chaos.File
 	for {
@@ -610,17 +504,6 @@ func (l *Log) rotateLocked() {
 		}
 		l.stats.RotateSoftErrors++
 		return
-	}
-	// The old segment's unsynced tail must be durable before appends move
-	// on — an fsync of the new file would not cover it.
-	if l.pending > 0 || l.policy.Mode == ModeSync {
-		if serr := l.f.Sync(); serr != nil {
-			l.stats.FsyncErrors++
-			l.stats.RotateSoftErrors++
-		} else {
-			l.stats.Fsyncs++
-			l.pending = 0
-		}
 	}
 	l.syncDir(&l.stats.RotateSoftErrors)
 	l.f.Close()
@@ -647,7 +530,9 @@ func (l *Log) syncDir(softCounter *int) {
 	dh.Close()
 }
 
-// Sync flushes the journal's active segment to stable storage.
+// Sync is the explicit barrier: it fsyncs the active segment, which makes
+// every record appended so far durable (rotation already synced the older
+// segments).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -819,7 +704,7 @@ func (l *Log) Compact(payload []byte) error {
 	l.size = 0
 	l.total = 0
 	l.recs = 0
-	l.pending = 0
+	l.unsynced = 0 // the snapshot holds every record the segments did
 	l.wedged = false
 	l.stats.Segments = len(l.segs)
 	l.stats.SnapshotBytes = len(payload)
@@ -859,30 +744,15 @@ func (l *Log) Stats() Stats {
 // Dir returns the state directory path.
 func (l *Log) Dir() string { return l.dir }
 
-// Close drains the committer, syncs and closes the active segment, and
-// releases the state-dir lock. The Log is unusable afterwards.
+// Close syncs and closes the active segment and releases the state-dir
+// lock. The Log is unusable afterwards.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	stopc, donec := l.stopc, l.donec
-	l.stopc, l.donec = nil, nil
-	l.mu.Unlock()
-	if stopc != nil {
-		close(stopc)
-		<-donec
-	}
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Sync()
-	if err == nil {
-		l.stats.Fsyncs++
-		l.pending = 0
-	} else {
-		l.stats.FsyncErrors++
-	}
+	err := l.fsyncLocked(false)
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

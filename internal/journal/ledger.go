@@ -74,8 +74,9 @@ func (l *Ledger) Attached() bool { return l.log != nil }
 // Degraded reports whether writes are being skipped.
 func (l *Ledger) Degraded() bool { return l.degraded }
 
-// Append journals the record rec returns; sync forces an fsync whatever the
-// log's policy. rec runs only when the record will be written: while
+// Append journals the record rec returns; sync forces an fsync before Append
+// returns, and an unforced record reaches disk at the log's next barrier
+// (Sync, say). rec runs only when the record will be written: while
 // degraded Append is a probe, whose compaction holds rec's state anyway.
 func (l *Ledger) Append(rec func() any, sync bool) {
 	if l.degraded || l.log == nil {
@@ -315,7 +316,7 @@ func (l *Ledger) register() {
 		degradations: reg.Counter(p+"degradations_total", "Times persistent storage failures detached the journal."),
 		reattaches:   reg.Counter(p+"reattaches_total", "Successful journal re-attachments after degradation."),
 		compactSoft:  reg.Counter(p+"compact_soft_errors_total", "Best-effort durability steps (snapshot fsync, dir fsync, segment removal) that failed during compaction."),
-		fsyncs:       reg.Counter(p+"fsyncs_total", "Journal fsyncs (forced stage transitions plus the durability policy's flushes)."),
+		fsyncs:       reg.Counter(p+"fsyncs_total", "Journal fsyncs: forced appends plus barriers (Sync, segment rotation, Close)."),
 		rotations:    reg.Counter(p+"rotations_total", "Journal segment rollovers."),
 		segments:     reg.Gauge(p+"segments", "Current journal segment file count."),
 	}

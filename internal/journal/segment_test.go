@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"merlin/internal/chaos"
 )
@@ -118,74 +118,175 @@ func TestCompactRetiresSegments(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchesFsyncs: in group-commit mode fsyncs are far fewer
-// than records, the MaxBatch bound forces an inline flush, and forced
-// appends are still individually fsynced.
-func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	dir := t.TempDir()
-	l := openSmall(t, dir, Options{
-		SegmentBytes: 1 << 20, // no rotation noise in the fsync counts
-		Policy:       Policy{Mode: ModeGroup, Interval: time.Hour, MaxBatch: 8},
-	})
-	defer l.Close()
-	for i := 0; i < 24; i++ {
-		if err := l.Append(payloadN(i), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Fsyncs != 3 { // 24 records / MaxBatch 8, committer parked for an hour
-		t.Fatalf("Fsyncs = %d, want 3 inline batch flushes (stats %+v)", st.Fsyncs, st)
-	}
-	if err := l.Append([]byte("stage-transition"), true); err != nil {
-		t.Fatal(err)
-	}
-	st = l.Stats()
-	if st.ForcedFsyncs != 1 || st.Fsyncs != 4 {
-		t.Fatalf("forced append not individually fsynced: %+v", st)
-	}
-	if st.Fsyncs >= st.Appends {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d appends", st.Fsyncs, st.Appends)
-	}
+// syncFS models what a power cut keeps: each file's size at its last
+// successful Sync. Bytes past that mark are written but not yet durable.
+type syncFS struct {
+	chaos.FS
+	mu      sync.Mutex
+	durable map[string]int64 // base name -> size at the last successful Sync
 }
 
-// TestGroupCommitterFlushesInBackground: a record smaller than MaxBatch is
-// still made durable by the interval committer.
-func TestGroupCommitterFlushesInBackground(t *testing.T) {
-	dir := t.TempDir()
-	l := openSmall(t, dir, Options{Policy: Policy{Mode: ModeGroup, Interval: time.Millisecond, MaxBatch: 1 << 20}})
-	defer l.Close()
-	if err := l.Append([]byte("drift"), false); err != nil {
-		t.Fatal(err)
+func newSyncFS(inner chaos.FS) *syncFS { return &syncFS{FS: inner, durable: map[string]int64{}} }
+
+func (s *syncFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Fsyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("committer never flushed: %+v", l.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return &syncFile{File: f, fs: s, name: filepath.Base(name)}, nil
 }
 
-// TestAsyncPolicy: async mode fsyncs only at explicit barriers.
+type syncFile struct {
+	chaos.File
+	fs   *syncFS
+	name string
+}
+
+func (f *syncFile) Sync() error {
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	if fi, err := f.File.Stat(); err == nil {
+		f.fs.mu.Lock()
+		f.fs.durable[f.name] = fi.Size()
+		f.fs.mu.Unlock()
+	}
+	return nil
+}
+
+// unsynced returns how many bytes of segment name a power cut could lose.
+func (s *syncFS) unsynced(t *testing.T, dir, name string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return max(fi.Size()-s.durable[name], 0)
+}
+
+// TestAsyncPolicy: unforced records stay written-but-unsynced until a
+// barrier, and every barrier — a forced append, Sync, rotation, Compact,
+// Close — leaves nothing unsynced behind it.
 func TestAsyncPolicy(t *testing.T) {
 	dir := t.TempDir()
-	l := openSmall(t, dir, Options{SegmentBytes: 1 << 20, Policy: Policy{Mode: ModeAsync}})
-	for i := 0; i < 50; i++ {
-		if err := l.Append(payloadN(i), false); err != nil {
-			t.Fatal(err)
+	fs := newSyncFS(chaos.OS())
+	l := openSmall(t, dir, Options{FS: fs, SegmentBytes: 1 << 20})
+	appendN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := l.Append(payloadN(i), false); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if st := l.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("async mode fsynced %d times without a barrier", st.Fsyncs)
+	settled := func(barrier string) {
+		t.Helper()
+		for _, name := range l.Segments() {
+			if n := fs.unsynced(t, dir, name); n != 0 {
+				t.Fatalf("after %s: %d bytes of %s unsynced", barrier, n, name)
+			}
+		}
+	}
+
+	appendN(50)
+	if st := l.Stats(); st.Fsyncs != 0 || fs.unsynced(t, dir, "journal.log") == 0 {
+		t.Fatalf("unforced appends fsynced without a barrier: %+v", st)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	settled("Sync")
 	if st := l.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("Sync barrier: %+v", st)
 	}
+
+	appendN(5)
+	if err := l.Append([]byte("forced"), true); err != nil {
+		t.Fatal(err)
+	}
+	settled("a forced append")
+	if st := l.Stats(); st.Fsyncs != 2 || st.ForcedFsyncs != 1 {
+		t.Fatalf("forced append after unforced ones: %+v, want one fsync for all", st)
+	}
+
+	appendN(5)
+	if err := l.Compact([]byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	settled("Compact")
+
+	appendN(5)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settled("Close")
+	if st := l.Stats(); st.Fsyncs != 3 || st.Appends != 66 {
+		t.Fatalf("Close barrier: %+v", st)
+	}
+
+	// Rotation is a barrier for the segment it retires.
+	fs = newSyncFS(chaos.OS())
+	l = openSmall(t, t.TempDir(), Options{FS: fs})
+	dir = l.Dir()
+	appendN(20)
+	segs := l.Segments()
+	if len(segs) < 2 {
+		t.Fatalf("no rotation: %v", segs)
+	}
+	for _, name := range segs[:len(segs)-1] {
+		if n := fs.unsynced(t, dir, name); n != 0 {
+			t.Fatalf("rotation retired %s with %d bytes unsynced", name, n)
+		}
+	}
+	if st := l.Stats(); st.Fsyncs != st.Rotations {
+		t.Fatalf("want one fsync per rotation of a dirty segment: %+v", st)
+	}
 	l.Close()
+}
+
+// TestFailedForcedFsyncIsRetried: a forced append whose fsync fails returns
+// the error, and its bytes stay counted as unsynced, so the next Sync,
+// rotation or Close fsyncs them.
+func TestFailedForcedFsyncIsRetried(t *testing.T) {
+	for _, barrier := range []string{"sync", "rotation", "close"} {
+		t.Run(barrier, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := newSyncFS(chaos.Wrap(chaos.OS(), chaos.NewSchedule(
+				chaos.Step{Op: chaos.OpSync, Fault: chaos.EIO},
+			)))
+			// 16-byte segments: the forced record alone fills the base one.
+			l := openSmall(t, dir, Options{FS: fs, SegmentBytes: 16})
+			defer l.Close()
+			if err := l.Append([]byte("forced-record"), true); err == nil {
+				t.Fatal("forced append hid its failed fsync")
+			}
+			if st := l.Stats(); st.FsyncErrors != 1 || st.Fsyncs != 0 || fs.unsynced(t, dir, "journal.log") == 0 {
+				t.Fatalf("the injected fsync failure did not land: %+v", st)
+			}
+			switch barrier {
+			case "sync":
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			case "rotation":
+				if err := l.Append([]byte("next"), false); err != nil {
+					t.Fatal(err)
+				}
+				if st := l.Stats(); st.Rotations != 1 {
+					t.Fatalf("the second append did not rotate: %+v", st)
+				}
+			case "close":
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := fs.unsynced(t, dir, "journal.log"); n != 0 {
+				t.Fatalf("%s left %d bytes of the failed forced append unsynced", barrier, n)
+			}
+		})
+	}
 }
 
 // TestTornAppendRollsBack: a torn write — one record or a whole batch — is
@@ -239,46 +340,33 @@ func TestTornAppendRollsBack(t *testing.T) {
 	}
 }
 
-// TestAppendBatchSyncsOncePerBatch: a batch is one write and one
-// policy-governed fsync however many records it frames, while every count a
-// caller can observe (records, appends, the group-commit window) moves per
-// record.
+// TestAppendBatchSyncsOncePerBatch: a batch is one write and, when forced,
+// one fsync however many records it frames, while every count a caller can
+// observe (records, appends) moves per record.
 func TestAppendBatchSyncsOncePerBatch(t *testing.T) {
 	recs := make([][]byte, 10)
 	for i := range recs {
 		recs[i] = payloadN(i)
 	}
 	l := openSmall(t, t.TempDir(), Options{SegmentBytes: 1 << 20})
+	defer l.Close()
 	if err := l.AppendBatch(recs, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(nil, false); err != nil {
+	if err := l.AppendBatch(nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Fsyncs != 1 || st.Appends != 10 {
-		t.Fatalf("sync policy: %+v, want 1 fsync for 10 appended records", st)
+	if st := l.Stats(); st.Fsyncs != 0 || st.Appends != 10 {
+		t.Fatalf("unforced batch: %+v, want 0 fsyncs before a barrier for 10 appended records", st)
 	}
-	if got := replayAll(t, l); len(got) != 10 || string(got[9]) != string(recs[9]) {
-		t.Fatalf("batch replayed as %d records", len(got))
-	}
-	l.Close()
-
-	g := openSmall(t, t.TempDir(), Options{
-		SegmentBytes: 1 << 20,
-		Policy:       Policy{Mode: ModeGroup, Interval: time.Hour, MaxBatch: 16},
-	})
-	defer g.Close()
-	if err := g.AppendBatch(recs, false); err != nil {
+	if err := l.AppendBatch(recs, true); err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("group commit flushed a 10-record batch below MaxBatch 16: %+v", st)
+	if st := l.Stats(); st.Fsyncs != 1 || st.ForcedFsyncs != 1 || st.Appends != 20 {
+		t.Fatalf("forced batch: %+v, want 1 fsync for 10 more appended records", st)
 	}
-	if err := g.AppendBatch(recs, false); err != nil {
-		t.Fatal(err)
-	}
-	if st := g.Stats(); st.Fsyncs != 1 {
-		t.Fatalf("group commit window did not count records (20 >= 16): %+v", st)
+	if got := replayAll(t, l); len(got) != 20 || string(got[19]) != string(recs[9]) {
+		t.Fatalf("batches replayed as %d records", len(got))
 	}
 }
 
@@ -413,7 +501,7 @@ func TestCompactSoftErrorsCounted(t *testing.T) {
 	inj := chaos.Wrap(chaos.OS(), chaos.NewSchedule(
 		chaos.Step{Op: chaos.OpSync, Fault: chaos.EIO}, // snapshot.tmp fsync
 	))
-	l := openSmall(t, dir, Options{FS: inj, SegmentBytes: 1 << 20, Policy: Policy{Mode: ModeAsync}})
+	l := openSmall(t, dir, Options{FS: inj, SegmentBytes: 1 << 20})
 	defer l.Close()
 	if err := l.Append([]byte("x"), false); err != nil {
 		t.Fatal(err)
@@ -473,26 +561,6 @@ func TestErrLockedSentinel(t *testing.T) {
 	}
 }
 
-// TestParsePolicy: flag spellings map to modes; junk is rejected.
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		mode Mode
-	}{
-		{"sync", ModeSync}, {"sync-every-record", ModeSync},
-		{"group", ModeGroup}, {"group-commit", ModeGroup},
-		{"async", ModeAsync},
-	} {
-		p, err := ParsePolicy(tc.in)
-		if err != nil || p.Mode != tc.mode {
-			t.Errorf("ParsePolicy(%q) = %+v, %v", tc.in, p, err)
-		}
-	}
-	if _, err := ParsePolicy("yolo"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
-	}
-}
-
 // TestChaosRateSurvival: under a seeded ~5% fault rate the journal never
 // panics, and whatever survives on disk reopens clean.
 func TestChaosRateSurvival(t *testing.T) {
@@ -500,7 +568,7 @@ func TestChaosRateSurvival(t *testing.T) {
 		dir := t.TempDir()
 		inj := chaos.Wrap(chaos.OS(), chaos.NewRate(seed, 0.05, chaos.EIO, chaos.ENOSPC, chaos.Torn))
 		inj.SlowDelay = 0
-		l, err := OpenWith(dir, Options{FS: inj, SegmentBytes: 256, Policy: Policy{Mode: ModeGroup, Interval: time.Millisecond, MaxBatch: 4}})
+		l, err := OpenWith(dir, Options{FS: inj, SegmentBytes: 256})
 		if err != nil {
 			continue // open itself faulted; nothing on disk to check
 		}

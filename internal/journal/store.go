@@ -61,9 +61,11 @@ func NewMemStore[V any](producer string, codec Codec[V]) *Store[V] {
 // names the code whose outputs the store memoizes: change it whenever that
 // code's results can change, and everything cached before reads as stale.
 // compactEvery is how many appended records trigger a compaction. o carries
-// the journal's chaos.FS, segment size and fsync policy; appends are never
-// forced, since a lost entry only costs recomputing it. The journal's
-// advisory lock makes a second opener of dir fail fast (ErrLocked).
+// the journal's chaos.FS and segment size. Each PutAll or Merge batch is a
+// forced append — one write, one fsync — because a store's callers never
+// call Sync: unforced, a batch would wait for the next compaction or Close,
+// and a crash would lose every entry since. The journal's advisory lock
+// makes a second opener of dir fail fast (ErrLocked).
 func OpenStore[V any](dir string, o Options, producer string, codec Codec[V], compactEvery int) (*Store[V], error) {
 	log, err := OpenWith(dir, o)
 	if err != nil {
@@ -138,8 +140,8 @@ func (s *Store[V]) Put(key string, v V) { s.PutAll([]string{key}, []V{v}) }
 
 // PutAll stores vs[i] under keys[i]; a key already present keeps its value.
 // The entries new to the store reach the journal as one batch — one write and
-// one policy-governed sync for the whole call (AppendBatch), each entry still
-// its own record — so a caller inserting many pays for durability once.
+// one fsync for the whole call (AppendBatch), each entry still its own record
+// — so a caller inserting many pays for durability once.
 func (s *Store[V]) PutAll(keys []string, vs []V) {
 	s.iomu.Lock()
 	defer s.iomu.Unlock()
@@ -168,7 +170,7 @@ func (s *Store[V]) putIOLocked(keys []string, vs []V) int {
 		payloads[j] = appendFrame(frame([]byte(s.producer)), s.codec.Encode(keys[i], vs[i]))
 	}
 	// The compaction threshold counts the journal's records, not batches.
-	if s.log.AppendBatch(payloads, false) == nil && s.log.Records() >= s.compactEvery {
+	if s.log.AppendBatch(payloads, true) == nil && s.log.Records() >= s.compactEvery {
 		_ = s.compactIOLocked() // failing leaves a longer journal, retried by the next put
 	}
 	return len(fresh)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"merlin/internal/buildsvc"
 	"merlin/internal/chaos"
@@ -152,8 +151,8 @@ func blobOf(producer string, entries ...[]byte) []byte {
 }
 
 // TestStoreBatchIsOneWriteOneSync: however many entries a PutAll or a Merge
-// adds, they reach the journal as one write and one sync under the default
-// sync-every-append policy — each still its own record, each counted towards
+// adds, they reach the journal as one write and one sync, because the store
+// forces each batch — each still its own record, each counted towards
 // compaction.
 func TestStoreBatchIsOneWriteOneSync(t *testing.T) {
 	forEachCodec(t, func(t *testing.T, h harness) {
@@ -322,29 +321,6 @@ func TestStoreChaosSurvival(t *testing.T) {
 			}
 			s2.Close()
 		}
-	})
-}
-
-// TestStoreGroupCommitPolicy: the store runs under the group-commit policy
-// with fewer fsyncs than appends and still round-trips through close/reopen.
-func TestStoreGroupCommitPolicy(t *testing.T) {
-	forEachCodec(t, func(t *testing.T, h harness) {
-		dir := t.TempDir()
-		s := mustOpen(t, h, dir, journal.Options{
-			Policy: journal.Policy{Mode: journal.ModeGroup, Interval: time.Hour, MaxBatch: 16},
-		}, 1000)
-		for i := 0; i < 64; i++ {
-			s.PutAs(i, i)
-		}
-		if st := s.LogStats(); st.Appends != 64 || st.Fsyncs != 4 {
-			t.Fatalf("64 appends under MaxBatch 16: %+v, want 4 fsyncs", st)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s2 := mustOpen(t, h, dir, journal.Options{}, 1000)
-		defer s2.Close()
-		wantRange(t, s2, 0, 64)
 	})
 }
 

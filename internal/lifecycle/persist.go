@@ -173,13 +173,14 @@ func (m *Manager) allSlotsEventLocked(kind EventKind, detail string) {
 
 // journalSlotLocked appends the slot's current state. sync forces an fsync —
 // used on stage transitions so they survive machine crashes, not just
-// process crashes.
+// process crashes; Flush leaves its records unforced and syncs once.
 func (m *Manager) journalSlotLocked(s *slot, sync bool) {
 	m.jl.Append(func() any { return persistedRecord{Kind: "slot", Slot: m.encodeSlotLocked(s)} }, sync)
 }
 
 // Flush journals the current state of every slot (map contents included) and
-// syncs the journal. merlind calls it after traffic (map mutations happen
+// syncs the journal: one fsync however many slots, and every record durable
+// when it returns. merlind calls it after traffic (map mutations happen
 // without lifecycle transitions) and on SIGINT/SIGTERM. While the journal is
 // degraded it is only a probe: a successful one re-persists everything.
 func (m *Manager) Flush() error {

@@ -32,6 +32,7 @@ type soakResult struct {
 	journal          journal.Stats // zero when the journal never opened
 	health           journal.Health
 	injected         chaos.Stats
+	flushes          int // Flush calls over a healthy journal
 }
 
 func countSource(gen int) lifecycle.Source {
@@ -51,7 +52,7 @@ func splitmix64(s *uint64) uint64 {
 
 // soak runs 300 seeded churn operations against a manager journaling to dir
 // through a fault injector failing each I/O with probability faultRate.
-func soak(t *testing.T, dir string, seed int64, faultRate float64, policy journal.Policy, segmentBytes int64) *soakResult {
+func soak(t *testing.T, dir string, seed int64, faultRate float64, segmentBytes int64) *soakResult {
 	t.Helper()
 	res := &soakResult{}
 	inj := chaos.Wrap(chaos.OS(), chaos.NewRate(seed, faultRate, chaos.EIO, chaos.ENOSPC, chaos.Torn))
@@ -61,7 +62,7 @@ func soak(t *testing.T, dir string, seed int64, faultRate float64, policy journa
 	var jl *journal.Log
 	var err error
 	for attempt := 0; attempt < 5 && jl == nil; attempt++ {
-		jl, err = journal.OpenWith(dir, journal.Options{FS: inj, SegmentBytes: segmentBytes, Policy: policy})
+		jl, err = journal.OpenWith(dir, journal.Options{FS: inj, SegmentBytes: segmentBytes})
 	}
 	m := lifecycle.NewManager(lifecycle.Config{
 		ShadowRuns: 3, CanaryRuns: 3, Journal: jl, Metrics: metrics.New(), CompactEvery: 32,
@@ -104,6 +105,12 @@ func soak(t *testing.T, dir string, seed int64, faultRate float64, policy journa
 			}
 		}()
 	}
+	flush := func() {
+		if jl != nil && !m.JournalHealth().Degraded {
+			res.flushes++
+		}
+		_ = m.Flush()
+	}
 	rng, gen := uint64(seed), 1
 	for i := 0; i < 300; i++ {
 		r := splitmix64(&rng)
@@ -117,7 +124,7 @@ func soak(t *testing.T, dir string, seed int64, faultRate float64, policy journa
 		case v < 16:
 			_ = m.Rollback(slot)
 		case v < 24:
-			_ = m.Flush() // steady-state map drift: the group-commit workload
+			flush() // steady-state map drift: unforced records, one Sync
 		case v < 26:
 			m.Tick()
 		case v < 28:
@@ -128,7 +135,7 @@ func soak(t *testing.T, dir string, seed int64, faultRate float64, policy journa
 	}
 	close(stop)
 	wg.Wait()
-	_ = m.Flush()
+	flush()
 	res.health = m.JournalHealth()
 	res.injected = inj.Stats()
 	if jl != nil {
@@ -165,50 +172,46 @@ func verifyRecovery(dir string, _ journal.Prefix) error {
 	return nil
 }
 
-// TestChaosSoak: 1% storage faults under three fsync policies and three
-// seeds, concurrent traffic under -race, then recovery of what survived
-// and of every truncation prefix of it.
+// TestChaosSoak: 1% storage faults under three seeds, concurrent traffic
+// under -race, then recovery of what survived and of every truncation
+// prefix of it.
 func TestChaosSoak(t *testing.T) {
-	for _, pol := range []struct {
-		name   string
-		policy journal.Policy
-	}{
-		{"sync", journal.Policy{Mode: journal.ModeSync}},
-		{"group", journal.Policy{Mode: journal.ModeGroup}},
-		{"async", journal.Policy{Mode: journal.ModeAsync}},
-	} {
-		for seed := 1; seed <= 3; seed++ {
-			t.Run(pol.name+"/seed"+strconv.Itoa(seed), func(t *testing.T) {
-				dir := t.TempDir()
-				if soak(t, dir, int64(seed*7919), 0.01, pol.policy, 2<<10).serves.Load() == 0 {
-					t.Fatal("soak served nothing")
-				}
-				if err := verifyRecovery(dir, journal.Prefix{}); err != nil {
-					t.Fatalf("post-soak recovery inconsistent: %v", err)
-				}
-				if err := journal.SweepPrefixes(dir, 6, verifyRecovery); err != nil {
-					t.Fatalf("prefix sweep: %v", err)
-				}
-			})
-		}
+	for seed := 1; seed <= 3; seed++ {
+		t.Run("seed"+strconv.Itoa(seed), func(t *testing.T) {
+			dir := t.TempDir()
+			if soak(t, dir, int64(seed*7919), 0.01, 2<<10).serves.Load() == 0 {
+				t.Fatal("soak served nothing")
+			}
+			if err := verifyRecovery(dir, journal.Prefix{}); err != nil {
+				t.Fatalf("post-soak recovery inconsistent: %v", err)
+			}
+			if err := journal.SweepPrefixes(dir, 6, verifyRecovery); err != nil {
+				t.Fatalf("prefix sweep: %v", err)
+			}
+		})
 	}
 }
 
-// TestSoakGroupCommitBatches: fault-free, so the fsync arithmetic is exact.
-// Group commit takes fewer fsyncs than records, while stage transitions
-// still fsync individually. Big segments keep rotation fsyncs out of it.
-func TestSoakGroupCommitBatches(t *testing.T) {
+// TestSoakOneFsyncPerFlush: fault-free, so the fsync arithmetic is exact.
+// Every forced append (a stage transition) is exactly one forced fsync, and
+// each Flush adds exactly one unforced barrier fsync, whatever the slot
+// count. Big segments keep rotation fsyncs out of it.
+func TestSoakOneFsyncPerFlush(t *testing.T) {
 	dir := t.TempDir()
-	res := soak(t, dir, 42, 0, journal.Policy{Mode: journal.ModeGroup}, 4<<20)
+	res := soak(t, dir, 42, 0, 4<<20)
 	j := res.journal
-	if j.Appends == 0 {
-		t.Fatal("no appends; churn broken")
+	if j.ForcedFsyncs == 0 || res.flushes == 0 {
+		t.Fatalf("churn forced nothing or never flushed: %+v", j)
 	}
-	if j.Fsyncs >= j.Appends {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d appends", j.Fsyncs, j.Appends)
-	}
-	if j.ForcedFsyncs == 0 {
-		t.Fatal("no forced fsyncs: stage transitions lost their individual durability")
+	// Two slots, so each Flush appended two unforced records; every other
+	// record was forced. Each Flush's Sync fsyncs at least once, so the
+	// unforced fsyncs adding up to the flush count means exactly one each.
+	// (Traffic promotes concurrently, so per-Flush deltas would race; the
+	// totals do not. res.journal is read before Close.)
+	flushed := 2 * res.flushes
+	if j.ForcedFsyncs != j.Appends-flushed || j.Fsyncs != j.ForcedFsyncs+res.flushes {
+		t.Fatalf("fsyncs %d (forced %d) for %d appends, %d of them from %d flushes",
+			j.Fsyncs, j.ForcedFsyncs, j.Appends, flushed, res.flushes)
 	}
 	if res.health.Degraded {
 		t.Fatalf("degraded with no faults injected: %+v", res.health)
@@ -216,13 +219,36 @@ func TestSoakGroupCommitBatches(t *testing.T) {
 	if err := verifyRecovery(dir, journal.Prefix{}); err != nil {
 		t.Fatal(err)
 	}
+
+	for _, k := range []int{1, 4, 16} {
+		jl, err := journal.OpenWith(t.TempDir(), journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := lifecycle.NewManager(lifecycle.Config{ShadowRuns: 1, CanaryRuns: 1, Journal: jl})
+		for i := 0; i < k; i++ {
+			name := "s" + strconv.Itoa(i)
+			if err := m.DeployWith(name, countSource(0), lifecycle.DeployOptions{SourceDesc: name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := jl.Stats()
+		if err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		after := jl.Stats()
+		if got := after.Fsyncs - before.Fsyncs; got != 1 || after.ForcedFsyncs != before.ForcedFsyncs || after.Appends-before.Appends != k {
+			t.Fatalf("Flush of %d slots: %d fsyncs for %d records, want 1", k, got, after.Appends-before.Appends)
+		}
+		jl.Close()
+	}
 }
 
 // TestSoakRotationUnderChurn: 1 KiB segments must rotate under churn, and
 // the sweep must hold across segment boundaries.
 func TestSoakRotationUnderChurn(t *testing.T) {
 	dir := t.TempDir()
-	if res := soak(t, dir, 7, 0, journal.Policy{}, 1<<10); res.journal.Rotations == 0 {
+	if res := soak(t, dir, 7, 0, 1<<10); res.journal.Rotations == 0 {
 		t.Fatalf("no segment rotations with 1KiB segments: %+v", res.journal)
 	}
 	if err := journal.SweepPrefixes(dir, 4, verifyRecovery); err != nil {

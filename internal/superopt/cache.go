@@ -35,7 +35,7 @@ func NewMemCache() *Cache { return journal.NewMemStore[Verdict](Producer, Verdic
 func OpenCache(dir string) (*Cache, error) { return OpenCacheWith(dir, journal.Options{}) }
 
 // OpenCacheWith is OpenCache with explicit journal options: a chaos.FS for
-// fault injection, a segment-rotation threshold, and the fsync policy.
+// fault injection and a segment-rotation threshold.
 func OpenCacheWith(dir string, o journal.Options) (*Cache, error) {
 	return journal.OpenStore[Verdict](dir, o, Producer, VerdictCodec{}, compactThreshold)
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"merlin/internal/chaos"
 	"merlin/internal/ebpf"
@@ -50,34 +49,6 @@ func TestCacheChaosSurvival(t *testing.T) {
 			}
 		}
 		c2.Close()
-	}
-}
-
-// TestCacheGroupCommitPolicy: the cache runs under the group-commit policy
-// and still round-trips through close/reopen, with fewer fsyncs than
-// appends.
-func TestCacheGroupCommitPolicy(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCacheWith(dir, journal.Options{
-		Policy: journal.Policy{Mode: journal.ModeGroup, Interval: time.Hour, MaxBatch: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("k%02d", i), Verdict{Improved: i%2 == 0})
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if c2.Len() != 64 {
-		t.Fatalf("reopened cache has %d entries, want 64", c2.Len())
 	}
 }
 
